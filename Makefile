@@ -10,14 +10,23 @@ COVER_FLOOR_controlplane ?= 85.0
 # default make the whole smoke about ten seconds.
 FUZZTIME ?= 1s
 
-.PHONY: check build test vet race chaos bench cover conformance plan recover replay corpus optimize
+.PHONY: check build test vet race chaos bench cover conformance plan recover replay corpus optimize benchmark
 
 # The full pre-merge gate: static checks, build, the race-enabled test
 # suite, the backend conformance matrix, coverage floors, plan-output
 # snapshots, crash-recovery drills, the offline-replay self-diff, the
-# golden-corpus regression gate, the cost-model optimizer loop, and a
-# short fuzz round of every fuzz target.
-check: vet build race conformance cover plan recover replay corpus optimize
+# golden-corpus regression gate, the cost-model optimizer loop, a
+# short fuzz round of every fuzz target, and the repository benchmark's
+# own tests.
+check: vet build race conformance cover plan recover replay corpus optimize benchmark
+
+# The repository benchmark is a module of its own, so the root test run
+# never sees it. Its tests run every workload at toy size through the
+# real stack and check each step against the system-free reference —
+# which catches a buffer-lifetime bug (a step-scoped array escaping its
+# step) that only the benchmark's endpoints would exercise. About 1 s.
+benchmark:
+	$(GO) -C benchmark test -count=1 ./...
 
 # Golden snapshots of `sbrun -explain` (and `-explain -optimize`) for
 # the example workflows. The plan rendering is a user-facing contract;

@@ -44,12 +44,16 @@ func FuzzDecodeMeta(f *testing.F) {
 
 func FuzzDecodePayload(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte("SBP1"))
-	// Regression: a corrupt frame declaring ~2^26 variables must not
-	// pre-allocate gigabytes before the truncation check trips.
-	f.Add([]byte("SBP1\x02\x00\x00\x04\x01\x00\x00\x00a"))
+	// Both payload versions: v2 is written, v1 is still read.
+	for _, magic := range []string{payloadMagic, payloadMagicV1} {
+		f.Add([]byte(magic))
+		// Regression: a corrupt frame declaring ~2^26 variables must not
+		// pre-allocate gigabytes before the truncation check trips.
+		f.Add([]byte(magic + "\x02\x00\x00\x04\x01\x00\x00\x00a"))
+	}
 	f.Add(EncodePayload(nil, nil))
 	f.Add(EncodePayload([]string{"a", "b"}, [][]float64{{1}, {2, 3}}))
+	f.Add(appendV1Payload(nil, []string{"a", "b"}, [][]float64{{1}, {2, 3}}))
 	f.Add(EncodeMeta(&BlockMeta{Step: 1, Attrs: map[string]string{}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		vals, err := DecodePayload(data)

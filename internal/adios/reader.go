@@ -84,6 +84,11 @@ type Reader struct {
 	info    *StepInfo
 	decoded map[int]map[string][]float64 // writerRank → var → values
 	closed  bool
+
+	// arena is the step-scoped assembly storage ReadBoxScoped hands out,
+	// reused from step to step; used is how much the open step has taken.
+	arena []float64
+	used  int
 }
 
 // NewReader wraps a transport reader rank.
@@ -176,7 +181,34 @@ func dimsEqual(a, b []ndarray.Dim) bool {
 // ReadBox assembles the requested bounding box of a variable from every
 // writer block that intersects it (the MxN redistribution). The returned
 // array's dimensions carry the variable's labels with the box's counts.
+// The array is the caller's: it stays valid after EndStep.
 func (r *Reader) ReadBox(ctx context.Context, varName string, box ndarray.Box) (*ndarray.Array, error) {
+	return r.readBox(ctx, varName, box, false)
+}
+
+// ReadBoxScoped is ReadBox assembling into storage the reader owns and
+// reuses across steps. The array is valid only until EndStep (or Close):
+// the next step's scoped reads overwrite it. It is for step loops that
+// finish with the block inside the step — a step no longer costs a fresh
+// array per read.
+func (r *Reader) ReadBoxScoped(ctx context.Context, varName string, box ndarray.Box) (*ndarray.Array, error) {
+	return r.readBox(ctx, varName, box, true)
+}
+
+// stepFloats takes n values of step-scoped storage. When the arena is
+// too small for the step it is replaced by one sized for everything the
+// step has taken so far; earlier arrays of the step keep the old one.
+func (r *Reader) stepFloats(n int) []float64 {
+	if r.used+n > cap(r.arena) {
+		r.arena = make([]float64, max(r.used+n, 2*cap(r.arena)))
+		r.used = 0
+	}
+	out := r.arena[r.used : r.used+n : r.used+n]
+	r.used += n
+	return out
+}
+
+func (r *Reader) readBox(ctx context.Context, varName string, box ndarray.Box, scoped bool) (*ndarray.Array, error) {
 	if !r.inStep {
 		return nil, fmt.Errorf("adios: ReadBox outside a step")
 	}
@@ -191,7 +223,16 @@ func (r *Reader) ReadBox(ctx context.Context, varName string, box ndarray.Box) (
 	for i, d := range gv.Dims {
 		dims[i] = ndarray.Dim{Name: d.Name, Size: box.Counts[i]}
 	}
-	out := ndarray.New(dims...)
+	var data []float64
+	if scoped {
+		data = r.stepFloats(box.Volume())
+	} else {
+		data = make([]float64, box.Volume())
+	}
+	out, err := ndarray.FromData(data, dims...)
+	if err != nil {
+		return nil, err
+	}
 	if out.Size() == 0 {
 		return out, nil
 	}
@@ -278,12 +319,14 @@ func (r *Reader) blockValues(ctx context.Context, writerRank int, varName string
 // The decoded-payload cache is dropped BEFORE the release: its value
 // slices may alias transport-owned frames (zero-copy decode), and on a
 // pooled transport the step's buffers may be recycled the moment this
-// rank's release retires the step.
+// rank's release retires the step. Arrays from ReadBoxScoped end here
+// too: the next step reuses their storage.
 func (r *Reader) EndStep() error {
 	if !r.inStep {
 		return fmt.Errorf("adios: EndStep without BeginStep")
 	}
 	r.decoded = nil
+	r.used = 0
 	if err := r.br.ReleaseStep(r.step); err != nil {
 		return err
 	}
@@ -302,6 +345,7 @@ func (r *Reader) Close() error {
 	}
 	r.closed = true
 	r.decoded = nil
+	r.arena = nil
 	r.info = nil
 	return r.br.Close()
 }

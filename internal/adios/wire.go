@@ -24,22 +24,30 @@ import (
 //	    per dim: u64 box offset, u64 box count
 //	u32 nattrs; per attr (sorted by name): str name, str value
 //
-// Payload blob:
+// Payload blob (v2, the only version written):
 //
-//	magic "SBP1"
-//	u32 nvars; per var: str name, u64 nvalues, nvalues * f64
+//	magic "SBP2"
+//	u32 nvars; per var: str name, u64 nvalues,
+//	    zero bytes up to the next multiple of 8 from the frame start,
+//	    nvalues * f64
 //
 // Strings are u32 length + bytes.
 //
 // Float blocks move in bulk: on a little-endian host the encoder
 // reinterprets the []float64 as raw bytes (one memmove instead of a
 // per-value store loop), and the decoder returns a []float64 view that
-// aliases the frame when the values happen to sit on an 8-byte boundary.
-// A big-endian host, or an unaligned frame, falls back to the portable
-// per-value path, so the bytes on the wire are identical everywhere.
+// aliases the frame. The padding puts every float block on an 8-byte
+// boundary of the frame, so a frame that itself starts 8-byte aligned —
+// any heap or pooled buffer — decodes with no copy at all. A big-endian
+// host, or a frame sitting at an unaligned address, falls back to a
+// copy, so the bytes on the wire are identical everywhere.
+//
+// Version 1 ("SBP1") is the same layout without the padding. It is still
+// decoded, through the copy fallback, so recordings made before v2 replay.
 const (
-	metaMagic    = "SBM1"
-	payloadMagic = "SBP1"
+	metaMagic      = "SBM1"
+	payloadMagic   = "SBP2"
+	payloadMagicV1 = "SBP1"
 )
 
 // hostLittleEndian reports whether float64 bits can be moved to and from
@@ -49,7 +57,13 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-type wireWriter struct{ buf []byte }
+// pad8 is how many zero bytes follow offset n to reach an 8-byte boundary.
+func pad8(n int) int { return -n & 7 }
+
+type wireWriter struct {
+	buf   []byte
+	start int // len(buf) where the frame being written begins
+}
 
 func (w *wireWriter) u8(v uint8)   { w.buf = append(w.buf, v) }
 func (w *wireWriter) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
@@ -58,8 +72,14 @@ func (w *wireWriter) str(s string) {
 	w.u32(uint32(len(s)))
 	w.buf = append(w.buf, s...)
 }
+
+// f64s writes a value count, the padding that aligns the block within
+// the frame, and the values.
 func (w *wireWriter) f64s(vals []float64) {
 	w.u64(uint64(len(vals)))
+	for range pad8(len(w.buf) - w.start) {
+		w.buf = append(w.buf, 0)
+	}
 	if len(vals) == 0 {
 		return
 	}
@@ -137,11 +157,22 @@ func (r *wireReader) str() string {
 	return s
 }
 
-// f64s decodes one float block. On a little-endian host with the block
-// 8-byte aligned in the frame, the returned slice ALIASES r.buf — zero
-// copy. Callers own the aliasing contract (see DecodePayload).
-func (r *wireReader) f64s() []float64 {
+// f64s decodes one float block: its count, then (padded is set for v2
+// frames) the zero padding that aligns it, then the values. On a
+// little-endian host with the block 8-byte aligned in memory, the
+// returned slice ALIASES r.buf — zero copy. Callers own the aliasing
+// contract (see DecodePayload).
+func (r *wireReader) f64s(padded bool) []float64 {
 	n := r.u64()
+	if padded && r.need(pad8(r.pos)) {
+		for _, b := range r.buf[r.pos : r.pos+pad8(r.pos)] {
+			if b != 0 {
+				r.fail("nonzero padding before float block at offset %d", r.pos)
+				break
+			}
+		}
+		r.pos += pad8(r.pos)
+	}
 	if r.err != nil {
 		return nil
 	}
@@ -158,7 +189,8 @@ func (r *wireReader) f64s() []float64 {
 		if uintptr(unsafe.Pointer(unsafe.SliceData(src)))%8 == 0 {
 			return unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(src))), n)
 		}
-		// Unaligned frame: one memmove into fresh, aligned storage.
+		// Unaligned frame (a v1 frame, or a frame at an unaligned
+		// address): one memmove into fresh, aligned storage.
 		out := make([]float64, n)
 		copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(out))), len(src)), src)
 		return out
@@ -290,16 +322,18 @@ func DecodeMeta(buf []byte) (*BlockMeta, error) {
 func PayloadSize(names []string, data [][]float64) int {
 	n := len(payloadMagic) + 4
 	for i, name := range names {
-		n += 4 + len(name) + 8 + 8*len(data[i])
+		n += 4 + len(name) + 8
+		n += pad8(n) + 8*len(data[i])
 	}
 	return n
 }
 
 // AppendPayload serializes the per-variable data blocks onto dst and
 // returns the extended slice. With cap(dst)-len(dst) >= PayloadSize no
-// allocation occurs and the result shares dst's backing array.
+// allocation occurs and the result shares dst's backing array. The float
+// blocks are aligned relative to len(dst), where the frame begins.
 func AppendPayload(dst []byte, names []string, data [][]float64) []byte {
-	w := &wireWriter{buf: dst}
+	w := &wireWriter{buf: dst, start: len(dst)}
 	w.buf = append(w.buf, payloadMagic...)
 	w.u32(uint32(len(names)))
 	for i, name := range names {
@@ -315,18 +349,24 @@ func EncodePayload(names []string, data [][]float64) []byte {
 	return AppendPayload(make([]byte, 0, PayloadSize(names, data)), names, data)
 }
 
-// DecodePayload parses a payload blob into a name → values map.
+// DecodePayload parses a payload blob, v2 or v1, into a name → values
+// map.
 //
-// Aliasing contract: where a float block sits 8-byte aligned in buf (the
-// common case for buffers produced by EncodePayload/AppendPayload from
-// offset 0), the returned value slices are views into buf itself — no
-// copy is made. The views are valid exactly as long as buf is: a caller
-// fetching frames from a pooled transport must drop every decoded view
-// before releasing the step that owns the frame. Callers that need the
-// values to outlive buf must copy them out.
+// Aliasing contract: where a float block sits 8-byte aligned in memory
+// (every block of a v2 frame that starts at an 8-byte-aligned address,
+// as heap and pooled buffers do), the returned value slices are views
+// into buf itself — no copy is made. The views are valid exactly as long
+// as buf is: a caller fetching frames from a pooled transport must drop
+// every decoded view before releasing the step that owns the frame.
+// Callers that need the values to outlive buf must copy them out.
 func DecodePayload(buf []byte) (map[string][]float64, error) {
 	r := &wireReader{buf: buf}
-	r.magic(payloadMagic)
+	v1 := len(buf) >= len(payloadMagicV1) && string(buf[:len(payloadMagicV1)]) == payloadMagicV1
+	if v1 {
+		r.magic(payloadMagicV1)
+	} else {
+		r.magic(payloadMagic)
+	}
 	n := int(r.u32())
 	// Cap the pre-allocation: n is attacker-controllable in a corrupt
 	// frame, and each declared variable needs at least 12 bytes of body,
@@ -334,7 +374,7 @@ func DecodePayload(buf []byte) (map[string][]float64, error) {
 	out := make(map[string][]float64, min(n, len(buf)/12+1))
 	for i := 0; i < n && r.err == nil; i++ {
 		name := r.str()
-		out[name] = r.f64s()
+		out[name] = r.f64s(!v1)
 	}
 	if r.err != nil {
 		return nil, r.err

@@ -1,12 +1,16 @@
 package adios
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/ndarray"
+	"repro/internal/pool"
 )
 
 func sampleMeta() *BlockMeta {
@@ -132,6 +136,133 @@ func TestDecodePayloadRejectsCorruption(t *testing.T) {
 	for name, buf := range cases {
 		if _, err := DecodePayload(buf); err == nil {
 			t.Errorf("DecodePayload(%s) succeeded", name)
+		}
+	}
+}
+
+// A frame encoded into pooled storage — how every published step is
+// encoded — decodes to views of the frame itself, whatever the variable
+// names' lengths put ahead of the float blocks.
+func TestDecodePayloadAliasesPooledFrame(t *testing.T) {
+	for nameLen := 0; nameLen <= 16; nameLen++ {
+		for nvars := 1; nvars <= 3; nvars++ {
+			if nameLen == 0 && nvars > 1 {
+				break // names are map keys: one empty name per frame
+			}
+			names := make([]string, nvars)
+			data := make([][]float64, nvars)
+			for i := range names {
+				names[i] = strings.Repeat(string(rune('a'+i)), nameLen)
+				data[i] = []float64{float64(i), -1.5, math.Pi}[:i+1]
+			}
+			b := pool.Get(PayloadSize(names, data))
+			frame := AppendPayload(b.Bytes()[:0], names, data)
+			if len(frame) != b.Len() {
+				t.Fatalf("names %q: encoded %d bytes, PayloadSize %d", names, len(frame), b.Len())
+			}
+			got, err := DecodePayload(frame)
+			if err != nil {
+				t.Fatalf("names %q: %v", names, err)
+			}
+			lo := uintptr(unsafe.Pointer(&frame[0]))
+			hi := lo + uintptr(len(frame))
+			for i, name := range names {
+				vals := got[name]
+				if len(vals) != len(data[i]) {
+					t.Fatalf("names %q: %q decoded %d values, want %d", names, name, len(vals), len(data[i]))
+				}
+				if p := uintptr(unsafe.Pointer(&vals[0])); p < lo || p >= hi {
+					t.Errorf("name length %d, %d vars: %q was copied out of the frame", nameLen, len(names), name)
+				}
+				for j := range vals {
+					if vals[j] != data[i][j] {
+						t.Fatalf("names %q: %q = %v, want %v", names, name, vals, data[i])
+					}
+				}
+			}
+			b.Release()
+		}
+	}
+}
+
+// appendV1Payload hand-builds a version-1 frame: v2's layout without the
+// alignment padding.
+func appendV1Payload(dst []byte, names []string, data [][]float64) []byte {
+	dst = append(dst, payloadMagicV1...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(names)))
+	for i, name := range names {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(name)))
+		dst = append(dst, name...)
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(data[i])))
+		for _, v := range data[i] {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+		}
+	}
+	return dst
+}
+
+// Recordings made before v2 still replay: a v1 frame decodes to the
+// values its v2 re-encode decodes to, bit for bit.
+func TestDecodePayloadReadsV1(t *testing.T) {
+	names := []string{"atoms", "energy", "v"}
+	data := [][]float64{{1.5, -2.25, math.Inf(1), math.NaN()}, {}, {math.Copysign(0, -1)}}
+	v1 := appendV1Payload(nil, names, data)
+	if string(v1[:4]) != "SBP1" {
+		t.Fatalf("hand-built frame starts %q", v1[:4])
+	}
+	got1, err := DecodePayload(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reNames := make([]string, 0, len(got1))
+	reData := make([][]float64, 0, len(got1))
+	for name, vals := range got1 {
+		reNames = append(reNames, name)
+		reData = append(reData, vals)
+	}
+	v2 := EncodePayload(reNames, reData)
+	if string(v2[:4]) != "SBP2" {
+		t.Fatalf("re-encode starts %q, want SBP2", v2[:4])
+	}
+	got2, err := DecodePayload(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range names {
+		a, b := got1[name], got2[name]
+		if len(a) != len(data[i]) || len(b) != len(data[i]) {
+			t.Fatalf("%q: v1 %v, v2 %v, want %v", name, a, b, data[i])
+		}
+		for j := range a {
+			want := math.Float64bits(data[i][j])
+			if math.Float64bits(a[j]) != want || math.Float64bits(b[j]) != want {
+				t.Fatalf("%q[%d]: v1 %x, v2 %x, want %x", name, j,
+					math.Float64bits(a[j]), math.Float64bits(b[j]), want)
+			}
+		}
+	}
+}
+
+// The alignment padding is part of the format: it must be zero and it
+// must be there.
+func TestDecodePayloadRejectsBadPadding(t *testing.T) {
+	good := EncodePayload([]string{"atoms"}, [][]float64{{1.1, 2, 3}})
+	// magic 4 + nvars 4 + name 4+5 + count 8 = 25: three pad bytes, then
+	// the values at 32 (1.1's low bytes are nonzero).
+	if len(good) != 32+3*8 {
+		t.Fatalf("frame is %d bytes, want 56", len(good))
+	}
+	nonzero := append([]byte(nil), good...)
+	nonzero[26] = 1
+	cases := map[string][]byte{
+		"nonzero padding":   nonzero,
+		"truncated padding": good[:27],
+		"missing padding":   append(append([]byte(nil), good[:25]...), good[32:]...),
+	}
+	for name, buf := range cases {
+		_, err := DecodePayload(buf)
+		if err == nil || !strings.HasPrefix(err.Error(), "adios: decode:") {
+			t.Errorf("DecodePayload(%s) = %v, want an adios: decode: error", name, err)
 		}
 	}
 }

@@ -79,7 +79,7 @@ func (d *DimReduce) ReservedAxes(v *adios.GlobalVar, info *adios.StepInfo) ([]in
 
 // Transform implements sb.MapKernel.
 func (d *DimReduce) Transform(in *StepIn) (*StepOut, error) {
-	reduced, err := in.Block.DimReduceWith(sb.ParallelFor, d.Remove, d.Grow)
+	reduced, err := in.Block.DimReduceWith(sb.ParallelFor, in.Scratch.Floats(in.Block.Size()), d.Remove, d.Grow)
 	if err != nil {
 		return nil, fmt.Errorf("dim-reduce: %w", err)
 	}

@@ -64,7 +64,7 @@ func (m *Magnitude) Transform(in *StepIn) (*StepOut, error) {
 		return nil, fmt.Errorf("magnitude: vectors have zero components")
 	}
 	data := in.Block.Data()
-	out := make([]float64, points)
+	out := in.Scratch.Floats(points)
 	// Each point is independent, so the loop shards across the kernel
 	// worker pool (serial on a single-core host).
 	sb.ParallelFor(points, func(lo, hi int) {

@@ -90,7 +90,9 @@ func (s *Select) Transform(in *StepIn) (*StepOut, error) {
 		}
 		indices[i] = p
 	}
-	outBlock, err := in.Block.SelectIndices(s.DimIndex, indices)
+	shape := in.Block.Shape()
+	shape[s.DimIndex] = len(indices)
+	outBlock, err := in.Block.SelectIndicesInto(in.Scratch.Floats(ndarray.Volume(shape)), s.DimIndex, indices)
 	if err != nil {
 		return nil, fmt.Errorf("select: %w", err)
 	}

@@ -612,10 +612,16 @@ func (b *Broker) AttachReader(stream string, rank, size int) (*Reader, error) {
 	}
 	s.readerLive[rank] = true
 	delete(s.readerClosed, rank) // revive: this rank gates retirement again
-	if s.readerNext[rank] < s.minStep {
-		// A rank revived after a graceful close may have un-gated steps
-		// that then retired; it can only resume inside the live window.
-		s.readerNext[rank] = s.minStep
+	// The handle resumes at the group's common step (NextStep) and re-reads
+	// any step it released before detaching, so it gates those steps again:
+	// otherwise the first peer to release one retires it while this rank
+	// still has to read it.
+	resume := s.resumeStep()
+	s.readerNext[rank] = resume
+	for step, st := range s.steps {
+		if step >= resume {
+			delete(st.released, rank)
+		}
 	}
 	b.cond.Broadcast()
 	return &Reader{b: b, s: s, rank: rank}, nil
@@ -625,13 +631,17 @@ func (b *Broker) AttachReader(stream string, rank, size int) (*Reader, error) {
 // a detach: the lowest step not yet released by every rank of the reader
 // group. Restarted groups resume from a common step so collective
 // components stay aligned; steps a rank already released are simply
-// re-read (they cannot have retired while another rank still gates
-// them).
+// re-read (attaching made the rank gate them again).
 func (r *Reader) NextStep() int {
 	b := r.b
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	s := r.s
+	return r.s.resumeStep()
+}
+
+// resumeStep is the reader group's common resume point. Caller holds the
+// broker lock.
+func (s *stream) resumeStep() int {
 	next := 0
 	for i, n := range s.readerNext {
 		if i == 0 || n < next {

@@ -428,6 +428,47 @@ func TestReleaseRequiresAllReaderRanks(t *testing.T) {
 	}
 }
 
+// A reader group restarted after one rank released a step the other had
+// not resumes both at that step; the rank re-reading it must gate it
+// again, or its peer's release retires it mid-read.
+func TestReattachedReaderGatesStepsItReReads(t *testing.T) {
+	b := NewBroker()
+	ctx := ctxT(t)
+	w, _ := b.AttachWriter("re.fp", 0, 1, 2)
+	r0, _ := b.AttachReader("re.fp", 0, 2)
+	r1, _ := b.AttachReader("re.fp", 1, 2)
+	if err := w.PublishBlock(ctx, 0, nil, []byte{7}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r0.ReleaseStep(0); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*Reader{r0, r1} {
+		if err := r.Detach(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r1, _ = b.AttachReader("re.fp", 1, 2)
+	r0, _ = b.AttachReader("re.fp", 0, 2)
+	for rank, r := range []*Reader{r0, r1} {
+		if next := r.NextStep(); next != 0 {
+			t.Fatalf("rank %d resumes at %d, want 0", rank, next)
+		}
+	}
+	if err := r1.ReleaseStep(0); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := r0.FetchBlock(ctx, 0, 0); err != nil || len(p) != 1 || p[0] != 7 {
+		t.Fatalf("re-read of step 0 after the peer released it = %v, %v", p, err)
+	}
+	if err := r0.ReleaseStep(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r0.FetchBlock(ctx, 0, 0); !errors.Is(err, ErrStepRetired) {
+		t.Fatalf("step 0 after both ranks released = %v, want ErrStepRetired", err)
+	}
+}
+
 func TestReaderCloseUnwedgesWriter(t *testing.T) {
 	// A departed consumer must not block the producer (failure injection).
 	b := NewBroker()

@@ -77,7 +77,7 @@ func FuzzFrameDecode(f *testing.F) {
 		// the fresh-storage decode, including when the scratch already
 		// holds stale bytes from a previous (larger) frame.
 		scratch := bytes.Repeat([]byte{0xee}, len(data)+16)
-		op2, body2, err2 := readFrameInto(bytes.NewReader(data), func(byte) *[]byte { return &scratch })
+		op2, body2, err2 := readFrameInto(bytes.NewReader(data), func(_ byte, n int) []byte { return grow(&scratch, n) })
 		if err2 != nil || op2 != op || !bytes.Equal(body2, body) {
 			t.Fatalf("readFrameInto disagrees: op=%d err=%v body=%x, want op=%d body=%x",
 				op2, err2, body2, op, body)

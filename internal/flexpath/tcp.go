@@ -137,17 +137,17 @@ func grow(scratch *[]byte, n int) []byte {
 	return *scratch
 }
 
-// readFrameInto reads one frame, placing the body in a scratch buffer
-// chosen by pick(op) — grown as needed and reused across calls, so a
-// steady stream of frames stops allocating once the buffers reach
-// steady-state size. The returned body aliases the chosen scratch and is
-// valid only until that scratch is next used.
+// readFrameInto reads one frame, placing the n-byte body in the slice
+// pick(op, n) returns — normally a scratch buffer grown as needed and
+// reused across calls (see grow), so a steady stream of frames stops
+// allocating once the buffers reach steady-state size. The returned body
+// is that slice.
 //
 // The opcode is read ahead of the rest of the body precisely so pick can
 // route control frames (heartbeat, cancel) to a different buffer than
 // request frames: control frames arrive while a request body is still
 // being processed, and must not clobber it.
-func readFrameInto(r io.Reader, pick func(op byte) *[]byte) (op byte, body []byte, err error) {
+func readFrameInto(r io.Reader, pick func(op byte, n int) []byte) (op byte, body []byte, err error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
@@ -162,7 +162,7 @@ func readFrameInto(r io.Reader, pick func(op byte) *[]byte) (op byte, body []byt
 		return 0, nil, err
 	}
 	op = opb[0]
-	body = grow(pick(op), int(n)-1)
+	body = pick(op, int(n)-1)
 	if _, err := io.ReadFull(r, body); err != nil {
 		return 0, nil, err
 	}
@@ -177,8 +177,7 @@ func readFrameInto(r io.Reader, pick func(op byte) *[]byte) (op byte, body []byt
 // readFrame reads one frame into fresh storage (attach paths and tests;
 // the hot paths use readFrameInto with a reused scratch).
 func readFrame(r io.Reader) (op byte, body []byte, err error) {
-	var scratch []byte
-	return readFrameInto(r, func(byte) *[]byte { return &scratch })
+	return readFrameInto(r, func(_ byte, n int) []byte { return make([]byte, n) })
 }
 
 // frameWriter appends protocol primitives to a buffer.
@@ -443,11 +442,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		// (heartbeat, cancel) can arrive mid-request and therefore go to a
 		// separate ctlScratch so they cannot clobber an in-flight body.
 		var reqScratch, ctlScratch []byte
-		pick := func(op byte) *[]byte {
+		pick := func(op byte, n int) []byte {
 			if op == opHeartbeat || op == opCancel {
-				return &ctlScratch
+				return grow(&ctlScratch, n)
 			}
-			return &reqScratch
+			return grow(&reqScratch, n)
 		}
 		for {
 			op, body, err := readFrameInto(conn, pick)

@@ -242,24 +242,26 @@ func (e *remoteCancelled) Transient() bool { return true }
 // call, so any response bytes that must outlive the call are copied out
 // by the caller. A nil rbuf reads into fresh storage (attach path).
 func call(ctx context.Context, conn net.Conn, wmu *sync.Mutex, op byte, body []byte, rbuf *[]byte) (*frameReader, error) {
-	return callWith(ctx, conn, wmu, rbuf, func() error { return writeFrame(conn, op, body) })
+	if rbuf == nil {
+		rbuf = new([]byte)
+	}
+	return callWith(ctx, conn, wmu, func(_ byte, n int) []byte { return grow(rbuf, n) },
+		func() error { return writeFrame(conn, op, body) })
 }
 
 // callVec is call with a gathered request write: the frame is the
 // concatenation of parts, written via one writev (step-batched
 // coalescing). vecs is the handle's reused iovec scratch.
 func callVec(ctx context.Context, conn net.Conn, wmu *sync.Mutex, op byte, parts [][]byte, vecs *net.Buffers, rbuf *[]byte) (*frameReader, error) {
-	return callWith(ctx, conn, wmu, rbuf, func() error { return writeFrameVec(conn, vecs, op, parts...) })
+	return callWith(ctx, conn, wmu, func(_ byte, n int) []byte { return grow(rbuf, n) },
+		func() error { return writeFrameVec(conn, vecs, op, parts...) })
 }
 
 // callWith issues one blocking request/response, with the request frame
 // emitted by write (under the write lock, serialised against heartbeat
-// and cancel frames).
-func callWith(ctx context.Context, conn net.Conn, wmu *sync.Mutex, rbuf *[]byte, write func() error) (*frameReader, error) {
-	if rbuf == nil {
-		var local []byte
-		rbuf = &local
-	}
+// and cancel frames) and the response body read into the slice resp
+// returns (see readFrameInto).
+func callWith(ctx context.Context, conn net.Conn, wmu *sync.Mutex, resp func(op byte, n int) []byte, write func() error) (*frameReader, error) {
 	cancellable := ctx != nil && ctx.Done() != nil
 	if cancellable {
 		if err := ctx.Err(); err != nil {
@@ -284,11 +286,11 @@ func callWith(ctx context.Context, conn net.Conn, wmu *sync.Mutex, rbuf *[]byte,
 	if err != nil {
 		return nil, wrapNetErr(ctx, err)
 	}
-	_, resp, err := readFrameInto(conn, func(byte) *[]byte { return rbuf })
+	_, body, err := readFrameInto(conn, resp)
 	if err != nil {
 		return nil, wrapNetErr(ctx, err)
 	}
-	fr := &frameReader{buf: resp}
+	fr := &frameReader{buf: body}
 	switch fr.u8() {
 	case stOK:
 		return fr, nil
@@ -522,9 +524,22 @@ type RemoteReader struct {
 
 	mu     sync.Mutex
 	closed bool
-	fbuf   []byte // request frame scratch, guarded by mu
-	rbuf   []byte // response read scratch, guarded by mu
+	fbuf   []byte        // request frame scratch, guarded by mu
+	rbuf   []byte        // response read scratch, guarded by mu
+	frames []fetchedStep // pooled fetch responses not yet released, guarded by mu
 }
+
+// fetchedStep is one FetchBlock response frame, held until its step is
+// released because the returned payload aliases it.
+type fetchedStep struct {
+	step  int
+	frame *pool.Buf
+}
+
+// fetchLead places a fetch response in its pooled buffer so that the
+// payload, which follows a u8 status and a u32 length, starts at byte 8:
+// 8-byte aligned, as the zero-copy payload decode needs.
+const fetchLead = 8 - 5
 
 // AttachReader joins the reader group of a stream on the remote broker.
 func (c *Client) AttachReader(stream string, rank, size int) (*RemoteReader, error) {
@@ -603,7 +618,10 @@ func (r *RemoteReader) StepMeta(ctx context.Context, step int) ([][]byte, error)
 	return out, nil
 }
 
-// FetchBlock returns one writer rank's payload for the step.
+// FetchBlock returns one writer rank's payload for the step. The
+// response is read straight into a pooled frame with the payload 8-byte
+// aligned, and the returned slice aliases it: it is valid until this
+// rank releases the step (or closes or detaches).
 func (r *RemoteReader) FetchBlock(ctx context.Context, step, writerRank int) ([]byte, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -614,15 +632,37 @@ func (r *RemoteReader) FetchBlock(ctx context.Context, step, writerRank int) ([]
 	f.u32(uint32(step))
 	f.u32(uint32(writerRank))
 	r.fbuf = f.buf
-	fr, err := call(ctx, r.conn, &r.wmu, opFetchBlock, f.buf, &r.rbuf)
+	var frame *pool.Buf
+	fr, err := callWith(ctx, r.conn, &r.wmu, func(_ byte, n int) []byte {
+		frame = pool.Get(fetchLead + n)
+		return frame.Bytes()[fetchLead:]
+	}, func() error { return writeFrame(r.conn, opFetchBlock, f.buf) })
 	if err != nil {
+		frame.Release()
 		return nil, err
 	}
-	payload := append([]byte(nil), fr.bytes()...)
+	payload := fr.bytes()
 	if fr.err != nil {
+		frame.Release()
 		return nil, fr.err
 	}
+	r.frames = append(r.frames, fetchedStep{step: step, frame: frame})
 	return payload, nil
+}
+
+// releaseFrames returns the fetch frames of one step (all steps when
+// step is negative) to the pool. The caller holds r.mu.
+func (r *RemoteReader) releaseFrames(step int) {
+	kept := r.frames[:0]
+	for _, h := range r.frames {
+		if step < 0 || h.step == step {
+			h.frame.Release()
+		} else {
+			kept = append(kept, h)
+		}
+	}
+	clear(r.frames[len(kept):])
+	r.frames = kept
 }
 
 // ReleaseStep declares this rank finished with the step.
@@ -632,6 +672,7 @@ func (r *RemoteReader) ReleaseStep(step int) error {
 	if r.closed {
 		return ErrClosed
 	}
+	r.releaseFrames(step)
 	f := &frameWriter{buf: r.fbuf[:0]}
 	f.u32(uint32(step))
 	r.fbuf = f.buf
@@ -649,6 +690,7 @@ func (r *RemoteReader) settle(op byte) error {
 		return nil
 	}
 	r.closed = true
+	r.releaseFrames(-1)
 	_, err := call(nil, r.conn, &r.wmu, op, nil, &r.rbuf)
 	r.c.release(r.conn)
 	return err

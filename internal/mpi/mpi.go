@@ -179,32 +179,36 @@ func RunCtx(ctx context.Context, size int, fn func(*Comm) error) error {
 	wctx, cancel := context.WithCancel(ctx)
 	w := &world{ctx: wctx, cancel: cancel, groups: make(map[string]*group)}
 	defer cancel()
-	if d := ctx.Done(); d != nil {
-		go func() {
-			<-wctx.Done()
-			w.abort()
-		}()
-	}
+	// Cancelling the caller's context aborts the world. Stopped before the
+	// deferred cancel, so a world that ends normally runs no abort.
+	stop := context.AfterFunc(wctx, w.abort)
+	defer stop()
 	g := newGroup(w, "world", size)
 
 	errs := make([]error, size)
-	var wg sync.WaitGroup
-	for r := 0; r < size; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					errs[rank] = &RankError{Rank: rank, Err: fmt.Errorf("panic: %v", p)}
-					w.abort()
-				}
-			}()
-			if err := fn(&Comm{g: g, rank: rank}); err != nil {
-				errs[rank] = &RankError{Rank: rank, Err: err}
+	runRank := func(rank int) {
+		defer func() {
+			if p := recover(); p != nil {
+				errs[rank] = &RankError{Rank: rank, Err: fmt.Errorf("panic: %v", p)}
 				w.abort()
 			}
+		}()
+		if err := fn(&Comm{g: g, rank: rank}); err != nil {
+			errs[rank] = &RankError{Rank: rank, Err: err}
+			w.abort()
+		}
+	}
+	// The last rank runs on the calling goroutine, which would otherwise
+	// only wait.
+	var wg sync.WaitGroup
+	wg.Add(size - 1)
+	for r := 0; r < size-1; r++ {
+		go func(rank int) {
+			defer wg.Done()
+			runRank(rank)
 		}(r)
 	}
+	runRank(size - 1)
 	wg.Wait()
 	// Prefer the root cause over abort fallout: when rank N fails, the
 	// other ranks unwind with ErrAborted/Canceled, and rank order must not

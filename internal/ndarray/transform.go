@@ -17,14 +17,25 @@ type ShardRunner func(n int, fn func(lo, hi int))
 // paper observes is required because "programming languages understand
 // multi-dimensional data as being in a specific order in memory" (§III-A4).
 func (a *Array) Transpose(perm ...int) (*Array, error) {
-	return a.TransposeWith(nil, perm...)
+	return a.TransposeWith(nil, nil, perm...)
+}
+
+// newInto is New backed by dst when dst is non-nil, so a caller can
+// supply reused output storage; dst must then hold exactly the volume of
+// dims. Every element is overwritten by the caller.
+func newInto(dst []float64, dims []Dim) (*Array, error) {
+	if dst == nil {
+		return New(dims...), nil
+	}
+	return FromData(dst, dims...)
 }
 
 // TransposeWith is Transpose with the output walk sharded by run (nil =
-// serial). Each shard walks its own [lo,hi) slice of the output's
-// row-major order, seeding the source offset from lo, so the result is
-// identical to the serial walk.
-func (a *Array) TransposeWith(run ShardRunner, perm ...int) (*Array, error) {
+// serial) and written into dst (nil = fresh storage; otherwise exactly
+// the array's size). Each shard walks its own [lo,hi) slice of the
+// output's row-major order, seeding the source offset from lo, so the
+// result is identical to the serial walk.
+func (a *Array) TransposeWith(run ShardRunner, dst []float64, perm ...int) (*Array, error) {
 	n := len(a.dims)
 	if len(perm) != n {
 		return nil, fmt.Errorf("ndarray: transpose permutation has %d entries for %d-d array", len(perm), n)
@@ -40,7 +51,10 @@ func (a *Array) TransposeWith(run ShardRunner, perm ...int) (*Array, error) {
 	for i, p := range perm {
 		dims[i] = a.dims[p]
 	}
-	out := New(dims...)
+	out, err := newInto(dst, dims)
+	if err != nil {
+		return nil, err
+	}
 	if len(a.data) == 0 {
 		return out, nil
 	}
@@ -85,12 +99,13 @@ func (a *Array) TransposeWith(run ShardRunner, perm ...int) (*Array, error) {
 // axis's label. When the removed axis already immediately follows the
 // grow axis no data movement occurs beyond one copy.
 func (a *Array) DimReduce(remove, grow int) (*Array, error) {
-	return a.DimReduceWith(nil, remove, grow)
+	return a.DimReduceWith(nil, nil, remove, grow)
 }
 
 // DimReduceWith is DimReduce with the underlying transpose sharded by
-// run (nil = serial).
-func (a *Array) DimReduceWith(run ShardRunner, remove, grow int) (*Array, error) {
+// run (nil = serial) and written into dst (nil = fresh storage;
+// otherwise exactly the array's size).
+func (a *Array) DimReduceWith(run ShardRunner, dst []float64, remove, grow int) (*Array, error) {
 	n := len(a.dims)
 	if n < 2 {
 		return nil, fmt.Errorf("ndarray: dim-reduce requires at least 2 dimensions, have %d", n)
@@ -116,7 +131,7 @@ func (a *Array) DimReduceWith(run ShardRunner, remove, grow int) (*Array, error)
 			perm = append(perm, remove)
 		}
 	}
-	t, err := a.TransposeWith(run, perm...)
+	t, err := a.TransposeWith(run, dst, perm...)
 	if err != nil {
 		return nil, err
 	}
@@ -146,6 +161,12 @@ func (a *Array) DimReduceWith(run ShardRunner, remove, grow int) (*Array, error)
 // allowed) along one axis, producing an array whose extent along that axis
 // is len(indices). This is the kernel of the Select component.
 func (a *Array) SelectIndices(axis int, indices []int) (*Array, error) {
+	return a.SelectIndicesInto(nil, axis, indices)
+}
+
+// SelectIndicesInto is SelectIndices writing into dst (nil = fresh
+// storage; otherwise exactly the result's size).
+func (a *Array) SelectIndicesInto(dst []float64, axis int, indices []int) (*Array, error) {
 	n := len(a.dims)
 	if axis < 0 || axis >= n {
 		return nil, fmt.Errorf("ndarray: select axis %d out of range [0,%d)", axis, n)
@@ -158,7 +179,10 @@ func (a *Array) SelectIndices(axis int, indices []int) (*Array, error) {
 	}
 	dims := cloneDims(a.dims)
 	dims[axis].Size = len(indices)
-	out := New(dims...)
+	out, err := newInto(dst, dims)
+	if err != nil {
+		return nil, err
+	}
 	if out.Size() == 0 {
 		return out, nil
 	}

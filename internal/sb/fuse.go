@@ -187,6 +187,16 @@ func (f *Fused) Run(env *Env) error {
 		}
 	}
 
+	// Output storage per part. An interior output of a multi-rank stage
+	// crosses the Direct exchange, where a peer may still hold a view of
+	// it after this rank has moved on, so those parts keep fresh storage.
+	scratch := make([]*Scratch, len(f.parts))
+	for k := range scratch {
+		if k == len(f.parts)-1 || env.Comm.Size() == 1 {
+			scratch[k] = &Scratch{}
+		}
+	}
+
 	for {
 		// Step boundary: same elastic-rescale interrupt seam as RunMap.
 		if env.Interrupt != nil {
@@ -196,7 +206,7 @@ func (f *Fused) Run(env *Env) error {
 			}
 		}
 		step := r.NextStep() // absolute: a re-attached reader resumes mid-stream
-		eof, err := f.runFusedStep(env, r, w, exchanges, step)
+		eof, err := f.runFusedStep(env, r, w, exchanges, scratch, step)
 		if eof {
 			env.logf("%s rank %d: input stream %q ended after %d steps", f.name, env.Comm.Rank(), first.InStream, step)
 			return nil
@@ -213,7 +223,7 @@ func (f *Fused) Run(env *Env) error {
 // restart recomputes it from the stream — the same crash-consistency
 // window RunMap has.
 func (f *Fused) runFusedStep(env *Env, r *adios.Reader, w *adios.Writer,
-	exchanges []*flexpath.Direct, step int) (eof bool, err error) {
+	exchanges []*flexpath.Direct, scratch []*Scratch, step int) (eof bool, err error) {
 	rank := env.Comm.Rank()
 	tr := env.Tracer
 
@@ -254,6 +264,7 @@ func (f *Fused) runFusedStep(env *Env, r *adios.Reader, w *adios.Writer,
 		}
 		var bytesIn, bytesOut int64
 		if err == nil {
+			in.Scratch = scratch[k]
 			bytesIn = int64(in.Block.Size() * 8)
 			out, err = transformKernel(env, cfg.Name, cfg.InStream, part.Kernel, stepSpan, step, in)
 			if err != nil {
@@ -289,7 +300,8 @@ func (f *Fused) runFusedStep(env *Env, r *adios.Reader, w *adios.Writer,
 }
 
 // readInput reads this rank's partition of the chain's first input from
-// the real stream — identical to the head of an unfused map step.
+// the real stream into the reader's step-scoped storage — identical to
+// the head of an unfused map step.
 func (f *Fused) readInput(env *Env, cfg MapConfig, kernel MapKernel, r *adios.Reader,
 	ctx context.Context, info *adios.StepInfo, step int) (*StepInput, error) {
 	rank, size := env.Comm.Rank(), env.Comm.Size()
@@ -301,7 +313,7 @@ func (f *Fused) readInput(env *Env, cfg MapConfig, kernel MapKernel, r *adios.Re
 	if err != nil {
 		return nil, fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)
 	}
-	block, err := r.ReadBox(ctx, cfg.InArray, box)
+	block, err := r.ReadBoxScoped(ctx, cfg.InArray, box)
 	if err != nil {
 		return nil, fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)
 	}

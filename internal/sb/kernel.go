@@ -14,7 +14,9 @@ import (
 
 // StepInput is what a map-style kernel sees each timestep on each rank:
 // the step's self-describing metadata, the variable it operates on, the
-// bounding box this rank was assigned, and the block read from it.
+// bounding box this rank was assigned, and the block read from it. In a
+// step loop the block's storage, like Scratch's, is reused by the next
+// step: a kernel must not keep either past the step.
 type StepInput struct {
 	Info  *adios.StepInfo
 	Var   *adios.GlobalVar
@@ -24,6 +26,26 @@ type StepInput struct {
 	// Reader is the step's open reader, for kernels that need data beyond
 	// their own partition (e.g. AllPairs re-reads the shared sample).
 	Reader *adios.Reader
+	// Scratch is where the kernel takes its output block from; the step
+	// loop hands the storage out again once the output has been published
+	// (encoded). Nil outside a step loop, where Floats allocates.
+	Scratch *Scratch
+}
+
+// Scratch is one rank's reusable output storage for one map kernel.
+type Scratch struct{ buf []float64 }
+
+// Floats returns n values of storage with unspecified contents: the
+// scratch's own, grown when too small, or fresh storage on a nil
+// Scratch.
+func (s *Scratch) Floats(n int) []float64 {
+	if s == nil {
+		return make([]float64, n)
+	}
+	if cap(s.buf) < n {
+		s.buf = make([]float64, n)
+	}
+	return s.buf[:n]
 }
 
 // StepOutput is a kernel's locally computed result: this rank's block of
@@ -86,6 +108,7 @@ func RunMap(env *Env, cfg MapConfig, kernel MapKernel) error {
 	defer w.Close()
 
 	tr := env.Tracer
+	var scratch Scratch
 	for {
 		// Step boundary: the elastic-rescale supervisor interrupts here,
 		// after the previous step fully settled and before any work on the
@@ -112,7 +135,7 @@ func RunMap(env *Env, cfg MapConfig, kernel MapKernel) error {
 			ctx = obs.WithParent(ctx, stepSpan)
 			stepStart = tr.Now()
 		}
-		eof, active, bytesIn, bytesOut, err := runMapStep(env, cfg, kernel, r, w, ctx, step, stepSpan)
+		eof, active, bytesIn, bytesOut, err := runMapStep(env, cfg, kernel, r, w, ctx, step, stepSpan, &scratch)
 		if eof {
 			env.logf("%s rank %d: input stream %q ended after %d steps", cfg.Name, env.Comm.Rank(), cfg.InStream, step)
 			return nil
@@ -144,8 +167,11 @@ func RunMap(env *Env, cfg MapConfig, kernel MapKernel) error {
 // The body is a composition of the kernel seam below — partitionFor,
 // transformKernel, publishOutput — the same pieces the fused runner
 // (fuse.go) chains back-to-back without the intermediate stream hop.
+// The block is read into the reader's step-scoped storage and the
+// kernel writes into scratch, so a steady step makes one copy of the
+// data (the box assembly) and allocates no array.
 func runMapStep(env *Env, cfg MapConfig, kernel MapKernel, r *adios.Reader, w *adios.Writer,
-	ctx context.Context, step int, stepSpan obs.SpanID) (eof bool, active time.Duration, bytesIn, bytesOut int64, err error) {
+	ctx context.Context, step int, stepSpan obs.SpanID, scratch *Scratch) (eof bool, active time.Duration, bytesIn, bytesOut int64, err error) {
 	rank, size := env.Comm.Rank(), env.Comm.Size()
 	fail := func(e error) (bool, time.Duration, int64, int64, error) {
 		return false, 0, bytesIn, bytesOut, fmt.Errorf("%s: step %d: %w", cfg.Name, step, e)
@@ -166,13 +192,13 @@ func runMapStep(env *Env, cfg MapConfig, kernel MapKernel, r *adios.Reader, w *a
 	if err != nil {
 		return fail(err)
 	}
-	block, err := r.ReadBox(ctx, cfg.InArray, box)
+	block, err := r.ReadBoxScoped(ctx, cfg.InArray, box)
 	if err != nil {
 		return fail(err)
 	}
 	bytesIn = int64(block.Size() * 8)
 	out, err := transformKernel(env, cfg.Name, cfg.InStream, kernel, stepSpan, step,
-		&StepInput{Info: info, Var: v, Box: box, Block: block, Env: env, Reader: r})
+		&StepInput{Info: info, Var: v, Box: box, Block: block, Env: env, Reader: r, Scratch: scratch})
 	if err != nil {
 		return fail(err)
 	}
