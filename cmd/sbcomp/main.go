@@ -89,7 +89,6 @@ func main() {
 		log.Fatalf("sbcomp: %v", err)
 	}
 	defer fabric.Close()
-	transport := sb.Fabric{T: fabric}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -98,7 +97,7 @@ func main() {
 	err = mpi.RunCtx(ctx, *procs, func(comm *mpi.Comm) error {
 		env := &sb.Env{
 			Comm:       comm,
-			Transport:  transport,
+			Transport:  fabric,
 			Args:       flag.Args()[1:],
 			QueueDepth: *queue,
 			Metrics:    metrics,

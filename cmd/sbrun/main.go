@@ -49,7 +49,6 @@ import (
 	"repro/internal/flexpath"
 	"repro/internal/launch"
 	"repro/internal/obs"
-	"repro/internal/sb"
 	"repro/internal/streamlog"
 	"repro/internal/workflow"
 
@@ -192,7 +191,6 @@ func main() {
 	}
 	defer fabric.Close()
 	kind := resolved.Kind
-	transport := sb.Transport(sb.Fabric{T: fabric})
 
 	// Durable stream log: the command line overrides the script's `log`
 	// directive. It mounts on the in-process broker only — with a remote
@@ -265,7 +263,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	res, err := workflow.Run(ctx, transport, spec, opts)
+	res, err := workflow.Run(ctx, fabric, spec, opts)
 	if res != nil {
 		fmt.Print(workflow.Report(res))
 	}

@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/components"
 	"repro/internal/flexpath"
-	"repro/internal/sb"
 	"repro/internal/workflow"
 
 	_ "repro/internal/sim/gromacs"
@@ -63,7 +62,7 @@ func main() {
 	}
 
 	res, err := workflow.Run(context.Background(),
-		sb.BrokerTransport{Broker: flexpath.NewBroker()}, spec, workflow.Options{})
+		flexpath.NewInProc(), spec, workflow.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/components"
 	"repro/internal/flexpath"
-	"repro/internal/sb"
 	"repro/internal/workflow"
 
 	_ "repro/internal/sim/gromacs"
@@ -52,7 +51,7 @@ func main() {
 		},
 	}
 	res, err := workflow.Run(context.Background(),
-		sb.BrokerTransport{Broker: flexpath.NewBroker()}, liveSpec, workflow.Options{})
+		flexpath.NewInProc(), liveSpec, workflow.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,7 +78,7 @@ func main() {
 		},
 	}
 	res, err = workflow.Run(context.Background(),
-		sb.BrokerTransport{Broker: flexpath.NewBroker()}, replaySpec, workflow.Options{})
+		flexpath.NewInProc(), replaySpec, workflow.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

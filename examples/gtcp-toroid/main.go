@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/components"
 	"repro/internal/flexpath"
-	"repro/internal/sb"
 	"repro/internal/workflow"
 
 	_ "repro/internal/sim/gtcp"
@@ -50,7 +49,7 @@ func main() {
 		},
 	}
 
-	transport := sb.BrokerTransport{Broker: flexpath.NewBroker()}
+	transport := flexpath.NewInProc()
 	res, err := workflow.Run(context.Background(), transport, spec, workflow.Options{})
 	if err != nil {
 		log.Fatal(err)

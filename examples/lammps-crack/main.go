@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/flexpath"
 	"repro/internal/launch"
-	"repro/internal/sb"
 	"repro/internal/workflow"
 
 	_ "repro/internal/sim/lammps" // the driving simulation registers itself by name
@@ -45,7 +44,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	transport := sb.BrokerTransport{Broker: flexpath.NewBroker()}
+	transport := flexpath.NewInProc()
 	res, err := workflow.Run(context.Background(), transport, spec, workflow.Options{})
 	if err != nil {
 		log.Fatal(err)

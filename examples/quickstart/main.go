@@ -87,7 +87,7 @@ func main() {
 		},
 	}
 
-	transport := sb.BrokerTransport{Broker: flexpath.NewBroker()}
+	transport := flexpath.NewInProc()
 	res, err := workflow.Run(context.Background(), transport, spec, workflow.Options{})
 	if err != nil {
 		log.Fatal(err)

@@ -14,49 +14,38 @@
 //     that box from however many writer-rank blocks intersect it — the
 //     MxN exchange.
 //
-// The layer is transport-agnostic: it speaks to any BlockWriter /
-// BlockReader, normally the FlexPath-like broker in package flexpath.
-// ("Other implementation paths are possible here, requiring mainly a
-// common communication mechanism and a typed payload" — §IV.)
+// The layer is transport-agnostic: it speaks to any per-rank handle of
+// the stream contract package flexpath states once (WriterHandle /
+// ReaderHandle), whichever backend carries it — in-process broker, TCP,
+// UDS or shared memory. ("Other implementation paths are possible here,
+// requiring mainly a common communication mechanism and a typed payload"
+// — §IV.)
 package adios
 
 import (
 	"context"
 	"strings"
 
+	"repro/internal/flexpath"
 	"repro/internal/ndarray"
 	"repro/internal/pool"
 )
 
-// BlockWriter is the transport-side contract for one writer rank: it
-// accepts one (metadata, payload) block per timestep, in step order, and
-// is closed when the rank finishes. flexpath.Writer implements it.
-type BlockWriter interface {
-	PublishBlock(ctx context.Context, step int, meta, payload []byte) error
-	Close() error
-}
+// BlockWriter is one writer rank's transport handle. It is the stream
+// contract of package flexpath, not a second statement of it: the Writer
+// here publishes every step through PublishBlockRef and resumes at
+// NextStep.
+type BlockWriter = flexpath.WriterHandle
 
-// RefBlockWriter is the zero-copy publishing capability: a transport
-// that implements it accepts ownership of pooled buffers, recycling them
-// once the step retires instead of leaving each step's blobs to the
-// garbage collector. PublishBlockRef consumes both references whether or
-// not it succeeds — the caller must not touch meta or payload afterward.
-// The Writer in this package probes for it and falls back to
-// PublishBlock on transports that don't offer it.
+// BlockReader is one reader rank's transport handle, likewise the
+// flexpath contract.
+type BlockReader = flexpath.ReaderHandle
+
+// RefBlockWriter names the zero-copy publish method on its own. Every
+// BlockWriter has it; the declaration is kept only for the benchmark's
+// seam, which aliases it.
 type RefBlockWriter interface {
 	PublishBlockRef(ctx context.Context, step int, meta, payload *pool.Buf) error
-}
-
-// BlockReader is the transport-side contract for one reader rank.
-// StepMeta blocks until the step is complete and returns every writer
-// rank's metadata blob (io.EOF after the stream ends); FetchBlock returns
-// one writer rank's payload; ReleaseStep lets the transport retire the
-// step. flexpath.Reader implements it.
-type BlockReader interface {
-	StepMeta(ctx context.Context, step int) ([][]byte, error)
-	FetchBlock(ctx context.Context, step, writerRank int) ([]byte, error)
-	ReleaseStep(step int) error
-	Close() error
 }
 
 // VarMeta describes one variable's block as written by one rank: the

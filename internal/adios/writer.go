@@ -145,27 +145,21 @@ func (w *Writer) WriteArray(name string, arr *ndarray.Array) error {
 // the transport has accepted the block — with an asynchronous transport
 // this overlaps downstream consumption with the producer's next step.
 //
-// On a transport with the RefBlockWriter capability the step is encoded
-// into pooled buffers sized by an exact pre-pass and published by
-// ownership transfer, so the transport can recycle the storage when the
-// step retires; otherwise fresh buffers are encoded and handed over.
+// The step is encoded into pooled buffers sized by an exact pre-pass and
+// published by ownership transfer, so the transport recycles the storage
+// when the step retires.
 func (w *Writer) EndStep(ctx context.Context) error {
 	if !w.inStep {
 		return fmt.Errorf("adios: EndStep without BeginStep")
 	}
 	bm := &BlockMeta{Step: w.step, Vars: w.vars, Attrs: w.attrs}
-	var err error
-	if rw, ok := w.bw.(RefBlockWriter); ok {
-		meta := encodeInto(pool.Get(MetaSize(bm)), func(dst []byte) []byte {
-			return AppendMeta(dst, bm)
-		})
-		payload := encodeInto(pool.Get(PayloadSize(w.names, w.data)), func(dst []byte) []byte {
-			return AppendPayload(dst, w.names, w.data)
-		})
-		err = rw.PublishBlockRef(ctx, w.step, meta, payload)
-	} else {
-		err = w.bw.PublishBlock(ctx, w.step, EncodeMeta(bm), EncodePayload(w.names, w.data))
-	}
+	meta := encodeInto(pool.Get(MetaSize(bm)), func(dst []byte) []byte {
+		return AppendMeta(dst, bm)
+	})
+	payload := encodeInto(pool.Get(PayloadSize(w.names, w.data)), func(dst []byte) []byte {
+		return AppendPayload(dst, w.names, w.data)
+	})
+	err := w.bw.PublishBlockRef(ctx, w.step, meta, payload)
 	if err != nil {
 		return err
 	}

@@ -66,7 +66,7 @@ func RunQueueDepthAblation(ctx context.Context, particles, steps int, depths []i
 		if err != nil {
 			return nil, err
 		}
-		res, err := workflow.Run(ctx, sb.BrokerTransport{Broker: flexpath.NewBroker()}, spec, workflow.Options{})
+		res, err := workflow.Run(ctx, flexpath.NewInProc(), spec, workflow.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("bench: queue depth %d: %w", d, err)
 		}
@@ -87,7 +87,7 @@ func RunFusionAblation(ctx context.Context, particles, steps int) ([]AblationRow
 	if err != nil {
 		return nil, err
 	}
-	pipeRes, err := workflow.Run(ctx, sb.BrokerTransport{Broker: flexpath.NewBroker()}, spec, workflow.Options{})
+	pipeRes, err := workflow.Run(ctx, flexpath.NewInProc(), spec, workflow.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("bench: fusion pipeline: %w", err)
 	}
@@ -104,7 +104,7 @@ func RunFusionAblation(ctx context.Context, particles, steps int) ([]AblationRow
 	if err != nil {
 		return nil, fmt.Errorf("bench: fusion plan: %w", err)
 	}
-	planRes, err := workflow.Run(ctx, sb.BrokerTransport{Broker: flexpath.NewBroker()}, fusedSpec.Spec, workflow.Options{})
+	planRes, err := workflow.Run(ctx, flexpath.NewInProc(), fusedSpec.Spec, workflow.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("bench: fusion plan-fused: %w", err)
 	}
@@ -113,7 +113,7 @@ func RunFusionAblation(ctx context.Context, particles, steps int) ([]AblationRow
 	if err != nil {
 		return nil, err
 	}
-	fusedRes, err := workflow.Run(ctx, sb.BrokerTransport{Broker: flexpath.NewBroker()}, workflow.Spec{
+	fusedRes, err := workflow.Run(ctx, flexpath.NewInProc(), workflow.Spec{
 		Name: "lammps-fused",
 		Stages: []workflow.Stage{
 			{Component: "lammps", Args: simArgs, Procs: 4},
@@ -155,7 +155,7 @@ func RunPipelineOnce(ctx context.Context, particles, steps int, fuse bool) (time
 		}
 		spec = fused.Spec
 	}
-	res, err := workflow.Run(ctx, sb.BrokerTransport{Broker: flexpath.NewBroker()}, spec, workflow.Options{})
+	res, err := workflow.Run(ctx, flexpath.NewInProc(), spec, workflow.Options{})
 	if err != nil {
 		return 0, nil, err
 	}
@@ -199,7 +199,7 @@ func RunPartitionPolicyAblation(ctx context.Context, slices, points, steps int) 
 				{Instance: hist, Procs: 1},
 			},
 		}
-		res, err := workflow.Run(ctx, sb.BrokerTransport{Broker: flexpath.NewBroker()}, spec, workflow.Options{})
+		res, err := workflow.Run(ctx, flexpath.NewInProc(), spec, workflow.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("bench: partition policy %q: %w", p.name, err)
 		}
@@ -224,7 +224,7 @@ func RunPlannerAblation(ctx context.Context, particles, steps int) ([]AblationRo
 	reg := obs.NewRegistry()
 	broker := flexpath.NewBroker()
 	broker.SetObserver(tracer, reg)
-	if _, err := workflow.Run(ctx, sb.Fabric{T: flexpath.InProc{B: broker}}, profSpec,
+	if _, err := workflow.Run(ctx, flexpath.InProc{B: broker}, profSpec,
 		workflow.Options{Tracer: tracer, Registry: reg}); err != nil {
 		return nil, fmt.Errorf("bench: planner profiling run: %w", err)
 	}
@@ -248,7 +248,7 @@ func RunPlannerAblation(ctx context.Context, particles, steps int) ([]AblationRo
 	if err != nil {
 		return nil, err
 	}
-	defRes, err := workflow.Run(ctx, sb.BrokerTransport{Broker: flexpath.NewBroker()}, defSpec, workflow.Options{})
+	defRes, err := workflow.Run(ctx, flexpath.NewInProc(), defSpec, workflow.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("bench: planner default run: %w", err)
 	}
@@ -274,7 +274,7 @@ func RunPlannerAblation(ctx context.Context, particles, steps int) ([]AblationRo
 		}
 		spec = fused.Spec
 	}
-	optRes, err := workflow.Run(ctx, sb.BrokerTransport{Broker: flexpath.NewBroker()}, spec, workflow.Options{})
+	optRes, err := workflow.Run(ctx, flexpath.NewInProc(), spec, workflow.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("bench: planner optimized run: %w", err)
 	}

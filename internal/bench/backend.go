@@ -17,7 +17,7 @@ type BackendFactory func() (sb.Transport, func(), error)
 // InprocBackend is the default fabric: broker and components share one
 // address space, exchanges are channel handoffs of pooled buffers.
 func InprocBackend() (sb.Transport, func(), error) {
-	return sb.Fabric{T: flexpath.NewInProc()}, func() {}, nil
+	return flexpath.NewInProc(), func() {}, nil
 }
 
 // TCPLoopbackBackend serves a private broker on 127.0.0.1 and connects
@@ -28,7 +28,7 @@ func TCPLoopbackBackend() (sb.Transport, func(), error) {
 		return nil, nil, fmt.Errorf("bench: tcp backend: %w", err)
 	}
 	client := flexpath.Dial(srv.Addr())
-	return sb.Fabric{T: flexpath.Remote{C: client}}, func() {
+	return flexpath.Remote{C: client}, func() {
 		client.Close()
 		srv.Close()
 	}, nil
@@ -48,7 +48,7 @@ func UDSBackend() (sb.Transport, func(), error) {
 		return nil, nil, fmt.Errorf("bench: uds backend: %w", err)
 	}
 	client := flexpath.DialUnix(srv.Addr())
-	return sb.Fabric{T: flexpath.Remote{C: client}}, func() {
+	return flexpath.Remote{C: client}, func() {
 		client.Close()
 		srv.Close()
 		os.RemoveAll(dir)
@@ -76,7 +76,7 @@ func ShmBackend() (sb.Transport, func(), error) {
 		return nil, nil, fmt.Errorf("bench: shm backend: %w", err)
 	}
 	client := flexpath.DialShm(srv.Addr())
-	return sb.Fabric{T: client}, func() {
+	return client, func() {
 		client.Close()
 		srv.Close()
 		os.RemoveAll(dir)

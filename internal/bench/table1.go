@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/components"
 	"repro/internal/flexpath"
-	"repro/internal/sb"
 	"repro/internal/workflow"
 
 	_ "repro/internal/sim/gtcp" // register the gtcp driver
@@ -136,7 +135,7 @@ func RunGTCPWeak(ctx context.Context, scales []GTCPScale) ([]GTCPWeakResult, err
 		if err != nil {
 			return nil, err
 		}
-		transport := sb.BrokerTransport{Broker: flexpath.NewBroker()}
+		transport := flexpath.NewInProc()
 		res, err := workflow.Run(ctx, transport, gtcpSpec(s, hist.(*components.Histogram)), workflow.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("bench: table1 %s: %w", s.Name, err)

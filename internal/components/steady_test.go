@@ -51,7 +51,7 @@ func steadyMagnitudeStep(t *testing.T, points int) (allocs, bytes float64) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	transport := sb.BrokerTransport{Broker: flexpath.NewBroker()}
+	transport := flexpath.NewInProc()
 	mag := &Magnitude{InStream: "in", InArray: "velos", OutStream: "out", OutArray: "mags"}
 	stage := make(chan error, 1)
 	go func() {

@@ -26,7 +26,6 @@ import (
 	"repro/internal/flexpath"
 	"repro/internal/launch"
 	"repro/internal/obs"
-	"repro/internal/sb"
 	"repro/internal/workflow"
 
 	// The service is a runner: submitted scripts may name any component
@@ -101,16 +100,16 @@ type StageStatus struct {
 // Metrics carries the submission's private obs registry snapshot, so
 // per-component step counters and restart counts update live.
 type Status struct {
-	ID        string        `json:"id"`
-	Tenant    string        `json:"tenant"`
-	Name      string        `json:"name"`
-	State     string        `json:"state"`
-	Submitted time.Time     `json:"submitted"`
-	Finished  time.Time     `json:"finished"`
-	Elapsed   time.Duration `json:"elapsed_ns,omitempty"`
-	Stages    []StageStatus `json:"stages,omitempty"`
+	ID        string           `json:"id"`
+	Tenant    string           `json:"tenant"`
+	Name      string           `json:"name"`
+	State     string           `json:"state"`
+	Submitted time.Time        `json:"submitted"`
+	Finished  time.Time        `json:"finished"`
+	Elapsed   time.Duration    `json:"elapsed_ns,omitempty"`
+	Stages    []StageStatus    `json:"stages,omitempty"`
 	Metrics   map[string]int64 `json:"metrics,omitempty"`
-	Err       string        `json:"err,omitempty"`
+	Err       string           `json:"err,omitempty"`
 }
 
 // Done reports whether the submission reached a terminal state.
@@ -157,18 +156,18 @@ type tenant struct {
 }
 
 type submission struct {
-	id       string
-	tenant   string
-	name     string
-	spec     workflow.Spec
-	state    string
+	id        string
+	tenant    string
+	name      string
+	spec      workflow.Spec
+	state     string
 	submitted time.Time
-	finished time.Time
-	elapsed  time.Duration
-	registry *obs.Registry
-	cancel   context.CancelFunc
-	result   *workflow.Result
-	err      error
+	finished  time.Time
+	elapsed   time.Duration
+	registry  *obs.Registry
+	cancel    context.CancelFunc
+	result    *workflow.Result
+	err       error
 }
 
 // Service is the control plane: a tenant registry, a submission table,
@@ -374,7 +373,7 @@ func (s *Service) Submit(tenantName string, req SubmitRequest) (Status, error) {
 	go func() {
 		defer s.wg.Done()
 		defer cancel()
-		res, runErr := workflow.Run(ctx, sb.Fabric{T: nt}, sub.spec, workflow.Options{
+		res, runErr := workflow.Run(ctx, nt, sub.spec, workflow.Options{
 			Logf:     s.cfg.Logf,
 			Restart:  s.cfg.Restart,
 			Tracer:   s.cfg.Tracer,

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/adios"
+	"repro/internal/pool"
 	"repro/internal/sb"
 )
 
@@ -39,7 +40,6 @@ const (
 	OpPublish      Op = "publish"
 	OpStepMeta     Op = "step-meta"
 	OpFetchBlock   Op = "fetch-block"
-	OpWriterSize   Op = "writer-size"
 )
 
 // Sentinel errors for injected faults.
@@ -84,10 +84,11 @@ func (e *transientError) Unwrap() error {
 	return nil
 }
 
-// CrashPoint kills one writer rank at one step: the first PublishBlock
-// with step >= Step on the named stream by the given rank crashes the
-// handle (failing the stream with ErrWriterLost for everyone else) and
-// returns ErrCrashed to the component.
+// CrashPoint kills one writer rank at one step: the first publish
+// (PublishBlock or PublishBlockRef) with step >= Step on the named stream
+// by the given rank crashes the handle (failing the stream with
+// ErrWriterLost for everyone else) and returns ErrCrashed to the
+// component.
 type CrashPoint struct {
 	Stream string
 	Rank   int
@@ -176,11 +177,6 @@ func (t *Transport) inject(rng *rand.Rand, op Op, stream string, rank int) error
 	return nil
 }
 
-// Capability probes forwarded to inner handles.
-type stepper interface{ NextStep() int }
-type detacher interface{ Detach() error }
-type crasher interface{ Crash(cause error) error }
-
 // AttachWriter implements sb.Transport.
 func (t *Transport) AttachWriter(stream string, rank, size, depth int) (adios.BlockWriter, error) {
 	rng := t.handleRNG("w", stream, rank)
@@ -191,7 +187,7 @@ func (t *Transport) AttachWriter(stream string, rank, size, depth int) (adios.Bl
 	if err != nil {
 		return nil, err
 	}
-	return &faultWriter{t: t, inner: bw, rng: rng, stream: stream, rank: rank}, nil
+	return &faultWriter{BlockWriter: bw, t: t, rng: rng, stream: stream, rank: rank}, nil
 }
 
 // AttachReader implements sb.Transport.
@@ -204,63 +200,59 @@ func (t *Transport) AttachReader(stream string, rank, size int) (adios.BlockRead
 	if err != nil {
 		return nil, err
 	}
-	return &faultReader{t: t, inner: br, rng: rng, stream: stream, rank: rank}, nil
+	return &faultReader{BlockReader: br, t: t, rng: rng, stream: stream, rank: rank}, nil
 }
 
-// faultWriter wraps one writer handle. Each handle is owned by a single
-// rank goroutine (the transport contract), so rng needs no lock.
+// faultWriter wraps one writer handle; what it does not inject into is
+// the inner handle's own. Each handle is owned by a single rank
+// goroutine (the transport contract), so rng needs no lock.
 type faultWriter struct {
+	adios.BlockWriter
 	t      *Transport
-	inner  adios.BlockWriter
 	rng    *rand.Rand
 	stream string
 	rank   int
 }
 
-func (w *faultWriter) PublishBlock(ctx context.Context, step int, meta, payload []byte) error {
+// injectPublish is what both publish paths run before reaching the inner
+// handle: the scheduled crash, then the single OpPublish draw — so a
+// seeded schedule is the same whichever path a component publishes by.
+func (w *faultWriter) injectPublish(step int) error {
 	if cp := w.t.Plan.Crash; cp != nil && cp.Stream == w.stream && cp.Rank == w.rank && step >= cp.Step {
 		// The scheduled kill: fail the stream at the broker (so peers and
 		// readers see ErrWriterLost) and report a terminal error upward.
-		if c, ok := w.inner.(crasher); ok {
-			c.Crash(ErrCrashed)
-		} else {
-			w.inner.Close()
-		}
+		w.BlockWriter.Crash(ErrCrashed)
 		return fmt.Errorf("%w: stream %q writer rank %d at step %d", ErrCrashed, w.stream, w.rank, step)
 	}
-	if err := w.t.inject(w.rng, OpPublish, w.stream, w.rank); err != nil {
+	return w.t.inject(w.rng, OpPublish, w.stream, w.rank)
+}
+
+func (w *faultWriter) PublishBlock(ctx context.Context, step int, meta, payload []byte) error {
+	if err := w.injectPublish(step); err != nil {
 		return err
 	}
-	return w.inner.PublishBlock(ctx, step, meta, payload)
+	return w.BlockWriter.PublishBlock(ctx, step, meta, payload)
 }
 
-func (w *faultWriter) Close() error { return w.inner.Close() }
-
-func (w *faultWriter) NextStep() int {
-	if s, ok := w.inner.(stepper); ok {
-		return s.NextStep()
+// PublishBlockRef consumes both references even when a fault fires, as
+// the ownership contract requires of every handle.
+func (w *faultWriter) PublishBlockRef(ctx context.Context, step int, meta, payload *pool.Buf) error {
+	if err := w.injectPublish(step); err != nil {
+		meta.Release()
+		payload.Release()
+		return err
 	}
-	return 0
+	return w.BlockWriter.PublishBlockRef(ctx, step, meta, payload)
 }
 
-func (w *faultWriter) Detach() error {
-	if d, ok := w.inner.(detacher); ok {
-		return d.Detach()
-	}
-	return w.inner.Close()
-}
-
-func (w *faultWriter) Crash(cause error) error {
-	if c, ok := w.inner.(crasher); ok {
-		return c.Crash(cause)
-	}
-	return w.inner.Close()
-}
-
-// faultReader wraps one reader handle.
+// faultReader wraps one reader handle, injecting into the blocking step
+// waits and fetches only. Releases are never failed: a lost release
+// would be indistinguishable from a slow reader and is not an
+// interesting failure mode — the recovery paths worth testing are all on
+// the blocking operations.
 type faultReader struct {
+	adios.BlockReader
 	t      *Transport
-	inner  adios.BlockReader
 	rng    *rand.Rand
 	stream string
 	rank   int
@@ -270,35 +262,12 @@ func (r *faultReader) StepMeta(ctx context.Context, step int) ([][]byte, error) 
 	if err := r.t.inject(r.rng, OpStepMeta, r.stream, r.rank); err != nil {
 		return nil, err
 	}
-	return r.inner.StepMeta(ctx, step)
+	return r.BlockReader.StepMeta(ctx, step)
 }
 
 func (r *faultReader) FetchBlock(ctx context.Context, step, writerRank int) ([]byte, error) {
 	if err := r.t.inject(r.rng, OpFetchBlock, r.stream, r.rank); err != nil {
 		return nil, err
 	}
-	return r.inner.FetchBlock(ctx, step, writerRank)
-}
-
-func (r *faultReader) ReleaseStep(step int) error {
-	// Releases are never failed: a lost release would be indistinguishable
-	// from a slow reader and is not an interesting failure mode — the
-	// recovery paths worth testing are all on the blocking operations.
-	return r.inner.ReleaseStep(step)
-}
-
-func (r *faultReader) Close() error { return r.inner.Close() }
-
-func (r *faultReader) NextStep() int {
-	if s, ok := r.inner.(stepper); ok {
-		return s.NextStep()
-	}
-	return 0
-}
-
-func (r *faultReader) Detach() error {
-	if d, ok := r.inner.(detacher); ok {
-		return d.Detach()
-	}
-	return r.inner.Close()
+	return r.BlockReader.FetchBlock(ctx, step, writerRank)
 }

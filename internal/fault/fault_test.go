@@ -8,8 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/adios"
 	"repro/internal/flexpath"
-	"repro/internal/sb"
+	"repro/internal/pool"
 )
 
 func ctxT(t *testing.T) context.Context {
@@ -20,12 +21,13 @@ func ctxT(t *testing.T) context.Context {
 }
 
 func fresh(plan Plan) *Transport {
-	return New(sb.BrokerTransport{Broker: flexpath.NewBroker()}, plan)
+	return New(flexpath.NewInProc(), plan)
 }
 
 // errPattern drives a fixed op sequence through a faulty transport and
 // returns which ops failed — the fault schedule's fingerprint.
-func errPattern(t *testing.T, tr *Transport, n int) []bool {
+// With ref set it publishes through PublishBlockRef.
+func errPattern(t *testing.T, tr *Transport, n int, ref bool) []bool {
 	t.Helper()
 	ctx := ctxT(t)
 	w, err := tr.AttachWriter("det.fp", 0, 1, n+1)
@@ -36,7 +38,12 @@ func errPattern(t *testing.T, tr *Transport, n int) []bool {
 	out := make([]bool, n)
 	step := 0
 	for i := 0; i < n; i++ {
-		err := w.PublishBlock(ctx, step, nil, []byte("x"))
+		var err error
+		if ref {
+			err = w.PublishBlockRef(ctx, step, pool.Wrap(nil), pool.Wrap([]byte("x")))
+		} else {
+			err = w.PublishBlock(ctx, step, nil, []byte("x"))
+		}
 		out[i] = err != nil
 		if err == nil {
 			step++
@@ -49,8 +56,8 @@ func errPattern(t *testing.T, tr *Transport, n int) []bool {
 
 func TestDeterministicSchedule(t *testing.T) {
 	plan := Plan{Seed: 42, ErrRate: 0.2, ResetRate: 0.1, Ops: map[Op]bool{OpPublish: true}}
-	a := errPattern(t, fresh(plan), 200)
-	b := errPattern(t, fresh(plan), 200)
+	a := errPattern(t, fresh(plan), 200, false)
+	b := errPattern(t, fresh(plan), 200, false)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("same seed diverged at op %d", i)
@@ -67,7 +74,7 @@ func TestDeterministicSchedule(t *testing.T) {
 	}
 	// A different seed must explore a different schedule.
 	plan.Seed = 43
-	c := errPattern(t, fresh(plan), 200)
+	c := errPattern(t, fresh(plan), 200, false)
 	same := true
 	for i := range a {
 		if a[i] != c[i] {
@@ -87,11 +94,11 @@ func TestReattachAdvancesGeneration(t *testing.T) {
 	tr := fresh(plan)
 	ctx := ctxT(t)
 	attempt := func() []bool {
-		w, err := tr.Inner.(sb.BrokerTransport).Broker.AttachWriter("gen.fp", 0, 1, 100)
+		w, err := tr.Inner.(flexpath.InProc).B.AttachWriter("gen.fp", 0, 1, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fw := &faultWriter{t: tr, inner: w, rng: tr.handleRNG("w", "gen.fp", 0), stream: "gen.fp", rank: 0}
+		fw := &faultWriter{BlockWriter: w, t: tr, rng: tr.handleRNG("w", "gen.fp", 0), stream: "gen.fp", rank: 0}
 		out := make([]bool, 50)
 		step := w.NextStep()
 		for i := range out {
@@ -101,9 +108,7 @@ func TestReattachAdvancesGeneration(t *testing.T) {
 				step++
 			}
 		}
-		if d, ok := any(w).(interface{ Detach() error }); ok {
-			d.Detach()
-		}
+		w.Detach()
 		return out
 	}
 	first, second := attempt(), attempt()
@@ -167,8 +172,35 @@ func TestOpsFilter(t *testing.T) {
 }
 
 func TestCrashPointFailsStream(t *testing.T) {
+	checkCrashPoint(t, func(ctx context.Context, w adios.BlockWriter, step int) error {
+		return w.PublishBlock(ctx, step, nil, []byte{byte(step)})
+	})
+}
+
+// TestCrashPointOnPublishBlockRef: the scheduled kill fires on the pooled
+// publish path exactly as on PublishBlock, and the refs it was handed
+// are consumed, not leaked.
+func TestCrashPointOnPublishBlockRef(t *testing.T) {
+	var bufs []*pool.Buf
+	checkCrashPoint(t, func(ctx context.Context, w adios.BlockWriter, step int) error {
+		meta, payload := pool.Wrap([]byte{'m'}), pool.Wrap([]byte{byte(step)})
+		bufs = append(bufs, meta, payload)
+		return w.PublishBlockRef(ctx, step, meta, payload)
+	})
+	crashed := bufs[len(bufs)-2:]
+	for i, b := range crashed {
+		if b.Refs() != 0 {
+			t.Errorf("crashed publish left buf %d with %d refs, want 0", i, b.Refs())
+		}
+	}
+}
+
+// checkCrashPoint crashes writer rank 0 of a stream at step 2, publishing
+// through publish, and checks what the caller and the broker see.
+func checkCrashPoint(t *testing.T, publish func(ctx context.Context, w adios.BlockWriter, step int) error) {
+	t.Helper()
 	broker := flexpath.NewBroker()
-	tr := New(sb.BrokerTransport{Broker: broker}, Plan{
+	tr := New(flexpath.InProc{B: broker}, Plan{
 		Seed:  9,
 		Crash: &CrashPoint{Stream: "boom.fp", Rank: 0, Step: 2},
 	})
@@ -178,11 +210,11 @@ func TestCrashPointFailsStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s := 0; s < 2; s++ {
-		if err := w.PublishBlock(ctx, s, nil, []byte{byte(s)}); err != nil {
+		if err := publish(ctx, w, s); err != nil {
 			t.Fatalf("pre-crash step %d: %v", s, err)
 		}
 	}
-	err = w.PublishBlock(ctx, 2, nil, []byte{2})
+	err = publish(ctx, w, 2)
 	if !errors.Is(err, ErrCrashed) {
 		t.Fatalf("crash step = %v, want ErrCrashed", err)
 	}
@@ -204,6 +236,42 @@ func TestCrashPointFailsStream(t *testing.T) {
 	}
 	if _, err := r.StepMeta(ctx, 2); !errors.Is(err, flexpath.ErrWriterLost) {
 		t.Fatalf("post-crash wait = %v, want ErrWriterLost", err)
+	}
+}
+
+// TestPublishBlockRefInjectedErrorReleasesRefs: an injected failure on
+// the pooled publish path consumes both references, as the ownership
+// contract requires of every handle.
+func TestPublishBlockRefInjectedErrorReleasesRefs(t *testing.T) {
+	tr := fresh(Plan{Seed: 1, ErrRate: 1, Ops: map[Op]bool{OpPublish: true}})
+	w, err := tr.AttachWriter("ref.fp", 0, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	freed := 0
+	meta := pool.WrapOnFree([]byte("meta"), func() { freed++ })
+	payload := pool.WrapOnFree([]byte("payload"), func() { freed++ })
+	if err := w.PublishBlockRef(ctxT(t), 0, meta, payload); !errors.Is(err, ErrInjected) {
+		t.Fatalf("err = %v, want ErrInjected", err)
+	}
+	if meta.Refs() != 0 || payload.Refs() != 0 || freed != 2 {
+		t.Fatalf("after injected error: refs meta=%d payload=%d, freed %d; want 0, 0, 2",
+			meta.Refs(), payload.Refs(), freed)
+	}
+}
+
+// TestPublishPathsShareSchedule: both publish paths make the same single
+// draw per call, so a seeded plan fails the same operations whichever
+// path a component publishes by.
+func TestPublishPathsShareSchedule(t *testing.T) {
+	plan := Plan{Seed: 42, ErrRate: 0.2, ResetRate: 0.1, Ops: map[Op]bool{OpPublish: true}}
+	plain := errPattern(t, fresh(plan), 200, false)
+	ref := errPattern(t, fresh(plan), 200, true)
+	for i := range plain {
+		if plain[i] != ref[i] {
+			t.Fatalf("PublishBlock and PublishBlockRef schedules diverge at op %d", i)
+		}
 	}
 }
 

@@ -38,7 +38,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/tracetest"
 	"repro/internal/pool"
-	"repro/internal/sb"
 	"repro/internal/streamlog"
 )
 
@@ -1351,7 +1350,7 @@ func transient(err error) bool {
 // every step to every reader exactly once.
 func checkChaosFaultInjection(t *testing.T, be Backend) {
 	ctx := ctxT(t)
-	ft := fault.New(sb.Fabric{T: be.Transport}, fault.Plan{
+	ft := fault.New(be.Transport, fault.Plan{
 		Seed:        42,
 		ErrRate:     0.08,
 		ResetRate:   0.04,

@@ -207,15 +207,15 @@ type Broker struct {
 // op (metrics on) per event — never a map lookup.
 type brokerObs struct {
 	tracer      *obs.Tracer
-	reg         *obs.Registry // kept for log metrics registered at AttachLog
-	steps       *obs.Counter  // timesteps fully published
-	retired     *obs.Counter  // timesteps retired (storage recycled)
-	blocks      *obs.Counter  // FetchBlock calls served
-	bytesPub    *obs.Counter  // meta+payload bytes accepted
-	bytesFetch  *obs.Counter  // payload bytes served
-	hbMisses    *obs.Counter  // writer lease expiries (TCP server only)
-	logReplayed *obs.Counter  // historical steps served from the log
-	queuedSteps *obs.Gauge    // buffered, unretired timesteps, all streams
+	reg         *obs.Registry         // kept for log metrics registered at AttachLog
+	steps       *obs.Counter          // timesteps fully published
+	retired     *obs.Counter          // timesteps retired (storage recycled)
+	blocks      *obs.Counter          // FetchBlock calls served
+	bytesPub    *obs.Counter          // meta+payload bytes accepted
+	bytesFetch  *obs.Counter          // payload bytes served
+	hbMisses    *obs.Counter          // writer lease expiries (TCP server only)
+	logReplayed *obs.Counter          // historical steps served from the log
+	queuedSteps *obs.Gauge            // buffered, unretired timesteps, all streams
 	tenant      map[string]*tenantObs // tenant-tagged counters, lazily cached
 }
 
@@ -400,7 +400,7 @@ func (w *Writer) PublishBlock(ctx context.Context, step int, meta, payload []byt
 // PublishBlockRef is PublishBlock with ownership transfer: the broker
 // takes both references (consuming them even on error), holds the blocks
 // for the step's fan-out, and recycles pooled storage when the step
-// retires. This is the zero-copy publish path (adios.RefBlockWriter).
+// retires. This is the zero-copy publish path every adios.Writer takes.
 func (w *Writer) PublishBlockRef(ctx context.Context, step int, meta, payload *pool.Buf) error {
 	err := w.publishRef(ctx, step, meta, payload)
 	if err != nil {

@@ -21,7 +21,7 @@ import (
 // Publish/Fetch API from another process. The paper's FlexPath rides on
 // EVPath over RDMA or sockets; here the wire is a simple length-prefixed
 // binary protocol. Components are oblivious to which incarnation they
-// run over — the adios layer only sees BlockWriter/BlockReader.
+// run over — they only see WriterHandle/ReaderHandle.
 //
 // Framing: every message is u32 length, u32 CRC-32 (IEEE) of the rest,
 // u8 opcode, body. The checksum turns silent wire corruption into a

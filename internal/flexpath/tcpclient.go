@@ -351,7 +351,7 @@ func (c *Client) attach(op byte, body []byte) (net.Conn, *frameReader, error) {
 }
 
 // RemoteWriter is a writer rank handle over TCP; it implements the same
-// contract as *Writer (adios.BlockWriter).
+// contract as *Writer (WriterHandle).
 type RemoteWriter struct {
 	c    *Client
 	conn net.Conn
@@ -464,8 +464,8 @@ func (w *RemoteWriter) PublishBlock(ctx context.Context, step int, meta, payload
 	return err
 }
 
-// PublishBlockRef is the pooled-buffer publishing capability
-// (adios.RefBlockWriter): the bytes are serialized into the request
+// PublishBlockRef is the pooled-buffer publish path of the
+// WriterHandle contract: the bytes are serialized into the request
 // frame and the references released — over TCP the pooled storage never
 // leaves this process, so consuming the refs immediately returns it to
 // the pool for the producer's next step.
@@ -514,7 +514,7 @@ func (w *RemoteWriter) Crash(cause error) error {
 }
 
 // RemoteReader is a reader rank handle over TCP; it implements the same
-// contract as *Reader (adios.BlockReader).
+// contract as *Reader (ReaderHandle).
 type RemoteReader struct {
 	c    *Client
 	conn net.Conn

@@ -12,11 +12,13 @@ import (
 // This file makes the transport contract formal. The paper's FlexPath
 // layer matters precisely because any component can be re-wired over it
 // without recompilation (§IV); ADIOS2 makes the same point with engines
-// — one pub/sub contract, interchangeable backends. Until now this
-// repo's two backends (the in-process Broker and the TCP client) shared
-// the per-rank API only by convention, enforced by parallel test files.
-// Transport is that convention written down: every backend implements
-// it, every backend is proven against the same conformance suite
+// — one pub/sub contract, interchangeable backends. This is the only
+// statement of the per-rank contract: adios.BlockWriter/BlockReader
+// alias the two handle interfaces, sb.Transport is the attach subset of
+// Transport, and the supervisor and fault injector call every handle
+// method directly — only the transport-level capabilities below
+// (ReplayTransport, GroupResizer) are optional. Every backend implements it,
+// every backend is proven against the same conformance suite
 // (internal/flexpath/conformance), and a new backend inherits the full
 // protocol contract — visibility gating, backpressure, launch-order
 // independence, EOF/crash/detach semantics, retirement — for free.

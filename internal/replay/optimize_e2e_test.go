@@ -8,7 +8,6 @@ import (
 	"repro/internal/flexpath"
 	"repro/internal/replay"
 	"repro/internal/replay/replaytest"
-	"repro/internal/sb"
 	"repro/internal/workflow"
 )
 
@@ -26,7 +25,7 @@ func runCrackLive(t *testing.T, spec workflow.Spec, outPath string) {
 		t.Fatal("spec has no histogram stage")
 	}
 	spec.Stages[hist].Args = append(append([]string(nil), spec.Stages[hist].Args...), outPath)
-	transport := sb.Fabric{T: flexpath.InProc{B: flexpath.NewBroker()}}
+	transport := flexpath.NewInProc()
 	res, err := workflow.Run(replaytest.Ctx(t), transport, spec, workflow.Options{Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("live run failed: %v\n%s", err, workflow.Report(res))

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/flexpath"
 	"repro/internal/replay"
-	"repro/internal/sb"
 	"repro/internal/streamlog"
 	"repro/internal/workflow"
 )
@@ -38,7 +37,7 @@ func Record(t *testing.T, spec workflow.Spec, dir string) *workflow.Result {
 	}
 	b := flexpath.NewBroker()
 	b.AttachLog(store)
-	res, err := workflow.Run(ctx, sb.Fabric{T: flexpath.InProc{B: b}}, spec, workflow.Options{Logf: t.Logf})
+	res, err := workflow.Run(ctx, flexpath.InProc{B: b}, spec, workflow.Options{Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("replaytest: live run: %v", err)
 	}

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/flexpath"
 	"repro/internal/obs"
-	"repro/internal/sb"
 	"repro/internal/streamlog"
 	"repro/internal/workflow"
 )
@@ -122,7 +121,7 @@ func Run(ctx context.Context, cfg Config, stages ...workflow.Stage) (*RunResult,
 			label = st.Instance.Name()
 		}
 		spec := workflow.Spec{Name: fmt.Sprintf("%s/%s", name, label), Stages: []workflow.Stage{st}}
-		res, err := workflow.Run(ctx, sb.Fabric{T: tr}, spec, workflow.Options{
+		res, err := workflow.Run(ctx, tr, spec, workflow.Options{
 			Logf:     cfg.Logf,
 			Tracer:   cfg.Tracer,
 			Registry: cfg.Registry,

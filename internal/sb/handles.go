@@ -46,13 +46,6 @@ const (
 	FinishCrash
 )
 
-// Capability probes on transport handles. The flexpath handles (local
-// and TCP) implement all three; a transport that implements none still
-// works, falling back to Close.
-type detacher interface{ Detach() error }
-type crasher interface{ Crash(cause error) error }
-type stepper interface{ NextStep() int }
-
 // HandleSet tracks every managed transport handle opened by one
 // component run attempt, across all of its ranks. It is safe for
 // concurrent use by the rank goroutines.
@@ -167,27 +160,16 @@ func (hs *HandleSet) Finish(mode FinishMode, cause error) {
 	hs.poisoned = false
 	hs.mu.Unlock()
 	for _, e := range todo {
-		var h any = e.reader
-		if e.writer != nil {
-			h = e.writer
-		}
-		switch mode {
-		case FinishDetach:
-			if d, ok := h.(detacher); ok {
-				d.Detach()
-				continue
-			}
-		case FinishCrash:
-			if e.writer != nil {
-				if c, ok := h.(crasher); ok {
-					c.Crash(cause)
-					continue
-				}
-			}
-		}
-		if e.writer != nil {
+		switch {
+		case mode == FinishDetach && e.writer != nil:
+			e.writer.Detach()
+		case mode == FinishDetach:
+			e.reader.Detach()
+		case mode == FinishCrash && e.writer != nil:
+			e.writer.Crash(cause)
+		case e.writer != nil:
 			e.writer.Close()
-		} else {
+		default:
 			e.reader.Close()
 		}
 	}
@@ -200,7 +182,7 @@ func (hs *HandleSet) manageWriter(env *Env, bw adios.BlockWriter) adios.BlockWri
 	hs.mu.Lock()
 	hs.entries = append(hs.entries, e)
 	hs.mu.Unlock()
-	return &managedWriter{hs: hs, e: e, inner: bw, env: env}
+	return &managedWriter{BlockWriter: bw, hs: hs, e: e, env: env}
 }
 
 // manageReader is manageWriter for reader handles.
@@ -209,7 +191,7 @@ func (hs *HandleSet) manageReader(env *Env, br adios.BlockReader) adios.BlockRea
 	hs.mu.Lock()
 	hs.entries = append(hs.entries, e)
 	hs.mu.Unlock()
-	return &managedReader{hs: hs, e: e, inner: br, env: env}
+	return &managedReader{BlockReader: br, hs: hs, e: e, env: env}
 }
 
 // opCtx bounds one blocking transport operation with the Env's step
@@ -226,56 +208,48 @@ func opCtx(env *Env, ctx context.Context) (context.Context, context.CancelFunc) 
 	return context.WithTimeout(ctx, env.StepTimeout)
 }
 
+// managedWriter is a supervised writer handle: the operations that can
+// fail poison the set, and Close defers to settlement. Everything else
+// is the wrapped handle's own.
 type managedWriter struct {
-	hs    *HandleSet
-	e     *managedEntry
-	inner adios.BlockWriter
-	env   *Env
+	adios.BlockWriter
+	hs  *HandleSet
+	e   *managedEntry
+	env *Env
 }
 
 func (m *managedWriter) PublishBlock(ctx context.Context, step int, meta, payload []byte) error {
 	ctx, cancel := opCtx(m.env, ctx)
 	defer cancel()
-	err := m.inner.PublishBlock(ctx, step, meta, payload)
+	err := m.BlockWriter.PublishBlock(ctx, step, meta, payload)
 	m.hs.noteErr(err)
 	return err
 }
 
-// PublishBlockRef forwards the zero-copy capability when the wrapped
-// transport has it, so supervision does not forfeit pooling. On a
-// transport without it the bytes are handed over via PublishBlock and
-// the references dropped WITHOUT recycling: the transport may retain the
-// slices past the call, so returning their storage to the pool would
-// hand it to a future step while still referenced. The GC reclaims them
-// instead — correct, just unpooled.
 func (m *managedWriter) PublishBlockRef(ctx context.Context, step int, meta, payload *pool.Buf) error {
 	ctx, cancel := opCtx(m.env, ctx)
 	defer cancel()
-	var err error
-	if rw, ok := m.inner.(adios.RefBlockWriter); ok {
-		err = rw.PublishBlockRef(ctx, step, meta, payload)
-	} else {
-		err = m.inner.PublishBlock(ctx, step, meta.Bytes(), payload.Bytes())
-	}
+	err := m.BlockWriter.PublishBlockRef(ctx, step, meta, payload)
 	m.hs.noteErr(err)
 	return err
 }
 
 func (m *managedWriter) Close() error {
-	return m.hs.settleInline(m.e, m.inner.Close)
+	return m.hs.settleInline(m.e, m.BlockWriter.Close)
 }
 
+// managedReader is managedWriter for reader handles.
 type managedReader struct {
-	hs    *HandleSet
-	e     *managedEntry
-	inner adios.BlockReader
-	env   *Env
+	adios.BlockReader
+	hs  *HandleSet
+	e   *managedEntry
+	env *Env
 }
 
 func (m *managedReader) StepMeta(ctx context.Context, step int) ([][]byte, error) {
 	ctx, cancel := opCtx(m.env, ctx)
 	defer cancel()
-	metas, err := m.inner.StepMeta(ctx, step)
+	metas, err := m.BlockReader.StepMeta(ctx, step)
 	m.hs.noteErr(err)
 	return metas, err
 }
@@ -283,17 +257,17 @@ func (m *managedReader) StepMeta(ctx context.Context, step int) ([][]byte, error
 func (m *managedReader) FetchBlock(ctx context.Context, step, writerRank int) ([]byte, error) {
 	ctx, cancel := opCtx(m.env, ctx)
 	defer cancel()
-	payload, err := m.inner.FetchBlock(ctx, step, writerRank)
+	payload, err := m.BlockReader.FetchBlock(ctx, step, writerRank)
 	m.hs.noteErr(err)
 	return payload, err
 }
 
 func (m *managedReader) ReleaseStep(step int) error {
-	err := m.inner.ReleaseStep(step)
+	err := m.BlockReader.ReleaseStep(step)
 	m.hs.noteErr(err)
 	return err
 }
 
 func (m *managedReader) Close() error {
-	return m.hs.settleInline(m.e, m.inner.Close)
+	return m.hs.settleInline(m.e, m.BlockReader.Close)
 }

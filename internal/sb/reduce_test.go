@@ -29,7 +29,7 @@ func (summer) Reduce(in *StepInput) (float64, error) {
 
 func TestRunReduceEndToEnd(t *testing.T) {
 	broker := flexpath.NewBroker()
-	transport := BrokerTransport{Broker: broker}
+	transport := flexpath.InProc{B: broker}
 	const steps, n = 3, 30
 
 	var wg sync.WaitGroup
@@ -106,7 +106,7 @@ func TestRunReduceEndToEnd(t *testing.T) {
 
 func TestRunReduceRequireDims(t *testing.T) {
 	broker := flexpath.NewBroker()
-	transport := BrokerTransport{Broker: broker}
+	transport := flexpath.InProc{B: broker}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -134,7 +134,7 @@ func TestRunReduceRequireDims(t *testing.T) {
 
 func TestRunReduceOnResultError(t *testing.T) {
 	broker := flexpath.NewBroker()
-	transport := BrokerTransport{Broker: broker}
+	transport := flexpath.InProc{B: broker}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {

@@ -40,8 +40,10 @@ import (
 // signal, not a failure.
 var ErrRescale = errors.New("sb: stage rescale requested")
 
-// Transport is the stream fabric a component attaches to. Both the
-// in-process broker and the TCP client satisfy it.
+// Transport is the stream fabric a component attaches to: the two
+// attach methods of flexpath.Transport, whose handles the adios layer
+// aliases. Every flexpath backend (InProc, Remote, ShmTransport, Router,
+// LogSource) satisfies it as it is.
 type Transport interface {
 	// AttachWriter joins the writer group of a stream as rank of size,
 	// with the given queue depth (0 = transport default).
@@ -50,78 +52,26 @@ type Transport interface {
 	AttachReader(stream string, rank, size int) (adios.BlockReader, error)
 }
 
-// BrokerTransport adapts the in-process flexpath.Broker to Transport.
-type BrokerTransport struct {
-	Broker *flexpath.Broker
-}
+var _ Transport = flexpath.Transport(nil)
 
-// AttachWriter implements Transport.
-func (t BrokerTransport) AttachWriter(stream string, rank, size, depth int) (adios.BlockWriter, error) {
-	w, err := t.Broker.AttachWriter(stream, rank, size, depth)
-	if err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
-// AttachReader implements Transport.
-func (t BrokerTransport) AttachReader(stream string, rank, size int) (adios.BlockReader, error) {
-	r, err := t.Broker.AttachReader(stream, rank, size)
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// Fabric adapts any flexpath.Transport — the formal multi-backend
-// contract (inproc, tcp, uds) — to the component-facing Transport.
-// BrokerTransport and ClientTransport predate the interface and remain
-// for direct construction; code that selects a backend at run time
-// (flexpath.Open) wraps the result in a Fabric.
+// Fabric passes a flexpath.Transport through as a Transport. Every
+// flexpath.Transport already is one; Fabric exists only so the
+// benchmark's seam, which constructs it, keeps compiling. It hides the
+// wrapped transport's optional capabilities (flexpath.GroupResizer,
+// flexpath.ReplayTransport), so elastic rescale and catch-up replay are
+// off behind it: pass the flexpath.Transport itself instead.
 type Fabric struct {
 	T flexpath.Transport
 }
 
 // AttachWriter implements Transport.
 func (f Fabric) AttachWriter(stream string, rank, size, depth int) (adios.BlockWriter, error) {
-	w, err := f.T.AttachWriter(stream, rank, size, depth)
-	if err != nil {
-		return nil, err
-	}
-	return w, nil
+	return f.T.AttachWriter(stream, rank, size, depth)
 }
 
 // AttachReader implements Transport.
 func (f Fabric) AttachReader(stream string, rank, size int) (adios.BlockReader, error) {
-	r, err := f.T.AttachReader(stream, rank, size)
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// ClientTransport adapts a TCP flexpath.Client to Transport, letting a
-// component process attach to a broker served in another process.
-type ClientTransport struct {
-	Client *flexpath.Client
-}
-
-// AttachWriter implements Transport.
-func (t ClientTransport) AttachWriter(stream string, rank, size, depth int) (adios.BlockWriter, error) {
-	w, err := t.Client.AttachWriter(stream, rank, size, depth)
-	if err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
-// AttachReader implements Transport.
-func (t ClientTransport) AttachReader(stream string, rank, size int) (adios.BlockReader, error) {
-	r, err := t.Client.AttachReader(stream, rank, size)
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
+	return f.T.AttachReader(stream, rank, size)
 }
 
 // Env is the per-rank runtime environment of a component.
@@ -194,10 +144,7 @@ func (e *Env) OpenReader(stream string) (*adios.Reader, error) {
 		}
 		return nil, err
 	}
-	next := 0
-	if s, ok := br.(stepper); ok {
-		next = s.NextStep()
-	}
+	next := br.NextStep()
 	if e.Handles != nil {
 		br = e.Handles.manageReader(e, br)
 	}
@@ -227,10 +174,7 @@ func (e *Env) OpenWriterGroup(stream string, group *adios.Group, depth int) (*ad
 		}
 		return nil, err
 	}
-	next := 0
-	if s, ok := bw.(stepper); ok {
-		next = s.NextStep()
-	}
+	next := bw.NextStep()
 	if e.Handles != nil {
 		bw = e.Handles.manageWriter(e, bw)
 	}

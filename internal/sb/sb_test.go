@@ -160,7 +160,7 @@ func (doubler) Transform(in *StepInput) (*StepOutput, error) {
 
 func TestRunMapEndToEnd(t *testing.T) {
 	broker := flexpath.NewBroker()
-	transport := BrokerTransport{Broker: broker}
+	transport := flexpath.InProc{B: broker}
 	const steps, n = 3, 24
 
 	var wg sync.WaitGroup
@@ -276,7 +276,7 @@ func TestOpenWriterGroupDepthPrecedence(t *testing.T) {
 	// caller supplies (the XML method parameter); the attach with a
 	// conflicting depth on the second handle proves which one won.
 	broker := flexpath.NewBroker()
-	transport := BrokerTransport{Broker: broker}
+	transport := flexpath.InProc{B: broker}
 	err := mpi.Run(2, func(comm *mpi.Comm) error {
 		env := &Env{Comm: comm, Transport: transport, QueueDepth: 7}
 		if _, err := env.OpenWriterGroup("prec.fp", nil, 3); err != nil {
@@ -310,7 +310,7 @@ func TestOpenWriterGroupValidates(t *testing.T) {
 	}
 	broker := flexpath.NewBroker()
 	err = mpi.Run(1, func(comm *mpi.Comm) error {
-		env := &Env{Comm: comm, Transport: BrokerTransport{Broker: broker}}
+		env := &Env{Comm: comm, Transport: flexpath.InProc{B: broker}}
 		w, err := env.OpenWriterGroup("val.fp", cfg.Group("g"), 0)
 		if err != nil {
 			return err
@@ -341,7 +341,7 @@ func (failingKernel) Transform(in *StepInput) (*StepOutput, error) {
 
 func TestRunMapKernelErrorPropagates(t *testing.T) {
 	broker := flexpath.NewBroker()
-	transport := BrokerTransport{Broker: broker}
+	transport := flexpath.InProc{B: broker}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -370,7 +370,7 @@ func TestRunMapKernelErrorPropagates(t *testing.T) {
 
 func TestRunMapMissingArray(t *testing.T) {
 	broker := flexpath.NewBroker()
-	transport := BrokerTransport{Broker: broker}
+	transport := flexpath.InProc{B: broker}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {

@@ -42,12 +42,12 @@ func TestSimOutputsContractAndSpreads(t *testing.T) {
 	go func() {
 		done <- mpi.Run(2, func(comm *mpi.Comm) error {
 			sim := New("g.fp", "pos", atoms, steps, 1)
-			return sim.Run(&sb.Env{Comm: comm, Transport: sb.BrokerTransport{Broker: broker}})
+			return sim.Run(&sb.Env{Comm: comm, Transport: flexpath.InProc{B: broker}})
 		})
 	}()
 	var spreads []float64
 	err := mpi.Run(1, func(comm *mpi.Comm) error {
-		env := &sb.Env{Comm: comm, Transport: sb.BrokerTransport{Broker: broker}}
+		env := &sb.Env{Comm: comm, Transport: flexpath.InProc{B: broker}}
 		r, err := env.OpenReader("g.fp")
 		if err != nil {
 			return err

@@ -101,10 +101,10 @@ func FuzzReplayIter(f *testing.F) {
 
 	clean := append(append(append(append(append([]byte{}, cfg...), step0...), step1...), retire...), end...)
 	f.Add(clean, []byte{})
-	f.Add(clean[:len(clean)-3], []byte{})           // torn tail, no end record
-	f.Add(append([]byte{}, cfg...), clean)          // config-only head segment
-	f.Add(clean[:len(cfg)+len(step0)], step1)       // step split across segments
-	f.Add([]byte{}, []byte{})                       // empty log
+	f.Add(clean[:len(clean)-3], []byte{})                        // torn tail, no end record
+	f.Add(append([]byte{}, cfg...), clean)                       // config-only head segment
+	f.Add(clean[:len(cfg)+len(step0)], step1)                    // step split across segments
+	f.Add([]byte{}, []byte{})                                    // empty log
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0}, []byte{1, 2, 3}) // huge length
 	flipped := append([]byte(nil), clean...)
 	flipped[len(cfg)+5] ^= 0x80 // bit flip inside step 0's CRC

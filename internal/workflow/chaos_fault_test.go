@@ -11,7 +11,6 @@ import (
 	"repro/internal/components"
 	"repro/internal/fault"
 	"repro/internal/flexpath"
-	"repro/internal/sb"
 )
 
 // chaosSpec builds the fixed three-stage pipeline the chaos suite runs:
@@ -168,7 +167,7 @@ func TestChaosLaunchOrderPermutationsOverTCP(t *testing.T) {
 				spec.Stages = append(spec.Stages, base.Stages[idx])
 			}
 
-			tr := fault.New(sb.ClientTransport{Client: client}, fault.Plan{
+			tr := fault.New(flexpath.Remote{C: client}, fault.Plan{
 				Seed:    int64(100 + pi),
 				ErrRate: 0.4,
 				Ops:     map[fault.Op]bool{fault.OpAttachWriter: true, fault.OpAttachReader: true},

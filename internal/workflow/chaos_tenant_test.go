@@ -186,7 +186,7 @@ func TestChaosTenantIsolation(t *testing.T) {
 		spec, _ := calmSpec()
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		defer cancel()
-		res, err := Run(ctx, sb.Fabric{T: nt}, spec, Options{})
+		res, err := Run(ctx, nt, spec, Options{})
 		if err != nil || res.Err() != nil {
 			t.Fatalf("solo reference run failed: %v / %v", err, res.Err())
 		}
@@ -217,7 +217,7 @@ func TestChaosTenantIsolation(t *testing.T) {
 	// Latency jitter on every noisy-tenant transport op keeps the two
 	// pipelines' interleaving adversarial; the restarts themselves come
 	// from the stormy producer, deterministically.
-	stormy := fault.New(sb.Fabric{T: noisyT}, fault.Plan{
+	stormy := fault.New(noisyT, fault.Plan{
 		Seed:        13,
 		LatencyRate: 0.3,
 		MaxLatency:  2 * time.Millisecond,
@@ -233,7 +233,7 @@ func TestChaosTenantIsolation(t *testing.T) {
 	noisyDone := make(chan runOut, 1)
 	go func() {
 		spec, _ := calmSpec()
-		res, err := Run(ctx, sb.Fabric{T: calmT}, spec, Options{})
+		res, err := Run(ctx, calmT, spec, Options{})
 		calmDone <- runOut{res, err}
 	}()
 	go func() {

@@ -22,9 +22,10 @@ import (
 // disables it.
 type RescalePolicy struct {
 	// Enable turns the monitor on. It also needs Options.Registry (the
-	// lag signal is registry step counters) and a transport whose broker
-	// supports group resizing (flexpath.GroupResizer); otherwise it
-	// stays off silently.
+	// lag signal is registry step counters) and a transport that
+	// supports group resizing (flexpath.GroupResizer); without a
+	// registry it stays off silently, on any other transport it stays off
+	// with one line to Options.Logf.
 	Enable bool
 	// CheckEvery is the monitor period (0 = 150ms).
 	CheckEvery time.Duration
@@ -144,8 +145,11 @@ func newRescaler(transport sb.Transport, res *Result, opts *Options) (*rescaler,
 	if !policy.Enable || opts.Registry == nil {
 		return nil, nil
 	}
-	resizer := resizerOf(transport)
-	if resizer == nil {
+	resizer, ok := transport.(flexpath.GroupResizer)
+	if !ok {
+		if opts.Logf != nil {
+			opts.Logf("workflow: rescale disabled: transport %T cannot resize stream groups", transport)
+		}
 		return nil, nil
 	}
 	policy = policy.withDefaults()
@@ -182,20 +186,6 @@ func newRescaler(transport sb.Transport, res *Result, opts *Options) (*rescaler,
 		rs.watches = append(rs.watches, w)
 	}
 	return rs, resizer
-}
-
-// resizerOf unwraps the run transport down to a broker that supports
-// group resizing, or nil.
-func resizerOf(transport sb.Transport) flexpath.GroupResizer {
-	fab, ok := transport.(sb.Fabric)
-	if !ok {
-		return nil
-	}
-	gr, ok := fab.T.(flexpath.GroupResizer)
-	if !ok {
-		return nil
-	}
-	return gr
 }
 
 // run ticks the lag check until stop closes.

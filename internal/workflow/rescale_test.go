@@ -2,12 +2,16 @@ package workflow
 
 import (
 	"context"
+	"fmt"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/adios"
 	"repro/internal/components"
+	"repro/internal/fault"
 	"repro/internal/flexpath"
 	"repro/internal/ndarray"
 	"repro/internal/obs"
@@ -106,9 +110,18 @@ func (c *slowIdentity) Run(env *sb.Env) error {
 
 var _ sb.Fusable = (*slowIdentity)(nil)
 
-// runLagPipeline runs producer → slow-identity → stats and returns the
-// result plus the stats endpoint's per-step output.
+// runLagPipeline runs producer → slow-identity → stats over a bare
+// in-process transport and returns the result plus the stats endpoint's
+// per-step output.
 func runLagPipeline(t *testing.T, opts Options, delay time.Duration) (*Result, []components.StepStats) {
+	t.Helper()
+	broker := flexpath.NewBroker()
+	broker.SetObserver(opts.Tracer, opts.Registry)
+	return runLagPipelineOver(t, flexpath.InProc{B: broker}, opts, delay)
+}
+
+// runLagPipelineOver is runLagPipeline over the given transport.
+func runLagPipelineOver(t *testing.T, transport sb.Transport, opts Options, delay time.Duration) (*Result, []components.StepStats) {
 	t.Helper()
 	statsC, err := components.NewStats([]string{"lag1.fp", "data"})
 	if err != nil {
@@ -124,9 +137,6 @@ func runLagPipeline(t *testing.T, opts Options, delay time.Duration) (*Result, [
 			{Instance: statsC, Procs: 1},
 		},
 	}
-	broker := flexpath.NewBroker()
-	broker.SetObserver(opts.Tracer, opts.Registry)
-	transport := sb.Fabric{T: flexpath.InProc{B: broker}}
 	res, err := Run(context.Background(), transport, spec, opts)
 	if err != nil {
 		t.Fatalf("run failed: %v\n%s", err, Report(res))
@@ -222,6 +232,40 @@ func TestRescaleDisabledWithoutRegistry(t *testing.T) {
 	}, 2*time.Millisecond)
 	if res.Stages[1].Rescales != 0 || res.Stages[1].Stage.Procs != 1 {
 		t.Errorf("monitor ran without a registry: %+v", res.Stages[1])
+	}
+	if len(got) != 10 {
+		t.Errorf("stats saw %d steps, want 10", len(got))
+	}
+}
+
+// TestRescaleLogsNonResizingTransport: over a transport that cannot
+// resize stream groups — here the fault injector, which wraps handles,
+// not a broker — the monitor stays off and Run says so in one line
+// instead of dropping the policy silently.
+func TestRescaleLogsNonResizingTransport(t *testing.T) {
+	var mu sync.Mutex
+	var lines []string
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+	}
+	res, got := runLagPipelineOver(t, fault.New(flexpath.NewInProc(), fault.Plan{}), Options{
+		Logf:     logf,
+		Registry: obs.NewRegistry(),
+		Rescale:  RescalePolicy{Enable: true, CheckEvery: 10 * time.Millisecond, MaxProcs: 2},
+	}, 2*time.Millisecond)
+	var off []string
+	for _, l := range lines {
+		if strings.Contains(l, "rescale disabled") {
+			off = append(off, l)
+		}
+	}
+	if len(off) != 1 || !strings.Contains(off[0], "*fault.Transport") {
+		t.Errorf("rescale-off log lines = %q, want one naming *fault.Transport", off)
+	}
+	if res.Stages[1].Rescales != 0 || res.Stages[1].Stage.Procs != 1 {
+		t.Errorf("stage rescaled over a non-resizing transport: %+v", res.Stages[1])
 	}
 	if len(got) != 10 {
 		t.Errorf("stats saw %d steps, want 10", len(got))

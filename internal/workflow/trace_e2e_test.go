@@ -11,7 +11,6 @@ import (
 	"repro/internal/flexpath"
 	"repro/internal/obs"
 	"repro/internal/obs/tracetest"
-	"repro/internal/sb"
 
 	_ "repro/internal/sim/lammps" // registers the "lammps" component
 )
@@ -58,7 +57,7 @@ func TestTraceProvesPipelineGuarantees(t *testing.T) {
 			{Component: "histogram", Args: []string{"mag.fp", "mag", "8", histPath}, Procs: histProcs},
 		},
 	}
-	ft := fault.New(sb.BrokerTransport{Broker: broker}, fault.Plan{
+	ft := fault.New(flexpath.InProc{B: broker}, fault.Plan{
 		Seed:      20250805,
 		ErrRate:   0.18,
 		ResetRate: 0.05,

@@ -15,8 +15,8 @@ import (
 	_ "repro/internal/sim/lammps"
 )
 
-func transport() sb.BrokerTransport {
-	return sb.BrokerTransport{Broker: flexpath.NewBroker()}
+func transport() flexpath.InProc {
+	return flexpath.NewInProc()
 }
 
 func runT(t *testing.T, spec Spec) *Result {
@@ -304,7 +304,7 @@ func TestWorkflowOverTCPTransport(t *testing.T) {
 	h := hist.(*components.Histogram)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if _, err := Run(ctx, sb.ClientTransport{Client: client}, lammpsWorkflowSpec(h), Options{}); err != nil {
+	if _, err := Run(ctx, flexpath.Remote{C: client}, lammpsWorkflowSpec(h), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	results := h.Results()
