@@ -10,7 +10,7 @@ COVER_FLOOR_controlplane ?= 85.0
 # default make the whole smoke about ten seconds.
 FUZZTIME ?= 1s
 
-.PHONY: check build test vet race chaos bench cover conformance plan recover replay corpus optimize benchmark
+.PHONY: check build test vet race chaos cover conformance plan recover replay corpus optimize benchmark
 
 # The full pre-merge gate: static checks, build, the race-enabled test
 # suite, the backend conformance matrix, coverage floors, plan-output
@@ -127,16 +127,3 @@ chaos:
 recover:
 	$(GO) test -race -count=1 ./internal/flexpath -run 'TestBrokerRecover|TestRecover|TestReplay'
 	$(GO) test -race -count=1 ./internal/workflow -run 'TestChaosBrokerCrashRecovery|TestChaosTenantIsolation' -v
-
-# The root benchmark suite (paper tables/figures) at reduced scale, with
-# the machine-readable results written to BENCH_PR10.json (BENCH_PR7.json
-# is the previous baseline for regression comparison). The raw
-# `go test -bench` lines stay visible on stderr via cmd/benchjson.
-# SBBENCH_SIZE / SB_KERNEL_WORKERS / SBBENCH_TRANSPORT are exported (not
-# prefixed) so both sides of the pipe see them: the benchmarks to
-# configure themselves, benchjson to stamp "_meta".
-SB_KERNEL_WORKERS ?=
-SBBENCH_TRANSPORT ?= inproc
-bench:
-	export SBBENCH_SIZE=0.25 SB_KERNEL_WORKERS=$(SB_KERNEL_WORKERS) SBBENCH_TRANSPORT=$(SBBENCH_TRANSPORT); \
-	$(GO) test -bench=. -benchmem -count=1 -run '^$$' . | $(GO) run ./cmd/benchjson > BENCH_PR10.json

@@ -27,7 +27,6 @@ type AllPairs struct {
 	InStream, InArray   string
 	OutStream, OutArray string
 	Sample              int
-	Policy              sb.PartitionPolicy
 }
 
 // NewAllPairs parses: input-stream input-array output-stream output-array
@@ -65,7 +64,6 @@ func (a *AllPairs) Run(env *sb.Env) error {
 		Name:     "all-pairs",
 		InStream: a.InStream, InArray: a.InArray,
 		OutStream: a.OutStream, OutArray: a.OutArray,
-		Policy: a.Policy,
 	}, &allPairsKernel{a})
 }
 

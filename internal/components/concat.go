@@ -25,7 +25,6 @@ type Concat struct {
 	InStream2, InArray2 string
 	Axis                int
 	OutStream, OutArray string
-	Policy              sb.PartitionPolicy
 }
 
 // NewConcat parses: in-stream-1 in-array-1 in-stream-2 in-array-2 axis
@@ -130,7 +129,7 @@ func (c *Concat) Run(env *sb.Env) error {
 					step, i, v1.Dims[i].Size, v2.Dims[i].Size)
 			}
 		}
-		axis, err := sb.ChooseAxis(c.Policy, v1.Shape(), c.Axis)
+		axis, err := sb.ChooseAxis(v1.Shape(), c.Axis)
 		if err != nil {
 			return fmt.Errorf("concat: step %d: %w", step, err)
 		}

@@ -22,7 +22,6 @@ type DimReduce struct {
 	InStream, InArray   string
 	OutStream, OutArray string
 	Remove, Grow        int
-	Policy              sb.PartitionPolicy
 }
 
 // NewDimReduce parses the paper's argument order (Fig. 3).

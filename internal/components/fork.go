@@ -77,7 +77,7 @@ func (f *Fork) Run(env *sb.Env) error {
 		if !ok {
 			return fmt.Errorf("fork: step %d of stream %q has no array %q", step, f.InStream, f.InArray)
 		}
-		axis, err := sb.ChooseAxis(sb.PartitionFirstFree, v.Shape())
+		axis, err := sb.ChooseAxis(v.Shape())
 		if err != nil {
 			return fmt.Errorf("fork: step %d: %w", step, err)
 		}

@@ -22,7 +22,6 @@ const magnitudeUsage = "input-stream-name input-array-name output-stream-name ou
 type Magnitude struct {
 	InStream, InArray   string
 	OutStream, OutArray string
-	Policy              sb.PartitionPolicy
 }
 
 // NewMagnitude parses the component's four positional arguments.

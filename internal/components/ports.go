@@ -25,7 +25,6 @@ func (s *Select) MapSpec() (sb.MapConfig, sb.MapKernel) {
 		Name:     "select",
 		InStream: s.InStream, InArray: s.InArray,
 		OutStream: s.OutStream, OutArray: s.OutArray,
-		Policy:       s.Policy,
 		ForwardAttrs: true,
 	}, s
 }
@@ -44,7 +43,6 @@ func (m *Magnitude) MapSpec() (sb.MapConfig, sb.MapKernel) {
 		Name:     "magnitude",
 		InStream: m.InStream, InArray: m.InArray,
 		OutStream: m.OutStream, OutArray: m.OutArray,
-		Policy:       m.Policy,
 		ForwardAttrs: false, // the vector header does not describe the output
 	}, m
 }
@@ -63,7 +61,6 @@ func (d *DimReduce) MapSpec() (sb.MapConfig, sb.MapKernel) {
 		Name:     "dim-reduce",
 		InStream: d.InStream, InArray: d.InArray,
 		OutStream: d.OutStream, OutArray: d.OutArray,
-		Policy:       d.Policy,
 		ForwardAttrs: true,
 	}, d
 }
@@ -82,7 +79,6 @@ func (s *Scale) MapSpec() (sb.MapConfig, sb.MapKernel) {
 		Name:     "scale",
 		InStream: s.InStream, InArray: s.InArray,
 		OutStream: s.OutStream, OutArray: s.OutArray,
-		Policy:       s.Policy,
 		ForwardAttrs: true,
 	}, s
 }
@@ -101,7 +97,6 @@ func (s *Sample) MapSpec() (sb.MapConfig, sb.MapKernel) {
 		Name:     "sample",
 		InStream: s.InStream, InArray: s.InArray,
 		OutStream: s.OutStream, OutArray: s.OutArray,
-		Policy:       s.Policy,
 		ForwardAttrs: true,
 	}, s
 }

@@ -21,7 +21,6 @@ type Sample struct {
 	InStream, InArray   string
 	OutStream, OutArray string
 	Stride              int
-	Policy              sb.PartitionPolicy
 }
 
 // NewSample parses: input-stream input-array stride output-stream

@@ -20,7 +20,6 @@ type Scale struct {
 	InStream, InArray   string
 	OutStream, OutArray string
 	Factor, Offset      float64
-	Policy              sb.PartitionPolicy
 }
 
 // NewScale parses: input-stream input-array factor offset output-stream

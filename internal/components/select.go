@@ -23,7 +23,6 @@ type Select struct {
 	OutStream, OutArray string
 	DimIndex            int
 	Names               []string
-	Policy              sb.PartitionPolicy
 }
 
 // NewSelect parses the paper's argument order (Fig. 1).

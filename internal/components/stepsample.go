@@ -24,7 +24,6 @@ type StepSample struct {
 	InStream, InArray   string
 	OutStream, OutArray string
 	Stride              int
-	Policy              sb.PartitionPolicy
 }
 
 // NewStepSample parses: input-stream input-array stride output-stream
@@ -97,7 +96,7 @@ func (s *StepSample) Run(env *sb.Env) error {
 		if !ok {
 			return fmt.Errorf("step-sample: step %d of stream %q has no array %q", step, s.InStream, s.InArray)
 		}
-		axis, err := sb.ChooseAxis(s.Policy, v.Shape())
+		axis, err := sb.ChooseAxis(v.Shape())
 		if err != nil {
 			return fmt.Errorf("step-sample: step %d: %w", step, err)
 		}

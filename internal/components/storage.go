@@ -83,7 +83,7 @@ func (f *FileWriter) Run(env *sb.Env) error {
 		if !ok {
 			return fmt.Errorf("file-writer: step %d of stream %q has no array %q", step, f.InStream, f.InArray)
 		}
-		axis, err := sb.ChooseAxis(sb.PartitionFirstFree, v.Shape())
+		axis, err := sb.ChooseAxis(v.Shape())
 		if err != nil {
 			return fmt.Errorf("file-writer: step %d: %w", step, err)
 		}
@@ -154,7 +154,7 @@ func (f *FileReader) Run(env *sb.Env) error {
 		if err != nil {
 			return fmt.Errorf("file-reader: step %d: %w", step, err)
 		}
-		axis, err := sb.ChooseAxis(sb.PartitionFirstFree, global.Shape())
+		axis, err := sb.ChooseAxis(global.Shape())
 		if err != nil {
 			return fmt.Errorf("file-reader: step %d: %w", step, err)
 		}

@@ -27,9 +27,10 @@ type Model struct {
 }
 
 // DefaultModel returns the model used when the caller supplies none.
-// The bandwidth ordering (inproc > shm > uds > tcp) matches the
-// BENCH_PR7 four-way transport ablation; the absolute values are
-// deliberately round — the planner's decisions depend on ordering and
+// The bandwidth ordering is inproc > shm > uds > tcp; on the repository
+// benchmark the bulk_uds workload takes ~2.5× the step time of
+// bulk_inproc for the same bytes. The absolute values are deliberately
+// round — the planner's decisions depend on ordering and
 // knee position, which tolerate 2× bandwidth error.
 func DefaultModel() Model {
 	return Model{

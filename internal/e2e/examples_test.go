@@ -1,7 +1,6 @@
 package e2e
 
 import (
-	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -60,34 +59,4 @@ func TestExamplesRun(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestSbbenchSmoke runs the benchmark binary at a tiny scale over every
-// experiment, checking that each table renders.
-func TestSbbenchSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sbbench skipped in -short mode")
-	}
-	root := repoRoot(t)
-	bin := filepath.Join(t.TempDir(), "sbbench")
-	build := exec.Command("go", "build", "-o", bin, "repro/cmd/sbbench")
-	build.Dir = root
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building sbbench: %v\n%s", err, out)
-	}
-	cmd := exec.Command(bin, "-exp", "all", "-size", "0.02")
-	cmd.Dir = t.TempDir()
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("sbbench failed: %v\n%s", err, out)
-	}
-	for _, marker := range []string{
-		"Table I:", "Fig. 9:", "Table II:", "Fig. 10:",
-		"Ablation 1:", "Ablation 2:", "Ablation 3:", "Ablation 4:",
-	} {
-		if !strings.Contains(string(out), marker) {
-			t.Fatalf("sbbench output missing %q:\n%s", marker, out)
-		}
-	}
-	_ = os.Remove(bin)
 }

@@ -125,7 +125,7 @@ func (ls *LogSource) AttachReader(stream string, rank, size int) (ReaderHandle, 
 	if _, ok := lg.Config(); !ok {
 		return nil, fmt.Errorf("flexpath: recorded stream %q journaled no config (empty recording)", stream)
 	}
-	return &logReader{ls: ls, lg: lg, stream: stream, pos: lg.FirstStep(), curStep: -1}, nil
+	return &logReader{ls: ls, lg: lg, stream: stream, cache: newServeCache(lg.FirstStep())}, nil
 }
 
 // OpenReaderFrom implements ReplayTransport: a reader positioned at an
@@ -140,8 +140,8 @@ func (ls *LogSource) OpenReaderFrom(stream string, from int) (ReaderHandle, erro
 		return nil, err
 	}
 	lr := r.(*logReader)
-	if from > lr.pos {
-		lr.pos = from
+	if from > lr.cache.pos {
+		lr.cache.pos = from
 	}
 	return lr, nil
 }
@@ -165,29 +165,23 @@ func (ls *LogSource) Close() error {
 }
 
 // logReader is one replay reader over a recorded stream. Like every
-// rank handle it is driven by one goroutine at a time; the one-step
-// serve cache (StepMeta fills, FetchBlock reads, ReleaseStep drops)
-// holds the log's mmap view until release, exactly as ReplayReader
+// rank handle it is driven by one goroutine at a time; its serve cache
+// holds the log's mmap view until release, exactly as ReplayReader's
 // does.
 type logReader struct {
 	ls     *LogSource
 	lg     *streamlog.Log
 	stream string
 
-	mu          sync.Mutex
-	pos         int
-	closed      bool
-	curStep     int
-	curMetas    [][]byte
-	curPayloads [][]byte
-	curRelease  func()
+	mu    sync.Mutex
+	cache serveCache // guarded by mu
 }
 
 // NextStep returns the next unreleased step — the resume point.
 func (r *logReader) NextStep() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.pos
+	return r.cache.pos
 }
 
 // WriterSize returns the recorded writer-group size immediately: a
@@ -196,7 +190,7 @@ func (r *logReader) NextStep() int {
 func (r *logReader) WriterSize(ctx context.Context) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed {
+	if r.cache.closed {
 		return 0, ErrClosed
 	}
 	cfg, ok := r.lg.Config()
@@ -206,29 +200,19 @@ func (r *logReader) WriterSize(ctx context.Context) (int, error) {
 	return cfg.WriterSize, nil
 }
 
-// dropCacheLocked empties the serve cache, returning any mmap view to
-// the log. Caller holds r.mu.
-func (r *logReader) dropCacheLocked() {
-	if rel := r.curRelease; rel != nil {
-		r.curRelease = nil
-		rel()
-	}
-	r.curStep, r.curMetas, r.curPayloads = -1, nil, nil
-}
-
 // ensure fills the serve cache for step. At the log head it returns
 // io.EOF whether or not the recording ended gracefully — a truncated
 // recording's valid prefix is still worth replaying — and records the
 // truncation on the source for the caller to surface. Caller holds
 // r.mu.
 func (r *logReader) ensure(ctx context.Context, step int) error {
-	if r.closed {
+	if r.cache.closed {
 		return ErrClosed
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if r.curStep == step {
+	if r.cache.step == step {
 		return nil
 	}
 	if step >= r.lg.NextStep() {
@@ -241,8 +225,7 @@ func (r *logReader) ensure(ctx context.Context, step int) error {
 	if err != nil {
 		return err
 	}
-	r.dropCacheLocked()
-	r.curStep, r.curMetas, r.curPayloads, r.curRelease = step, metas, payloads, release
+	r.cache.fill(step, metas, payloads, release)
 	r.ls.mu.Lock()
 	tracer, replayed := r.ls.tracer, r.ls.replayed
 	r.ls.mu.Unlock()
@@ -262,7 +245,7 @@ func (r *logReader) StepMeta(ctx context.Context, step int) ([][]byte, error) {
 	if err := r.ensure(ctx, step); err != nil {
 		return nil, err
 	}
-	return r.curMetas, nil
+	return r.cache.metas, nil
 }
 
 // FetchBlock serves one writer rank's payload for the step.
@@ -272,10 +255,7 @@ func (r *logReader) FetchBlock(ctx context.Context, step, writerRank int) ([]byt
 	if err := r.ensure(ctx, step); err != nil {
 		return nil, err
 	}
-	if writerRank < 0 || writerRank >= len(r.curPayloads) {
-		return nil, fmt.Errorf("flexpath: writer rank %d out of range [0,%d)", writerRank, len(r.curPayloads))
-	}
-	return r.curPayloads[writerRank], nil
+	return r.cache.block(writerRank)
 }
 
 // ReleaseStep advances past step and drops the serve cache, returning
@@ -283,27 +263,14 @@ func (r *logReader) FetchBlock(ctx context.Context, step, writerRank int) ([]byt
 func (r *logReader) ReleaseStep(step int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed {
-		return ErrClosed
-	}
-	if step+1 > r.pos {
-		r.pos = step + 1
-	}
-	if r.curStep >= 0 && r.curStep <= step {
-		r.dropCacheLocked()
-	}
-	return nil
+	return r.cache.releaseStep(step)
 }
 
 // Close ends the replay session, returning any held view. Idempotent.
 func (r *logReader) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed {
-		return nil
-	}
-	r.closed = true
-	r.dropCacheLocked()
+	r.cache.close()
 	return nil
 }
 

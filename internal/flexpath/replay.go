@@ -2,6 +2,7 @@ package flexpath
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 
@@ -30,30 +31,7 @@ type ReplayReader struct {
 	s  *stream
 	lg *streamlog.Log
 
-	// All fields below are guarded by b.mu.
-	pos    int // next unreleased step (bookkeeping only; nothing gates on it)
-	closed bool
-	// One-step serve cache: StepMeta fills it, FetchBlock reads from it,
-	// ReleaseStep drops it. Live serves copy; log serves are mmap views
-	// of sealed segments when the platform allows (curRelease returns
-	// the view, and the log keeps the mapping alive until then) and
-	// fresh allocations otherwise — either way nothing the broker
-	// retires can invalidate the cache.
-	curStep     int // -1 when empty
-	curMetas    [][]byte
-	curPayloads [][]byte
-	curRelease  func() // non-nil while the cache holds a log view
-}
-
-// dropCacheLocked empties the serve cache, returning any mmap view to
-// the log. Caller holds b.mu (the lock order b.mu → log mu is the same
-// one the write-behind appender establishes).
-func (r *ReplayReader) dropCacheLocked() {
-	if rel := r.curRelease; rel != nil {
-		r.curRelease = nil
-		rel()
-	}
-	r.curStep, r.curMetas, r.curPayloads = -1, nil, nil
+	cache serveCache // guarded by b.mu
 }
 
 // OpenReaderFrom opens a catch-up reader on a stream, positioned at
@@ -73,7 +51,7 @@ func (b *Broker) OpenReaderFrom(stream string, from int) (*ReplayReader, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &ReplayReader{b: b, s: b.getStream(stream), lg: lg, pos: from, curStep: -1}, nil
+	return &ReplayReader{b: b, s: b.getStream(stream), lg: lg, cache: newServeCache(from)}, nil
 }
 
 // NextStep returns this reader's position: the next step it has not
@@ -81,7 +59,7 @@ func (b *Broker) OpenReaderFrom(stream string, from int) (*ReplayReader, error) 
 func (r *ReplayReader) NextStep() int {
 	r.b.mu.Lock()
 	defer r.b.mu.Unlock()
-	return r.pos
+	return r.cache.pos
 }
 
 // WriterSize blocks until the stream's writer group is known (live
@@ -90,10 +68,10 @@ func (r *ReplayReader) WriterSize(ctx context.Context) (int, error) {
 	b := r.b
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if err := b.wait(ctx, func() bool { return r.closed || r.s.writerSize > 0 || r.s.failed != nil }); err != nil {
+	if err := b.wait(ctx, func() bool { return r.cache.closed || r.s.writerSize > 0 || r.s.failed != nil }); err != nil {
 		return 0, err
 	}
-	if r.closed {
+	if r.cache.closed {
 		return 0, ErrClosed
 	}
 	if r.s.writerSize > 0 {
@@ -110,11 +88,11 @@ func (r *ReplayReader) WriterSize(ctx context.Context) (int, error) {
 func (r *ReplayReader) ensure(ctx context.Context, step int) error {
 	b := r.b
 	b.mu.Lock()
-	if r.closed {
+	if r.cache.closed {
 		b.mu.Unlock()
 		return ErrClosed
 	}
-	if r.curStep == step {
+	if r.cache.step == step {
 		b.mu.Unlock()
 		return nil
 	}
@@ -124,7 +102,7 @@ func (r *ReplayReader) ensure(ctx context.Context, step int) error {
 		return ok && st.complete()
 	}
 	err := b.wait(ctx, func() bool {
-		if r.closed || s.failed != nil || memComplete() || step < s.logged {
+		if r.cache.closed || s.failed != nil || memComplete() || step < s.logged {
 			return true
 		}
 		if s.logBroken && step < s.minStep {
@@ -136,7 +114,7 @@ func (r *ReplayReader) ensure(ctx context.Context, step int) error {
 		b.mu.Unlock()
 		return err
 	}
-	if r.closed {
+	if r.cache.closed {
 		b.mu.Unlock()
 		return ErrClosed
 	}
@@ -153,8 +131,7 @@ func (r *ReplayReader) ensure(ctx context.Context, step int) error {
 			payloads[i] = append([]byte(nil), st.payloads[i].Bytes()...)
 			nbytes += int64(len(metas[i]) + len(payloads[i]))
 		}
-		r.dropCacheLocked()
-		r.curStep, r.curMetas, r.curPayloads = step, metas, payloads
+		r.cache.fill(step, metas, payloads, nil)
 		if tr := b.obs.tracer; tr.Enabled() {
 			tr.Emit(obs.Span{Kind: obs.KindReplayLive, Parent: obs.ParentFrom(ctx),
 				Stream: s.name, Step: step, Rank: -1, Peer: -1, Bytes: nbytes})
@@ -174,13 +151,12 @@ func (r *ReplayReader) ensure(ctx context.Context, step int) error {
 			return err
 		}
 		b.mu.Lock()
-		if r.closed {
+		if r.cache.closed {
 			b.mu.Unlock()
 			release()
 			return ErrClosed
 		}
-		r.dropCacheLocked()
-		r.curStep, r.curMetas, r.curPayloads, r.curRelease = step, metas, payloads, release
+		r.cache.fill(step, metas, payloads, release)
 		b.mu.Unlock()
 		if tracer.Enabled() {
 			tracer.Emit(obs.Span{Kind: obs.KindLogReplay,
@@ -211,7 +187,7 @@ func (r *ReplayReader) ensure(ctx context.Context, step int) error {
 func readLogStep(lg *streamlog.Log, step int) (metas, payloads [][]byte, release func(), nbytes int64, err error) {
 	metas, payloads, release, err = lg.ReadStepView(step)
 	if err != nil {
-		if errorsIsEvicted(err) {
+		if errors.Is(err, streamlog.ErrEvicted) {
 			return nil, nil, nil, 0, fmt.Errorf("%w: step %d evicted from log (replay horizon %d)",
 				ErrStepRetired, step, lg.FirstStep())
 		}
@@ -223,18 +199,74 @@ func readLogStep(lg *streamlog.Log, step int) (metas, payloads [][]byte, release
 	return metas, payloads, release, nbytes, nil
 }
 
-func errorsIsEvicted(err error) bool {
-	for e := err; e != nil; {
-		if e == streamlog.ErrEvicted {
-			return true
-		}
-		u, ok := e.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		e = u.Unwrap()
+// serveCache is the one-step serve cache and read position shared by
+// the two journal readers, ReplayReader and logReader: ensure fills it,
+// StepMeta and FetchBlock read from it, ReleaseStep and Close drop it.
+// Live serves are copies; log serves are mmap views of sealed segments
+// when the platform allows (release returns the view, and the log keeps
+// the mapping alive until then) and fresh allocations otherwise, so
+// nothing the broker retires can invalidate the cache. It has no lock
+// of its own: the owning reader holds its lock around every call, which
+// keeps ReplayReader's b.mu → log lock order (the one the write-behind
+// appender establishes).
+type serveCache struct {
+	pos      int // next unreleased step (bookkeeping only; nothing gates on it)
+	closed   bool
+	step     int // -1 when empty
+	metas    [][]byte
+	payloads [][]byte
+	release  func() // non-nil while the cache holds a log view
+}
+
+func newServeCache(pos int) serveCache { return serveCache{pos: pos, step: -1} }
+
+// fill caches step, returning any previously held view to the log.
+func (c *serveCache) fill(step int, metas, payloads [][]byte, release func()) {
+	c.drop()
+	c.step, c.metas, c.payloads, c.release = step, metas, payloads, release
+}
+
+// drop empties the cache, returning any held view to the log.
+func (c *serveCache) drop() {
+	if rel := c.release; rel != nil {
+		c.release = nil
+		rel()
 	}
-	return false
+	c.step, c.metas, c.payloads = -1, nil, nil
+}
+
+// block returns one writer rank's cached payload.
+func (c *serveCache) block(writerRank int) ([]byte, error) {
+	if writerRank < 0 || writerRank >= len(c.payloads) {
+		return nil, fmt.Errorf("flexpath: writer rank %d out of range [0,%d)", writerRank, len(c.payloads))
+	}
+	return c.payloads[writerRank], nil
+}
+
+// releaseStep advances the position past step and drops the cache if it
+// holds step or an earlier one.
+func (c *serveCache) releaseStep(step int) error {
+	if c.closed {
+		return ErrClosed
+	}
+	if step+1 > c.pos {
+		c.pos = step + 1
+	}
+	if c.step >= 0 && c.step <= step {
+		c.drop()
+	}
+	return nil
+}
+
+// close marks the reader closed and drops the cache, reporting whether
+// this call was the one that closed it.
+func (c *serveCache) close() bool {
+	if c.closed {
+		return false
+	}
+	c.closed = true
+	c.drop()
+	return true
 }
 
 // StepMeta blocks until the step is servable and returns every writer
@@ -246,13 +278,14 @@ func (r *ReplayReader) StepMeta(ctx context.Context, step int) ([][]byte, error)
 	}
 	r.b.mu.Lock()
 	defer r.b.mu.Unlock()
-	return r.curMetas, nil
+	return r.cache.metas, nil
 }
 
 // StepMetaRefs is StepMeta returning wrapped references, satisfying the
-// same contract the TCP server uses for live readers. The bytes are
-// reader-owned copies, so the refs are valid for as long as the caller
-// holds them.
+// same contract the TCP server uses for live readers. The refs share
+// StepMeta's lifetime: a live serve is a reader-owned copy, but a log
+// serve may be an mmap view of a sealed segment, so they are valid only
+// until the step is released.
 func (r *ReplayReader) StepMetaRefs(ctx context.Context, step int) ([]*pool.Buf, error) {
 	metas, err := r.StepMeta(ctx, step)
 	if err != nil {
@@ -272,10 +305,7 @@ func (r *ReplayReader) FetchBlock(ctx context.Context, step, writerRank int) ([]
 	}
 	r.b.mu.Lock()
 	defer r.b.mu.Unlock()
-	if writerRank < 0 || writerRank >= len(r.curPayloads) {
-		return nil, fmt.Errorf("flexpath: writer rank %d out of range [0,%d)", writerRank, len(r.curPayloads))
-	}
-	return r.curPayloads[writerRank], nil
+	return r.cache.block(writerRank)
 }
 
 // FetchBlockRef is FetchBlock returning a wrapped reference.
@@ -291,32 +321,18 @@ func (r *ReplayReader) FetchBlockRef(ctx context.Context, step, writerRank int) 
 // serve cache. Nothing in the broker gates on it — release exists so a
 // replay consumer drives the same step loop as a live one.
 func (r *ReplayReader) ReleaseStep(step int) error {
-	b := r.b
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if r.closed {
-		return ErrClosed
-	}
-	if step+1 > r.pos {
-		r.pos = step + 1
-	}
-	if r.curStep >= 0 && r.curStep <= step {
-		r.dropCacheLocked()
-	}
-	return nil
+	r.b.mu.Lock()
+	defer r.b.mu.Unlock()
+	return r.cache.releaseStep(step)
 }
 
 // Close ends the replay session. Idempotent.
 func (r *ReplayReader) Close() error {
-	b := r.b
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if r.closed {
-		return nil
+	r.b.mu.Lock()
+	defer r.b.mu.Unlock()
+	if r.cache.close() {
+		r.b.cond.Broadcast()
 	}
-	r.closed = true
-	r.dropCacheLocked()
-	b.cond.Broadcast()
 	return nil
 }
 

@@ -309,7 +309,7 @@ func (f *Fused) readInput(env *Env, cfg MapConfig, kernel MapKernel, r *adios.Re
 	if !ok {
 		return nil, fmt.Errorf("%s: step %d of stream %q has no array %q", cfg.Name, step, cfg.InStream, cfg.InArray)
 	}
-	box, err := partitionFor(kernel, cfg.Policy, v, info, size, rank)
+	box, err := partitionFor(kernel, v, info, size, rank)
 	if err != nil {
 		return nil, fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)
 	}
@@ -332,7 +332,7 @@ func (f *Fused) handoff(env *Env, cfg MapConfig, kernel MapKernel, exchanges []*
 	ctx context.Context, info *adios.StepInfo, prev *StepOutput, step, k int) (*StepInput, error) {
 	rank, size := env.Comm.Rank(), env.Comm.Size()
 	v := info.Vars[0]
-	box, err := partitionFor(kernel, cfg.Policy, v, info, size, rank)
+	box, err := partitionFor(kernel, v, info, size, rank)
 	if err != nil {
 		return nil, fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)
 	}

@@ -78,8 +78,6 @@ type MapConfig struct {
 	InStream, InArray string
 	// OutStream / OutArray identify the output.
 	OutStream, OutArray string
-	// Policy selects the partition axis (default PartitionFirstFree).
-	Policy PartitionPolicy
 	// ForwardAttrs propagates all upstream attributes downstream unless
 	// the kernel overrides them — the paper's guideline of maintaining
 	// high-level semantics through components that do not require them
@@ -188,7 +186,7 @@ func runMapStep(env *Env, cfg MapConfig, kernel MapKernel, r *adios.Reader, w *a
 	if !ok {
 		return false, 0, 0, 0, fmt.Errorf("%s: step %d of stream %q has no array %q", cfg.Name, step, cfg.InStream, cfg.InArray)
 	}
-	box, err := partitionFor(kernel, cfg.Policy, v, info, size, rank)
+	box, err := partitionFor(kernel, v, info, size, rank)
 	if err != nil {
 		return fail(err)
 	}
@@ -213,18 +211,18 @@ func runMapStep(env *Env, cfg MapConfig, kernel MapKernel, r *adios.Reader, w *a
 }
 
 // partitionFor computes the box one rank reads of variable v for the
-// given kernel: the kernel reserves axes that must stay whole, the
-// policy picks the partition axis among the rest.
-func partitionFor(kernel MapKernel, policy PartitionPolicy, v *adios.GlobalVar, info *adios.StepInfo, size, rank int) (ndarray.Box, error) {
+// given kernel: the kernel reserves axes that must stay whole, and the
+// first of the rest is split.
+func partitionFor(kernel MapKernel, v *adios.GlobalVar, info *adios.StepInfo, size, rank int) (ndarray.Box, error) {
 	reserved, err := kernel.ReservedAxes(v, info)
 	if err != nil {
 		return ndarray.Box{}, err
 	}
-	axis, err := ChooseAxis(policy, v.Shape(), reserved...)
+	axis, err := ChooseAxis(v.Shape(), reserved...)
 	if err != nil {
 		return ndarray.Box{}, err
 	}
-	return PartitionBox(v.Shape(), axis, size, rank), nil
+	return ndarray.PartitionAlong(v.Shape(), axis, size, rank), nil
 }
 
 // transformKernel runs one kernel Transform with its kernel.transform

@@ -1,65 +1,28 @@
 package sb
 
-import (
-	"fmt"
+import "fmt"
 
-	"repro/internal/ndarray"
-)
-
-// PartitionPolicy selects which axis of an incoming global array a
-// component splits across its ranks. The paper's components partition
-// "the generally large dataset … among its constituent processes"
-// (§III-B) without prescribing the axis; the policy is an explicit knob
-// here because it is one of the design choices the ablation benchmarks
-// measure.
-type PartitionPolicy int
-
-const (
-	// PartitionFirstFree splits along the first axis the kernel has not
-	// reserved (the default, matching row-slab decomposition).
-	PartitionFirstFree PartitionPolicy = iota
-	// PartitionLongestFree splits along the largest unreserved axis,
-	// which balances better when the leading dimension is small.
-	PartitionLongestFree
-)
-
-// ChooseAxis returns the partition axis for a global shape under the
-// policy, skipping reserved axes (e.g. Select cannot partition the axis
-// it filters). It errors if every axis is reserved.
-func ChooseAxis(policy PartitionPolicy, shape []int, reserved ...int) (int, error) {
-	isReserved := func(i int) bool {
-		for _, r := range reserved {
-			if i == r {
-				return true
-			}
+// ChooseAxis returns the axis of an incoming global array a component
+// splits across its ranks: the first axis the kernel has not reserved
+// (e.g. Select cannot partition the axis it filters), which for an
+// unreserved array is row-slab decomposition. The paper's components
+// partition "the generally large dataset … among its constituent
+// processes" (§III-B) without prescribing the axis. It errors if every
+// axis is reserved.
+func ChooseAxis(shape []int, reserved ...int) (int, error) {
+	for i := range shape {
+		if !containsAxis(reserved, i) {
+			return i, nil
 		}
-		return false
-	}
-	switch policy {
-	case PartitionFirstFree:
-		for i := range shape {
-			if !isReserved(i) {
-				return i, nil
-			}
-		}
-	case PartitionLongestFree:
-		best, bestSize := -1, -1
-		for i, s := range shape {
-			if !isReserved(i) && s > bestSize {
-				best, bestSize = i, s
-			}
-		}
-		if best >= 0 {
-			return best, nil
-		}
-	default:
-		return 0, fmt.Errorf("sb: unknown partition policy %d", policy)
 	}
 	return 0, fmt.Errorf("sb: no partitionable axis in rank-%d array (reserved %v)", len(shape), reserved)
 }
 
-// PartitionBox computes the bounding box rank of nranks owns when a
-// global shape is split along axis.
-func PartitionBox(shape []int, axis, nranks, rank int) ndarray.Box {
-	return ndarray.PartitionAlong(shape, axis, nranks, rank)
+func containsAxis(axes []int, i int) bool {
+	for _, a := range axes {
+		if a == i {
+			return true
+		}
+	}
+	return false
 }

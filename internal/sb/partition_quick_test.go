@@ -8,7 +8,7 @@ import (
 )
 
 // The partitioning contract the components lean on: whatever shape,
-// rank count, policy and reserved-axis set a kernel throws at it, the
+// rank count and reserved-axis set a kernel throws at it, the
 // per-rank bounding boxes must tile the global array exactly — every
 // element owned by exactly one rank — and match the sequential
 // first-rem-ranks-get-one-extra oracle of Partition1D. testing/quick
@@ -19,11 +19,10 @@ import (
 type quickPartitionConfig struct {
 	shape    []int
 	nranks   int
-	policy   PartitionPolicy
 	reserved []int
 }
 
-func normalizePartitionConfig(rawShape []uint8, rawRanks uint8, longest bool, reservedMask uint8) quickPartitionConfig {
+func normalizePartitionConfig(rawShape []uint8, rawRanks uint8, reservedMask uint8) quickPartitionConfig {
 	ndim := 1 + int(rawRanks>>4)%4 // 1..4 dims
 	shape := make([]int, ndim)
 	for i := range shape {
@@ -34,9 +33,6 @@ func normalizePartitionConfig(rawShape []uint8, rawRanks uint8, longest bool, re
 		}
 	}
 	cfg := quickPartitionConfig{shape: shape, nranks: 1 + int(rawRanks%8)}
-	if longest {
-		cfg.policy = PartitionLongestFree
-	}
 	// Reserve a strict subset of axes so ChooseAxis always has one free.
 	for i := 0; i < ndim-1; i++ {
 		if reservedMask&(1<<i) != 0 {
@@ -47,37 +43,27 @@ func normalizePartitionConfig(rawShape []uint8, rawRanks uint8, longest bool, re
 }
 
 func TestPartitionBoxTilesExactlyOnce(t *testing.T) {
-	prop := func(rawShape []uint8, rawRanks uint8, longest bool, reservedMask uint8) bool {
-		cfg := normalizePartitionConfig(rawShape, rawRanks, longest, reservedMask)
-		axis, err := ChooseAxis(cfg.policy, cfg.shape, cfg.reserved...)
+	prop := func(rawShape []uint8, rawRanks uint8, reservedMask uint8) bool {
+		cfg := normalizePartitionConfig(rawShape, rawRanks, reservedMask)
+		axis, err := ChooseAxis(cfg.shape, cfg.reserved...)
 		if err != nil {
 			t.Logf("ChooseAxis(%v, reserved %v): %v", cfg.shape, cfg.reserved, err)
 			return false
 		}
-		for _, r := range cfg.reserved {
-			if axis == r {
-				t.Logf("ChooseAxis picked reserved axis %d (shape %v, reserved %v)", axis, cfg.shape, cfg.reserved)
-				return false
-			}
+		// Oracle: the first axis not reserved.
+		want := 0
+		for containsAxis(cfg.reserved, want) {
+			want++
 		}
-		if cfg.policy == PartitionLongestFree {
-			// Oracle: first unreserved axis of maximal extent.
-			want, wantSize := -1, -1
-			for i, s := range cfg.shape {
-				if !containsAxis(cfg.reserved, i) && s > wantSize {
-					want, wantSize = i, s
-				}
-			}
-			if axis != want {
-				t.Logf("LongestFree chose axis %d, oracle %d (shape %v, reserved %v)", axis, want, cfg.shape, cfg.reserved)
-				return false
-			}
+		if axis != want {
+			t.Logf("ChooseAxis chose axis %d, oracle %d (shape %v, reserved %v)", axis, want, cfg.shape, cfg.reserved)
+			return false
 		}
 
 		boxes := make([]ndarray.Box, cfg.nranks)
 		total := 0
 		for rank := range boxes {
-			boxes[rank] = PartitionBox(cfg.shape, axis, cfg.nranks, rank)
+			boxes[rank] = ndarray.PartitionAlong(cfg.shape, axis, cfg.nranks, rank)
 			if err := boxes[rank].ValidIn(cfg.shape); err != nil {
 				t.Logf("rank %d box %v invalid in %v: %v", rank, boxes[rank], cfg.shape, err)
 				return false
@@ -145,15 +131,6 @@ func TestPartitionBoxTilesExactlyOnce(t *testing.T) {
 	}
 }
 
-func containsAxis(axes []int, i int) bool {
-	for _, a := range axes {
-		if a == i {
-			return true
-		}
-	}
-	return false
-}
-
 // nextIndex advances idx odometer-style within shape; false when the
 // walk wraps (or the shape has an empty axis, making the space empty).
 func nextIndex(idx, shape []int) bool {
@@ -173,10 +150,7 @@ func nextIndex(idx, shape []int) bool {
 }
 
 func TestChooseAxisAllReserved(t *testing.T) {
-	if _, err := ChooseAxis(PartitionFirstFree, []int{4, 4}, 0, 1); err == nil {
+	if _, err := ChooseAxis([]int{4, 4}, 0, 1); err == nil {
 		t.Fatal("ChooseAxis succeeded with every axis reserved")
-	}
-	if _, err := ChooseAxis(PartitionPolicy(99), []int{4}); err == nil {
-		t.Fatal("ChooseAxis accepted an unknown policy")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/adios"
+	"repro/internal/ndarray"
 )
 
 // ReduceKernel is the contract for endpoint components (Histogram, Stats
@@ -31,8 +32,6 @@ type ReduceConfig[T any] struct {
 	// RequireDims, when positive, rejects inputs of any other rank —
 	// e.g. Histogram demands one-dimensional data (§III-E).
 	RequireDims int
-	// Policy selects the partition axis (default PartitionFirstFree).
-	Policy PartitionPolicy
 	// OutBytes is the per-step output accounting for metrics (endpoint
 	// results are tiny and fixed-size).
 	OutBytes int64
@@ -79,11 +78,11 @@ func RunReduce[T any](env *Env, cfg ReduceConfig[T], kernel ReduceKernel[T]) err
 		if err != nil {
 			return fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)
 		}
-		axis, err := ChooseAxis(cfg.Policy, v.Shape(), reserved...)
+		axis, err := ChooseAxis(v.Shape(), reserved...)
 		if err != nil {
 			return fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)
 		}
-		box := PartitionBox(v.Shape(), axis, size, rank)
+		box := ndarray.PartitionAlong(v.Shape(), axis, size, rank)
 		block, err := r.ReadBox(env.Ctx(), cfg.InArray, box)
 		if err != nil {
 			return fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)

@@ -28,34 +28,14 @@ func TestChooseAxisFirstFree(t *testing.T) {
 		{nil, nil, 0, true},
 	}
 	for _, c := range cases {
-		got, err := ChooseAxis(PartitionFirstFree, c.shape, c.reserved...)
+		got, err := ChooseAxis(c.shape, c.reserved...)
 		if (err != nil) != c.wantErr {
-			t.Errorf("ChooseAxis(first, %v, %v) err = %v", c.shape, c.reserved, err)
+			t.Errorf("ChooseAxis(%v, %v) err = %v", c.shape, c.reserved, err)
 			continue
 		}
 		if err == nil && got != c.want {
-			t.Errorf("ChooseAxis(first, %v, %v) = %d, want %d", c.shape, c.reserved, got, c.want)
+			t.Errorf("ChooseAxis(%v, %v) = %d, want %d", c.shape, c.reserved, got, c.want)
 		}
-	}
-}
-
-func TestChooseAxisLongestFree(t *testing.T) {
-	got, err := ChooseAxis(PartitionLongestFree, []int{4, 100, 6}, nil...)
-	if err != nil || got != 1 {
-		t.Fatalf("got %d, %v", got, err)
-	}
-	got, err = ChooseAxis(PartitionLongestFree, []int{4, 100, 6}, 1)
-	if err != nil || got != 2 {
-		t.Fatalf("with reserved longest: got %d, %v", got, err)
-	}
-	if _, err := ChooseAxis(PartitionLongestFree, []int{4}, 0); err == nil {
-		t.Fatal("fully reserved shape accepted")
-	}
-}
-
-func TestChooseAxisUnknownPolicy(t *testing.T) {
-	if _, err := ChooseAxis(PartitionPolicy(99), []int{4}); err == nil {
-		t.Fatal("unknown policy accepted")
 	}
 }
 

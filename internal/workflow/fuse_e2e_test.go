@@ -44,13 +44,28 @@ func newHistT(t *testing.T, args ...string) *components.Histogram {
 }
 
 // TestFusionEquivalenceLAMMPS is the optimizer's correctness contract:
-// the Fig. 8 pipeline run componentized and run fused (select+magnitude
-// collapsed into one stage, sel.fp never touching the broker) must
+// the Fig. 8 pipeline run componentized, run fused (select+magnitude
+// collapsed into one stage, sel.fp never touching the broker) and run
+// as the hand-fused all-in-one component (Table II's comparator) must
 // produce byte-identical histograms — the sims are deterministically
 // seeded, so any divergence is a fusion bug, not noise.
 func TestFusionEquivalenceLAMMPS(t *testing.T) {
 	histA := newHistT(t, "velos.fp", "velocities", "16")
-	runT(t, lammpsWorkflowSpec(histA))
+	unfused := lammpsWorkflowSpec(histA)
+	runT(t, unfused)
+
+	c, err := components.NewAIO([]string{"dump.custom.fp", "atoms", "1", "16", "-", "vx", "vy", "vz"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aio := c.(*components.AIO)
+	runT(t, Spec{Name: "lammps-aio", Stages: []Stage{
+		{Instance: aio, Procs: 2},
+		unfused.Stages[len(unfused.Stages)-1], // the lammps stage
+	}})
+	if a, got := histA.Results(), aio.Results(); len(a) == 0 || !reflect.DeepEqual(a, got) {
+		t.Fatalf("all-in-one output diverged:\nunfused: %+v\naio:     %+v", a, got)
+	}
 
 	histB := newHistT(t, "velos.fp", "velocities", "16")
 	fused := fuseSpecT(t, lammpsWorkflowSpec(histB))
