@@ -1,7 +1,7 @@
 // Command sbrun launches a complete SmartBlock workflow from an
 // aprun-style job script (the paper's Fig. 8 format):
 //
-//	sbrun [-v] [-explain] [-fuse] [-transport inproc|tcp|uds|shm|auto] [-broker addr] [-log-dir DIR] [-max-restarts N] [-step-timeout D] [-trace out.jsonl] [-profile-out prof.json] [-optimize prof.json] [-rescale] workflow.sh
+//	sbrun [-v] [-explain] [-transport inproc|tcp|uds|shm|auto] [-broker addr] [-log-dir DIR] [-max-restarts N] [-step-timeout D] [-trace out.jsonl] [-profile-out prof.json] [-optimize prof.json] [-rescale] workflow.sh
 //
 // Every aprun line becomes a component stage; all stages launch
 // simultaneously and rendezvous on their stream names. -transport (or a
@@ -23,6 +23,7 @@
 // takes its own -log-dir. A recording outlives the run: sbreplay re-runs
 // any component offline against it (a `replay <dir>` script directive
 // names the default recording for sbreplay without affecting sbrun).
+// A `fuse` directive applies the stage-fusion pass before launching.
 //
 // Example script:
 //
@@ -61,7 +62,6 @@ func main() {
 	verbose := flag.Bool("v", false, "log component diagnostics")
 	lintOnly := flag.Bool("lint", false, "check the workflow's stream wiring and exit without running")
 	explain := flag.Bool("explain", false, "print the workflow plan (stages, dataflow edges, fusion analysis, lint) and exit without running")
-	fuse := flag.Bool("fuse", false, "apply the stage-fusion pass before launching (same as a `fuse` script directive)")
 	transportKind := flag.String("transport", "", "stream fabric backend: inproc, tcp, uds, shm, or auto (default: the script's transport directive, else inproc)")
 	broker := flag.String("broker", "", "backend address: sbbroker host:port for tcp, socket path for uds/shm (plain -broker implies -transport tcp)")
 	logDir := flag.String("log-dir", "", "journal streams to a durable segmented log under this directory (inproc transport; overrides the script's log directive)")
@@ -87,9 +87,6 @@ func main() {
 	spec, err := launch.ParseFile(flag.Arg(0))
 	if err != nil {
 		log.Fatalf("sbrun: %v", err)
-	}
-	if *fuse {
-		spec.Fuse = true
 	}
 
 	// Backend selection happens before the plan is built so -explain

@@ -54,12 +54,6 @@ func NewConcat(args []string) (sb.Component, error) {
 // Name implements sb.Component.
 func (c *Concat) Name() string { return "concat" }
 
-// InputStreams implements workflow.StreamDeclarer.
-func (c *Concat) InputStreams() []string { return []string{c.InStream1, c.InStream2} }
-
-// OutputStreams implements workflow.StreamDeclarer.
-func (c *Concat) OutputStreams() []string { return []string{c.OutStream} }
-
 // Run implements sb.Component. Each rank partitions both inputs along
 // the same non-concat axis, joins its two local blocks along the concat
 // axis, and publishes the joined block: the output box equals the

@@ -2,14 +2,9 @@ package components
 
 import (
 	"testing"
-)
 
-// streamDeclarer mirrors workflow.StreamDeclarer without importing the
-// workflow package (which imports this one).
-type streamDeclarer interface {
-	InputStreams() []string
-	OutputStreams() []string
-}
+	"repro/internal/sb"
+)
 
 // componentContract holds valid construction arguments for every
 // registered component, plus its expected stream wiring.
@@ -63,18 +58,27 @@ func TestEveryRegisteredComponentHonorsTheContract(t *testing.T) {
 		if got := c.Name(); got != name {
 			t.Errorf("%s: Name() = %q", name, got)
 		}
-		d, ok := c.(streamDeclarer)
+		d, ok := c.(sb.PortDeclarer)
 		if !ok {
-			t.Errorf("%s: does not implement StreamDeclarer", name)
+			t.Errorf("%s: does not implement sb.PortDeclarer", name)
 			continue
 		}
-		if got := d.InputStreams(); !sameStrings(got, contract.ins) {
-			t.Errorf("%s: InputStreams() = %v, want %v", name, got, contract.ins)
+		ports := d.Ports()
+		if got := streams(sb.In(ports)); !sameStrings(got, contract.ins) {
+			t.Errorf("%s: input streams = %v, want %v", name, got, contract.ins)
 		}
-		if got := d.OutputStreams(); !sameStrings(got, contract.outs) {
-			t.Errorf("%s: OutputStreams() = %v, want %v", name, got, contract.outs)
+		if got := streams(sb.Out(ports)); !sameStrings(got, contract.outs) {
+			t.Errorf("%s: output streams = %v, want %v", name, got, contract.outs)
 		}
 	}
+}
+
+func streams(ports []sb.Port) []string {
+	var out []string
+	for _, p := range ports {
+		out = append(out, p.Stream)
+	}
+	return out
 }
 
 func sameStrings(a, b []string) bool {

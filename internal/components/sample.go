@@ -45,12 +45,6 @@ func NewSample(args []string) (sb.Component, error) {
 // Name implements sb.Component.
 func (s *Sample) Name() string { return "sample" }
 
-// InputStreams implements workflow.StreamDeclarer.
-func (s *Sample) InputStreams() []string { return []string{s.InStream} }
-
-// OutputStreams implements workflow.StreamDeclarer.
-func (s *Sample) OutputStreams() []string { return []string{s.OutStream} }
-
 // Run implements sb.Component via the kernel seam (see ports.go).
 func (s *Sample) Run(env *sb.Env) error {
 	cfg, kernel := s.MapSpec()

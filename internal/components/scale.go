@@ -49,12 +49,6 @@ func NewScale(args []string) (sb.Component, error) {
 // Name implements sb.Component.
 func (s *Scale) Name() string { return "scale" }
 
-// InputStreams implements workflow.StreamDeclarer.
-func (s *Scale) InputStreams() []string { return []string{s.InStream} }
-
-// OutputStreams implements workflow.StreamDeclarer.
-func (s *Scale) OutputStreams() []string { return []string{s.OutStream} }
-
 // Run implements sb.Component via the kernel seam (see ports.go).
 func (s *Scale) Run(env *sb.Env) error {
 	cfg, kernel := s.MapSpec()

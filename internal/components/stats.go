@@ -64,12 +64,6 @@ func (s *Stats) Results() []StepStats {
 	return out
 }
 
-// InputStreams implements workflow.StreamDeclarer.
-func (s *Stats) InputStreams() []string { return []string{s.InStream} }
-
-// OutputStreams implements workflow.StreamDeclarer; Stats is an endpoint.
-func (s *Stats) OutputStreams() []string { return nil }
-
 // ReservedAxes implements sb.ReduceKernel: any axis may be partitioned.
 func (s *Stats) ReservedAxes(v *adios.GlobalVar, info *adios.StepInfo) ([]int, error) {
 	return nil, nil

@@ -48,12 +48,6 @@ func NewStepSample(args []string) (sb.Component, error) {
 // Name implements sb.Component.
 func (s *StepSample) Name() string { return "step-sample" }
 
-// InputStreams implements workflow.StreamDeclarer.
-func (s *StepSample) InputStreams() []string { return []string{s.InStream} }
-
-// OutputStreams implements workflow.StreamDeclarer.
-func (s *StepSample) OutputStreams() []string { return []string{s.OutStream} }
-
 // Run implements sb.Component. StepSample cannot use RunMap (it skips
 // publishing for dropped steps), so it carries its own loop: kept steps
 // are read, re-partitioned and republished; dropped steps are released

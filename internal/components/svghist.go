@@ -50,12 +50,6 @@ func NewSVGHistogram(args []string) (sb.Component, error) {
 // Name implements sb.Component.
 func (s *SVGHistogram) Name() string { return "svg-histogram" }
 
-// InputStreams implements workflow.StreamDeclarer.
-func (s *SVGHistogram) InputStreams() []string { return []string{s.InStream} }
-
-// OutputStreams implements workflow.StreamDeclarer; this is an endpoint.
-func (s *SVGHistogram) OutputStreams() []string { return nil }
-
 // ReservedAxes implements sb.ReduceKernel: 1-D input, nothing reserved.
 func (s *SVGHistogram) ReservedAxes(v *adios.GlobalVar, info *adios.StepInfo) ([]int, error) {
 	return nil, nil

@@ -241,17 +241,3 @@ func PartitionAlong(shape []int, axis, nparts, part int) Box {
 	b.Counts[axis] = cnt
 	return b
 }
-
-// LongestAxis returns the index of the largest extent in shape (the first
-// one on ties), or -1 for a 0-d shape. Partitioning along the longest
-// axis keeps per-rank blocks balanced when the leading dimension is small.
-func LongestAxis(shape []int) int {
-	best := -1
-	bestSize := -1
-	for i, s := range shape {
-		if s > bestSize {
-			best, bestSize = i, s
-		}
-	}
-	return best
-}

@@ -228,23 +228,6 @@ func TestPartitionAlongCoversShape(t *testing.T) {
 	}
 }
 
-func TestLongestAxis(t *testing.T) {
-	cases := []struct {
-		shape []int
-		want  int
-	}{
-		{[]int{3, 9, 2}, 1},
-		{[]int{5, 5}, 0},
-		{[]int{}, -1},
-		{[]int{0, 0, 1}, 2},
-	}
-	for _, c := range cases {
-		if got := LongestAxis(c.shape); got != c.want {
-			t.Errorf("LongestAxis(%v) = %d, want %d", c.shape, got, c.want)
-		}
-	}
-}
-
 func TestBoxString(t *testing.T) {
 	b := Box{Offsets: []int{0, 2}, Counts: []int{128, 3}}
 	if got := b.String(); got != "[0+128 2+3]" {

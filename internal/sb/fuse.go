@@ -1,16 +1,11 @@
 package sb
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/adios"
-	"repro/internal/flexpath"
 	"repro/internal/mpi"
 	"repro/internal/ndarray"
 	"repro/internal/obs"
@@ -32,21 +27,21 @@ type Fusable interface {
 	MapSpec() (MapConfig, MapKernel)
 }
 
-// FusedPart is one original component inside a fused stage.
-type FusedPart struct {
-	Cfg    MapConfig
-	Kernel MapKernel
+// fusedPart is one original component inside a chain.
+type fusedPart struct {
+	cfg    MapConfig
+	kernel MapKernel
 }
 
 // Fused runs a chain of map-style kernels as a single stage: one reader
 // on the chain's first input stream, one writer on its last output
-// stream, and direct in-memory handoffs in between. Each original
+// stream, and in-memory handoffs in between (see handoff). Each original
 // component keeps its externally observable identity — its own
 // stage.step and kernel.transform spans and its own comp.<name>.*
 // metrics — so a trace of a fused workflow still shows every component
 // the launch script named.
 type Fused struct {
-	parts []FusedPart
+	parts []fusedPart
 	name  string
 
 	metricsOnce sync.Once
@@ -61,7 +56,7 @@ func NewFused(comps ...Component) (*Fused, error) {
 	if len(comps) < 2 {
 		return nil, fmt.Errorf("sb: fusing needs at least 2 components, got %d", len(comps))
 	}
-	parts := make([]FusedPart, len(comps))
+	parts := make([]fusedPart, len(comps))
 	names := make([]string, len(comps))
 	for i, c := range comps {
 		fc, ok := c.(Fusable)
@@ -69,10 +64,10 @@ func NewFused(comps ...Component) (*Fused, error) {
 			return nil, fmt.Errorf("sb: component %q is not fusable", c.Name())
 		}
 		cfg, kernel := fc.MapSpec()
-		parts[i] = FusedPart{Cfg: cfg, Kernel: kernel}
+		parts[i] = fusedPart{cfg: cfg, kernel: kernel}
 		names[i] = cfg.Name
 		if i > 0 {
-			prev := parts[i-1].Cfg
+			prev := parts[i-1].cfg
 			if prev.OutStream != cfg.InStream {
 				return nil, fmt.Errorf("sb: cannot fuse %q into %q: output stream %q != input stream %q",
 					prev.Name, cfg.Name, prev.OutStream, cfg.InStream)
@@ -90,30 +85,11 @@ func NewFused(comps ...Component) (*Fused, error) {
 // e.g. "select+magnitude".
 func (f *Fused) Name() string { return f.name }
 
-// Parts returns the names of the fused components, in chain order.
-func (f *Fused) Parts() []string {
-	out := make([]string, len(f.parts))
-	for i, p := range f.parts {
-		out[i] = p.Cfg.Name
-	}
-	return out
-}
-
-// InteriorStreams returns the streams the fusion elided — the chain's
-// internal edges that no longer touch the fabric.
-func (f *Fused) InteriorStreams() []string {
-	out := make([]string, 0, len(f.parts)-1)
-	for _, p := range f.parts[1:] {
-		out = append(out, p.Cfg.InStream)
-	}
-	return out
-}
-
 // Ports implements PortDeclarer: externally the fused stage subscribes
 // to the chain's first input and publishes its last output — the
 // interior streams do not exist.
 func (f *Fused) Ports() []Port {
-	first, last := f.parts[0].Cfg, f.parts[len(f.parts)-1].Cfg
+	first, last := f.parts[0].cfg, f.parts[len(f.parts)-1].cfg
 	return []Port{
 		{Dir: PortIn, Stream: first.InStream, Array: first.InArray},
 		{Dir: PortOut, Stream: last.OutStream, Array: last.OutArray},
@@ -126,7 +102,7 @@ func (f *Fused) ensureMetrics(ranks int, reg *obs.Registry) {
 	f.metricsOnce.Do(func() {
 		f.metrics = make([]*Metrics, len(f.parts))
 		for i, p := range f.parts {
-			f.metrics[i] = NewMetrics(p.Cfg.Name, ranks)
+			f.metrics[i] = NewMetrics(p.cfg.Name, ranks)
 			f.metrics[i].BindRegistry(reg)
 		}
 	})
@@ -141,238 +117,91 @@ func (f *Fused) BindMetrics(ranks int, reg *obs.Registry) []*Metrics {
 	return f.metrics
 }
 
-// StageMetrics returns the per-component collectors (nil before the
-// first Run or BindMetrics).
-func (f *Fused) StageMetrics() []*Metrics { return f.metrics }
-
-// Run implements Component: the fused per-rank loop. One reader, one
-// writer, and for every timestep the kernels run back-to-back — each
-// handing its output block to the next either in place (when the next
-// kernel's partition is exactly this rank's block, the common case) or
-// through a flexpath.Direct exchange (when the downstream kernel
-// partitions along a different axis), never through the broker.
+// Run implements Component: the chain's kernels run back-to-back on
+// every rank, each handing its output block to the next without a
+// broker hop (see runChain).
 func (f *Fused) Run(env *Env) error {
 	f.ensureMetrics(env.Comm.Size(), env.Registry)
-	for _, m := range f.metrics {
-		m.MarkStarted()
-		defer m.MarkFinished()
-	}
-	first, last := f.parts[0].Cfg, f.parts[len(f.parts)-1].Cfg
-	r, err := env.OpenReader(first.InStream)
-	if err != nil {
-		return fmt.Errorf("%s: attaching reader to %q: %w", f.name, first.InStream, err)
-	}
-	defer r.Close()
-	w, err := env.OpenWriter(last.OutStream)
-	if err != nil {
-		return fmt.Errorf("%s: attaching writer to %q: %w", f.name, last.OutStream, err)
-	}
-	defer w.Close()
-
-	// One Direct exchange per interior edge, shared by all ranks of this
-	// attempt: rank 0 creates them and broadcasts the pointers, so a
-	// supervised restart (a fresh Run on every rank) starts from clean
-	// exchanges instead of a half-published step.
-	var exchanges []*flexpath.Direct
-	if env.Comm.Size() > 1 {
-		if env.Comm.Rank() == 0 {
-			exchanges = make([]*flexpath.Direct, len(f.parts)-1)
-			for i := range exchanges {
-				exchanges[i] = flexpath.NewDirect(env.Comm.Size())
-			}
-		}
-		exchanges, err = mpi.Bcast(env.Comm, exchanges, 0)
-		if err != nil {
-			return fmt.Errorf("%s: sharing fused exchanges: %w", f.name, err)
-		}
-	}
-
-	// Output storage per part. An interior output of a multi-rank stage
-	// crosses the Direct exchange, where a peer may still hold a view of
-	// it after this rank has moved on, so those parts keep fresh storage.
-	scratch := make([]*Scratch, len(f.parts))
-	for k := range scratch {
-		if k == len(f.parts)-1 || env.Comm.Size() == 1 {
-			scratch[k] = &Scratch{}
-		}
-	}
-
-	for {
-		// Step boundary: same elastic-rescale interrupt seam as RunMap.
-		if env.Interrupt != nil {
-			if err := env.Interrupt(); err != nil {
-				env.Handles.Suspend()
-				return err
-			}
-		}
-		step := r.NextStep() // absolute: a re-attached reader resumes mid-stream
-		eof, err := f.runFusedStep(env, r, w, exchanges, scratch, step)
-		if eof {
-			env.logf("%s rank %d: input stream %q ended after %d steps", f.name, env.Comm.Rank(), first.InStream, step)
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-// runFusedStep executes one timestep through the whole chain. The input
-// step stays open until the final output is published, so a crash
-// anywhere mid-chain leaves the step unreleased and a supervised
-// restart recomputes it from the stream — the same crash-consistency
-// window RunMap has.
-func (f *Fused) runFusedStep(env *Env, r *adios.Reader, w *adios.Writer,
-	exchanges []*flexpath.Direct, scratch []*Scratch, step int) (eof bool, err error) {
-	rank := env.Comm.Rank()
-	tr := env.Tracer
-
-	var info *adios.StepInfo // the current (real or virtual) step metadata
-	var out *StepOutput      // the previous kernel's output
-	for k := range f.parts {
-		part := &f.parts[k]
-		cfg := part.Cfg
-		// Per-component stage.step span, allocated up front and carried
-		// into every transport call of this part, emitted once the part
-		// settles — exactly the contract RunMap gives an unfused stage.
-		ctx := env.Ctx()
-		var stepSpan obs.SpanID
-		var stepStart int64
-		if tr.Enabled() {
-			stepSpan = tr.NextID()
-			ctx = obs.WithParent(ctx, stepSpan)
-			stepStart = tr.Now()
-		}
-		begin := time.Now()
-
-		var in *StepInput
-		if k == 0 {
-			stepInfo, berr := r.BeginStep(ctx)
-			if errors.Is(berr, io.EOF) {
-				return true, nil
-			}
-			if berr != nil {
-				err = fmt.Errorf("%s: step %d: %w", cfg.Name, step, berr)
-			} else {
-				info = stepInfo
-				begin = time.Now() // active time: excludes waiting for the producer
-				in, err = f.readInput(env, cfg, part.Kernel, r, ctx, info, step)
-			}
-		} else {
-			info = handoffInfo(&f.parts[k-1].Cfg, info, out, step)
-			in, err = f.handoff(env, cfg, part.Kernel, exchanges, ctx, info, out, step, k)
-		}
-		var bytesIn, bytesOut int64
-		if err == nil {
-			in.Scratch = scratch[k]
-			bytesIn = int64(in.Block.Size() * 8)
-			out, err = transformKernel(env, cfg.Name, cfg.InStream, part.Kernel, stepSpan, step, in)
-			if err != nil {
-				err = fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)
-			}
-		}
-		if err == nil {
-			bytesOut = int64(len(out.Data) * 8)
-			if k == len(f.parts)-1 {
-				if perr := publishOutput(env, cfg, w, ctx, step, info.Attrs, out); perr != nil {
-					err = fmt.Errorf("%s: step %d: %w", cfg.Name, step, perr)
-				}
-			}
-		}
-		if tr.Enabled() {
-			span := obs.Span{ID: stepSpan, Kind: obs.KindStageStep,
-				Stream: cfg.InStream, Step: step, Rank: rank, Peer: -1,
-				Bytes: bytesIn, Epoch: env.Epoch, Note: cfg.Name, Start: stepStart}
-			if err != nil {
-				span.Err = err.Error()
-			}
-			tr.Emit(span)
-		}
-		if err != nil {
-			return false, err
-		}
-		f.metrics[k].RecordStep(step, time.Since(begin), bytesIn, bytesOut)
-	}
-	if rerr := r.EndStep(); rerr != nil {
-		return false, fmt.Errorf("%s: step %d: %w", f.name, step, rerr)
-	}
-	return false, nil
-}
-
-// readInput reads this rank's partition of the chain's first input from
-// the real stream into the reader's step-scoped storage — identical to
-// the head of an unfused map step.
-func (f *Fused) readInput(env *Env, cfg MapConfig, kernel MapKernel, r *adios.Reader,
-	ctx context.Context, info *adios.StepInfo, step int) (*StepInput, error) {
-	rank, size := env.Comm.Rank(), env.Comm.Size()
-	v, ok := info.Var(cfg.InArray)
-	if !ok {
-		return nil, fmt.Errorf("%s: step %d of stream %q has no array %q", cfg.Name, step, cfg.InStream, cfg.InArray)
-	}
-	box, err := partitionFor(kernel, v, info, size, rank)
-	if err != nil {
-		return nil, fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)
-	}
-	block, err := r.ReadBoxScoped(ctx, cfg.InArray, box)
-	if err != nil {
-		return nil, fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)
-	}
-	return &StepInput{Info: info, Var: v, Box: box, Block: block, Env: env, Reader: r}, nil
+	return runChain(env, f.name, f.parts, f.metrics)
 }
 
 // handoff turns the previous kernel's output into the next kernel's
 // input. The next kernel partitions the (virtual) global array exactly
-// as it would have partitioned the stream: when its box is this rank's
-// own output block the data is used in place; otherwise the ranks
-// exchange blocks through the edge's Direct and each assembles its box.
-// Every rank takes the same path per step — publish/await/release is
-// collective — so a partition disagreement can never deadlock the
-// exchange.
-func (f *Fused) handoff(env *Env, cfg MapConfig, kernel MapKernel, exchanges []*flexpath.Direct,
-	ctx context.Context, info *adios.StepInfo, prev *StepOutput, step, k int) (*StepInput, error) {
-	rank, size := env.Comm.Rank(), env.Comm.Size()
+// as it would have partitioned the stream. The ranks gather each
+// other's output blocks over the stage's communicator and each
+// assembles its box; when that box is this rank's own output block —
+// the common case — assembly copies nothing. The gather is collective
+// on every rank every step, so a partition disagreement can never
+// deadlock it, and a failing rank aborts the world, which wakes every
+// peer blocked in it.
+func handoff(env *Env, cfg MapConfig, kernel MapKernel, info *adios.StepInfo, prev *StepOutput, step int) (*StepInput, error) {
 	v := info.Vars[0]
-	box, err := partitionFor(kernel, v, info, size, rank)
+	box, err := partitionFor(kernel, v, info, env.Comm.Size(), env.Comm.Rank())
 	if err != nil {
-		return nil, fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)
+		return nil, stepErr(cfg, step, err)
 	}
-	var block *ndarray.Array
-	if size == 1 {
-		if !box.Equal(prev.Box) {
-			return nil, fmt.Errorf("%s: step %d: fused handoff box %v does not cover output %v",
-				cfg.Name, step, box, prev.Box)
-		}
-		block, err = blockView(prev, box)
-	} else {
-		ex := exchanges[k-1]
-		if perr := ex.Publish(ctx, step, rank, flexpath.DirectBlock{
-			Dims: prev.GlobalDims, Box: prev.Box, Data: prev.Data,
-		}); perr != nil {
-			return nil, fmt.Errorf("%s: step %d: fused exchange: %w", cfg.Name, step, perr)
-		}
-		blocks, aerr := ex.Await(ctx, step)
-		if aerr != nil {
-			return nil, fmt.Errorf("%s: step %d: fused exchange: %w", cfg.Name, step, aerr)
-		}
-		block, err = flexpath.AssembleBox(blocks, box)
-		if rerr := ex.Release(step); rerr != nil && err == nil {
-			err = rerr
-		}
-	}
+	outs, err := mpi.Allgather(env.Comm, prev)
 	if err != nil {
-		return nil, fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)
+		return nil, stepErr(cfg, step, fmt.Errorf("fused exchange: %w", err))
+	}
+	block, err := assembleBox(outs, box)
+	if err != nil {
+		return nil, stepErr(cfg, step, err)
 	}
 	return &StepInput{Info: info, Var: v, Box: box, Block: block, Env: env}, nil
 }
 
-// blockView wraps a kernel output as the ndarray block the next kernel
-// reads — sharing the data, labeling the axes with the global names.
-func blockView(out *StepOutput, box ndarray.Box) (*ndarray.Array, error) {
-	dims := make([]ndarray.Dim, len(out.GlobalDims))
-	for i := range out.GlobalDims {
-		dims[i] = ndarray.Dim{Name: out.GlobalDims[i].Name, Size: box.Counts[i]}
+// assembleBox builds the requested box of the global array from every
+// rank's output block — the M×N bounding-box exchange the broker
+// performs for a stream, minus everything a broker exists for. When one
+// block covers the box exactly, its data is returned without copying
+// (the zero-copy fast path of a partition-aligned edge); otherwise a
+// fresh array is filled from every intersecting block. The result's
+// axes carry the global dimension names.
+func assembleBox(outs []*StepOutput, box ndarray.Box) (*ndarray.Array, error) {
+	if len(outs) == 0 {
+		return nil, fmt.Errorf("sb: assemble from no blocks")
 	}
-	return ndarray.FromData(out.Data, dims...)
+	dims := make([]ndarray.Dim, len(outs[0].GlobalDims))
+	for i, d := range outs[0].GlobalDims {
+		dims[i] = ndarray.Dim{Name: d.Name, Size: box.Counts[i]}
+	}
+	for _, o := range outs {
+		if o.Box.Equal(box) {
+			return ndarray.FromData(o.Data, dims...)
+		}
+	}
+	dst := ndarray.New(dims...)
+	covered := 0
+	for _, o := range outs {
+		inter, ok := box.Intersect(o.Box)
+		if !ok {
+			continue
+		}
+		srcDims := make([]ndarray.Dim, len(inter.Counts))
+		for i := range inter.Counts {
+			srcDims[i] = ndarray.Dim{Size: o.Box.Counts[i]}
+		}
+		src, err := ndarray.FromData(o.Data, srcDims...)
+		if err != nil {
+			return nil, fmt.Errorf("sb: assemble: %w", err)
+		}
+		srcOff := make([]int, len(inter.Offsets))
+		dstOff := make([]int, len(inter.Offsets))
+		for i := range inter.Offsets {
+			srcOff[i] = inter.Offsets[i] - o.Box.Offsets[i]
+			dstOff[i] = inter.Offsets[i] - box.Offsets[i]
+		}
+		if err := ndarray.CopyRegion(dst, dstOff, src, srcOff, inter.Counts); err != nil {
+			return nil, fmt.Errorf("sb: assemble: %w", err)
+		}
+		covered += inter.Volume()
+	}
+	if covered != box.Volume() {
+		return nil, fmt.Errorf("sb: assemble: blocks cover %d of %d elements of box %v",
+			covered, box.Volume(), box)
+	}
+	return dst, nil
 }
 
 // handoffInfo builds the virtual step metadata the next kernel sees:

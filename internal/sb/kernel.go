@@ -88,25 +88,46 @@ type MapConfig struct {
 // RunMap executes the shared per-rank loop of a map-style component:
 // attach to the input and output streams, and for every timestep read
 // this rank's partition, transform it, and republish — until the input
-// stream ends. It records one Metrics sample per timestep.
+// stream ends. It records one Metrics sample per timestep. It is
+// runChain over one part; a Fused stage runs the same loop over several.
 func RunMap(env *Env, cfg MapConfig, kernel MapKernel) error {
-	if env.Metrics != nil {
-		env.Metrics.MarkStarted()
-		defer env.Metrics.MarkFinished()
+	return runChain(env, cfg.Name, []fusedPart{{cfg, kernel}}, []*Metrics{env.Metrics})
+}
+
+// runChain is the one map step loop: one reader on the first part's
+// input stream, one writer on the last part's output stream, and for
+// every timestep the parts' kernels run back-to-back — each handing its
+// output block to the next through handoff, never through the broker.
+// metrics holds one collector per part; entries may be nil.
+func runChain(env *Env, name string, parts []fusedPart, metrics []*Metrics) error {
+	for _, m := range metrics {
+		if m != nil {
+			m.MarkStarted()
+			defer m.MarkFinished()
+		}
 	}
-	r, err := env.OpenReader(cfg.InStream)
+	first, last := parts[0].cfg, parts[len(parts)-1].cfg
+	r, err := env.OpenReader(first.InStream)
 	if err != nil {
-		return fmt.Errorf("%s: attaching reader to %q: %w", cfg.Name, cfg.InStream, err)
+		return fmt.Errorf("%s: attaching reader to %q: %w", name, first.InStream, err)
 	}
 	defer r.Close()
-	w, err := env.OpenWriter(cfg.OutStream)
+	w, err := env.OpenWriter(last.OutStream)
 	if err != nil {
-		return fmt.Errorf("%s: attaching writer to %q: %w", cfg.Name, cfg.OutStream, err)
+		return fmt.Errorf("%s: attaching writer to %q: %w", name, last.OutStream, err)
 	}
 	defer w.Close()
 
-	tr := env.Tracer
-	var scratch Scratch
+	// Output storage per part. An interior output of a multi-rank chain
+	// is gathered by its peers, which may still hold a view of it after
+	// this rank has moved on, so those parts keep fresh storage.
+	scratch := make([]*Scratch, len(parts))
+	for k := range scratch {
+		if k == len(parts)-1 || env.Comm.Size() == 1 {
+			scratch[k] = &Scratch{}
+		}
+	}
+
 	for {
 		// Step boundary: the elastic-rescale supervisor interrupts here,
 		// after the previous step fully settled and before any work on the
@@ -120,11 +141,41 @@ func RunMap(env *Env, cfg MapConfig, kernel MapKernel) error {
 			}
 		}
 		step := r.NextStep() // absolute: a re-attached reader resumes mid-stream
-		// The stage.step span's ID is allocated up front and carried down
-		// into every transport call via the step context, so the fabric's
-		// publish/fetch spans nest under this stage's step. The span itself
-		// is emitted once the step settles — successfully or not — so a
-		// trace never contains a child whose parent was lost to a failure.
+		eof, err := runChainStep(env, parts, metrics, r, w, scratch, step)
+		if eof {
+			env.logf("%s rank %d: input stream %q ended after %d steps", name, env.Comm.Rank(), first.InStream, step)
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// runChainStep executes one timestep through the whole chain: wait for
+// the step, read this rank's partition, run every kernel, republish
+// (unless the resumed writer already has), release. The input step
+// stays open until the final output is published, so a crash anywhere
+// mid-chain leaves the step unreleased and a supervised restart
+// recomputes it from the stream.
+//
+// The block is read into the reader's step-scoped storage and kernels
+// write into scratch, so a steady one-part step makes one copy of the
+// data (the box assembly) and allocates no array.
+func runChainStep(env *Env, parts []fusedPart, metrics []*Metrics, r *adios.Reader, w *adios.Writer,
+	scratch []*Scratch, step int) (eof bool, err error) {
+	tr := env.Tracer
+	var info *adios.StepInfo // the current (real or virtual) step metadata
+	var out *StepOutput      // the previous kernel's output
+	for k := range parts {
+		part := &parts[k]
+		cfg := part.cfg
+		// Per-part stage.step span. Its ID is allocated up front and
+		// carried down into every transport call via the step context, so
+		// the fabric's publish/fetch spans nest under this part's step. The
+		// span itself is emitted once the part settles — successfully or
+		// not — so a trace never contains a child whose parent was lost to
+		// a failure.
 		ctx := env.Ctx()
 		var stepSpan obs.SpanID
 		var stepStart int64
@@ -133,10 +184,43 @@ func RunMap(env *Env, cfg MapConfig, kernel MapKernel) error {
 			ctx = obs.WithParent(ctx, stepSpan)
 			stepStart = tr.Now()
 		}
-		eof, active, bytesIn, bytesOut, err := runMapStep(env, cfg, kernel, r, w, ctx, step, stepSpan, &scratch)
-		if eof {
-			env.logf("%s rank %d: input stream %q ended after %d steps", cfg.Name, env.Comm.Rank(), cfg.InStream, step)
-			return nil
+		begin := time.Now()
+
+		var in *StepInput
+		if k == 0 {
+			stepInfo, berr := r.BeginStep(ctx)
+			if errors.Is(berr, io.EOF) {
+				return true, nil
+			}
+			if berr != nil {
+				err = stepErr(cfg, step, berr)
+			} else {
+				info = stepInfo
+				begin = time.Now() // active time: excludes waiting for the producer
+				in, err = readInput(env, cfg, part.kernel, r, ctx, info, step)
+			}
+		} else {
+			info = handoffInfo(&parts[k-1].cfg, info, out, step)
+			in, err = handoff(env, cfg, part.kernel, info, out, step)
+		}
+		var bytesIn, bytesOut int64
+		if err == nil {
+			in.Scratch = scratch[k]
+			bytesIn = int64(in.Block.Size() * 8)
+			if out, err = transformKernel(env, cfg.Name, cfg.InStream, part.kernel, stepSpan, step, in); err != nil {
+				err = stepErr(cfg, step, err)
+			}
+		}
+		if err == nil {
+			bytesOut = int64(len(out.Data) * 8)
+			if k == len(parts)-1 {
+				if err = publishOutput(env, cfg, w, ctx, step, info.Attrs, out); err == nil {
+					err = r.EndStep()
+				}
+				if err != nil {
+					err = stepErr(cfg, step, err)
+				}
+			}
 		}
 		if tr.Enabled() {
 			span := obs.Span{ID: stepSpan, Kind: obs.KindStageStep,
@@ -148,72 +232,45 @@ func RunMap(env *Env, cfg MapConfig, kernel MapKernel) error {
 			tr.Emit(span)
 		}
 		if err != nil {
-			return err
+			return false, err
 		}
-		if env.Metrics != nil {
-			env.Metrics.RecordStep(step, active, bytesIn, bytesOut)
+		if metrics[k] != nil {
+			metrics[k].RecordStep(step, time.Since(begin), bytesIn, bytesOut)
 		}
 	}
+	return false, nil
 }
 
-// runMapStep executes one timestep of the RunMap loop: wait for the
-// step, read this rank's partition, transform, republish (unless the
-// resumed writer already has), release. It reports end-of-stream via
-// eof, the step's active duration (excluding the wait for the
-// producer), and the payload bytes moved.
-//
-// The body is a composition of the kernel seam below — partitionFor,
-// transformKernel, publishOutput — the same pieces the fused runner
-// (fuse.go) chains back-to-back without the intermediate stream hop.
-// The block is read into the reader's step-scoped storage and the
-// kernel writes into scratch, so a steady step makes one copy of the
-// data (the box assembly) and allocates no array.
-func runMapStep(env *Env, cfg MapConfig, kernel MapKernel, r *adios.Reader, w *adios.Writer,
-	ctx context.Context, step int, stepSpan obs.SpanID, scratch *Scratch) (eof bool, active time.Duration, bytesIn, bytesOut int64, err error) {
-	rank, size := env.Comm.Rank(), env.Comm.Size()
-	fail := func(e error) (bool, time.Duration, int64, int64, error) {
-		return false, 0, bytesIn, bytesOut, fmt.Errorf("%s: step %d: %w", cfg.Name, step, e)
-	}
-	info, err := r.BeginStep(ctx)
-	if errors.Is(err, io.EOF) {
-		return true, 0, 0, 0, nil
-	}
-	if err != nil {
-		return fail(err)
-	}
-	begin := time.Now() // active time: excludes waiting for the producer
+// readInput reads this rank's partition of the chain's first input from
+// the real stream into the reader's step-scoped storage.
+func readInput(env *Env, cfg MapConfig, kernel MapKernel, r *adios.Reader,
+	ctx context.Context, info *adios.StepInfo, step int) (*StepInput, error) {
 	v, ok := info.Var(cfg.InArray)
 	if !ok {
-		return false, 0, 0, 0, fmt.Errorf("%s: step %d of stream %q has no array %q", cfg.Name, step, cfg.InStream, cfg.InArray)
+		return nil, fmt.Errorf("%s: step %d of stream %q has no array %q", cfg.Name, step, cfg.InStream, cfg.InArray)
 	}
-	box, err := partitionFor(kernel, v, info, size, rank)
+	box, err := partitionFor(kernel, v, info, env.Comm.Size(), env.Comm.Rank())
 	if err != nil {
-		return fail(err)
+		return nil, stepErr(cfg, step, err)
 	}
 	block, err := r.ReadBoxScoped(ctx, cfg.InArray, box)
 	if err != nil {
-		return fail(err)
+		return nil, stepErr(cfg, step, err)
 	}
-	bytesIn = int64(block.Size() * 8)
-	out, err := transformKernel(env, cfg.Name, cfg.InStream, kernel, stepSpan, step,
-		&StepInput{Info: info, Var: v, Box: box, Block: block, Env: env, Reader: r, Scratch: scratch})
-	if err != nil {
-		return fail(err)
-	}
-	bytesOut = int64(len(out.Data) * 8)
-	if err := publishOutput(env, cfg, w, ctx, step, info.Attrs, out); err != nil {
-		return fail(err)
-	}
-	if err := r.EndStep(); err != nil {
-		return fail(err)
-	}
-	return false, time.Since(begin), bytesIn, bytesOut, nil
+	return &StepInput{Info: info, Var: v, Box: box, Block: block, Env: env, Reader: r}, nil
+}
+
+// stepErr prefixes a step's error with the part and step it failed in.
+func stepErr(cfg MapConfig, step int, err error) error {
+	return fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)
 }
 
 // partitionFor computes the box one rank reads of variable v for the
-// given kernel: the kernel reserves axes that must stay whole, and the
-// first of the rest is split.
-func partitionFor(kernel MapKernel, v *adios.GlobalVar, info *adios.StepInfo, size, rank int) (ndarray.Box, error) {
+// given kernel — map or reduce: the kernel reserves axes that must stay
+// whole, and the first of the rest is split.
+func partitionFor(kernel interface {
+	ReservedAxes(v *adios.GlobalVar, info *adios.StepInfo) ([]int, error)
+}, v *adios.GlobalVar, info *adios.StepInfo, size, rank int) (ndarray.Box, error) {
 	reserved, err := kernel.ReservedAxes(v, info)
 	if err != nil {
 		return ndarray.Box{}, err

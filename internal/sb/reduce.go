@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/adios"
-	"repro/internal/ndarray"
 )
 
 // ReduceKernel is the contract for endpoint components (Histogram, Stats
@@ -74,15 +73,10 @@ func RunReduce[T any](env *Env, cfg ReduceConfig[T], kernel ReduceKernel[T]) err
 			return fmt.Errorf("%s: expects %d-dimensional data, got %d dimensions in %q",
 				cfg.Name, cfg.RequireDims, len(v.Dims), v.Name)
 		}
-		reserved, err := kernel.ReservedAxes(v, info)
+		box, err := partitionFor(kernel, v, info, size, rank)
 		if err != nil {
 			return fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)
 		}
-		axis, err := ChooseAxis(v.Shape(), reserved...)
-		if err != nil {
-			return fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)
-		}
-		box := ndarray.PartitionAlong(v.Shape(), axis, size, rank)
 		block, err := r.ReadBox(env.Ctx(), cfg.InArray, box)
 		if err != nil {
 			return fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)

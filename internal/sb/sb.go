@@ -14,11 +14,15 @@
 //     they receive, and partition it evenly across their ranks with
 //     bounding-box selections.
 //
-// The RunMap loop in kernel.go captures the shared shape of the paper's
-// data-transformation components (Select, Magnitude, Dim-Reduce): read a
-// partitioned block, transform it locally, republish. Components with
-// different shapes (Histogram's reduction to a file, the all-in-one
-// baseline) implement Component directly.
+// There is one map step loop, in kernel.go. It captures the shared shape
+// of the paper's data-transformation components (Select, Magnitude,
+// Dim-Reduce): read a partitioned block, transform it locally,
+// republish. RunMap runs one kernel through it; a Fused stage (fuse.go)
+// runs a chain of kernels through it back-to-back, handing blocks
+// between them over the stage's communicator instead of a stream.
+// Endpoint reductions (Histogram, Stats) share RunReduce (reduce.go).
+// Components with other shapes (Fork, Concat, the all-in-one baseline)
+// implement Component directly.
 package sb
 
 import (

@@ -239,19 +239,6 @@ func (s *Sim) integrate(pos, vel []float64, n int, rng *rand.Rand, scr *integrat
 
 func init() { components.Register("gromacs", NewFromArgs) }
 
-// InputStreams implements workflow.StreamDeclarer: the simulation drives
-// the workflow and subscribes to nothing.
-func (s *Sim) InputStreams() []string { return nil }
-
-// OutputStreams implements workflow.StreamDeclarer. Stream "-" disables
-// output.
-func (s *Sim) OutputStreams() []string {
-	if s.Stream == "-" {
-		return nil
-	}
-	return []string{s.Stream}
-}
-
 // Ports implements sb.PortDeclarer: the simulation drives the workflow,
 // publishing its position array (nothing when output is disabled).
 func (s *Sim) Ports() []sb.Port {

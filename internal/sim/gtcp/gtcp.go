@@ -304,19 +304,6 @@ func (s *Sim) evolve(field [][]float64, offset, count int, rng *rand.Rand, below
 
 func init() { components.Register("gtcp", NewFromArgs) }
 
-// InputStreams implements workflow.StreamDeclarer: the simulation drives
-// the workflow and subscribes to nothing.
-func (s *Sim) InputStreams() []string { return nil }
-
-// OutputStreams implements workflow.StreamDeclarer. Stream "-" disables
-// output.
-func (s *Sim) OutputStreams() []string {
-	if s.Stream == "-" {
-		return nil
-	}
-	return []string{s.Stream}
-}
-
 // Ports implements sb.PortDeclarer: the simulation drives the workflow,
 // publishing its field array (nothing when output is disabled).
 func (s *Sim) Ports() []sb.Port {

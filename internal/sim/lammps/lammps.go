@@ -305,19 +305,6 @@ func (s *Sim) integrate(st *state, cycle int, below, above halo) {
 
 func init() { components.Register("lammps", NewFromArgs) }
 
-// InputStreams implements workflow.StreamDeclarer: the simulation drives
-// the workflow and subscribes to nothing.
-func (s *Sim) InputStreams() []string { return nil }
-
-// OutputStreams implements workflow.StreamDeclarer. Stream "-" means
-// output routines are disabled (the Table II "LMP only" mode).
-func (s *Sim) OutputStreams() []string {
-	if s.Stream == "-" {
-		return nil
-	}
-	return []string{s.Stream}
-}
-
 // Ports implements sb.PortDeclarer: the simulation drives the workflow,
 // publishing its atom array (nothing when output is disabled).
 func (s *Sim) Ports() []sb.Port {

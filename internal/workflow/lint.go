@@ -1,21 +1,5 @@
 package workflow
 
-import (
-	"repro/internal/components"
-	"repro/internal/sb"
-)
-
-// StreamDeclarer is optionally implemented by components that can state,
-// from their parsed arguments, which streams they subscribe to and which
-// they publish. Lint uses it to check a workflow's wiring before
-// anything launches — the class of mistake the paper's launch scripts
-// invite (a typo in one stream name wedges the whole job, since readers
-// block forever waiting for a writer that never comes).
-type StreamDeclarer interface {
-	InputStreams() []string
-	OutputStreams() []string
-}
-
 // LintIssue is one wiring problem found in a spec.
 type LintIssue struct {
 	// Severity is "error" for wiring that cannot work (a subscribed
@@ -28,7 +12,10 @@ type LintIssue struct {
 func (i LintIssue) String() string { return i.Severity + ": " + i.Message }
 
 // Lint builds the workflow's plan (instantiating its components without
-// running them) and cross-checks the dataflow graph:
+// running them) and cross-checks the dataflow graph before anything
+// launches — the class of mistake the paper's launch scripts invite (a
+// typo in one stream name wedges the whole job, since readers block
+// forever waiting for a writer that never comes):
 //
 //   - every subscribed stream must have exactly one publishing stage;
 //   - a published stream nobody subscribes to is flagged (the writer
@@ -40,10 +27,10 @@ func (i LintIssue) String() string { return i.Severity + ": " + i.Message }
 //   - a stage allocating more ranks than its input's producer is a
 //     rank-mismatch warning.
 //
-// Stages whose components declare nothing (neither PortDeclarer nor
-// StreamDeclarer) are skipped conservatively: streams they might touch
-// are not reported at all. See Plan.Issues for the checks themselves —
-// Lint is the thin spec-level entry point.
+// Stages whose components declare no ports (no sb.PortDeclarer) are
+// skipped conservatively: streams they might touch are not reported at
+// all. See Plan.Issues for the checks themselves — Lint is the thin
+// spec-level entry point.
 func Lint(spec Spec) ([]LintIssue, error) {
 	plan, err := BuildPlan(spec)
 	if err != nil {
@@ -51,23 +38,3 @@ func Lint(spec Spec) ([]LintIssue, error) {
 	}
 	return plan.Issues(), nil
 }
-
-// compile-time checks that the built-in components declare their streams.
-var (
-	_ StreamDeclarer = (*components.Select)(nil)
-	_ StreamDeclarer = (*components.Magnitude)(nil)
-	_ StreamDeclarer = (*components.DimReduce)(nil)
-	_ StreamDeclarer = (*components.Histogram)(nil)
-	_ StreamDeclarer = (*components.AIO)(nil)
-	_ StreamDeclarer = (*components.Fork)(nil)
-	_ StreamDeclarer = (*components.AllPairs)(nil)
-	_ StreamDeclarer = (*components.FileWriter)(nil)
-	_ StreamDeclarer = (*components.FileReader)(nil)
-	_ StreamDeclarer = (*components.Stats)(nil)
-	_ StreamDeclarer = (*components.Scale)(nil)
-	_ StreamDeclarer = (*components.Sample)(nil)
-	_ StreamDeclarer = (*components.StepSample)(nil)
-	_ StreamDeclarer = (*components.Concat)(nil)
-	_ StreamDeclarer = (*components.SVGHistogram)(nil)
-	_ sb.Component   = (*components.Select)(nil)
-)

@@ -54,24 +54,15 @@ type Plan struct {
 	anyOpaque bool
 }
 
-// portsOf extracts a component's declared ports, falling back to the
-// older StreamDeclarer contract (bare stream names, no arrays) so
-// components predating port introspection still plan.
+// portsOf extracts a component's declared ports; ok is false for a
+// component that declares none.
 func portsOf(comp sb.Component) (ins, outs []sb.Port, ok bool) {
-	if d, isPD := comp.(sb.PortDeclarer); isPD {
-		ports := d.Ports()
-		return sb.In(ports), sb.Out(ports), true
+	d, ok := comp.(sb.PortDeclarer)
+	if !ok {
+		return nil, nil, false
 	}
-	if d, isSD := comp.(StreamDeclarer); isSD {
-		for _, s := range d.InputStreams() {
-			ins = append(ins, sb.Port{Dir: sb.PortIn, Stream: s})
-		}
-		for _, s := range d.OutputStreams() {
-			outs = append(outs, sb.Port{Dir: sb.PortOut, Stream: s})
-		}
-		return ins, outs, true
-	}
-	return nil, nil, false
+	ports := d.Ports()
+	return sb.In(ports), sb.Out(ports), true
 }
 
 // BuildPlan validates the spec, instantiates its components (without

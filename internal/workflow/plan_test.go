@@ -185,12 +185,11 @@ func TestPlanFuseSpec(t *testing.T) {
 	if st.Procs != 2 {
 		t.Fatalf("fused stage procs = %d", st.Procs)
 	}
-	f, ok := st.Instance.(*sb.Fused)
-	if !ok {
+	if _, ok := st.Instance.(*sb.Fused); !ok {
 		t.Fatalf("fused stage instance = %T", st.Instance)
 	}
-	if strings.Join(f.InteriorStreams(), ",") != "sel.fp" {
-		t.Fatalf("interior streams = %v", f.InteriorStreams())
+	if g := fused.Groups[0]; strings.Join(g.Elided, ",") != "sel.fp" {
+		t.Fatalf("interior streams = %v", g.Elided)
 	}
 	// The fused spec must itself plan cleanly: the elided stream is gone,
 	// the surviving edges reconnect through the fused stage.

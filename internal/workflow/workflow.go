@@ -113,7 +113,7 @@ type Spec struct {
 	// Fuse asks the runner to apply the stage-fusion pass before
 	// launching: eligible adjacent stages collapse into single fused
 	// stages (see Plan.Fuse). Launch scripts set it with a `fuse`
-	// directive; sbrun's -fuse flag forces it on.
+	// directive.
 	Fuse bool
 	// LogDir, when set, mounts a durable stream log rooted at this
 	// directory on the workflow's broker: every fully published step is
