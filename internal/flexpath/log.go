@@ -167,6 +167,9 @@ func (b *Broker) runLogAppender(s *stream) {
 		b.mu.Unlock()
 		return
 	}
+	// The per-step view slices are reused across jobs: Append copies the
+	// blobs before it returns.
+	var metas, payloads [][]byte
 	b.mu.Lock()
 	for len(s.logQueue) > 0 {
 		job := s.logQueue[0]
@@ -181,14 +184,16 @@ func (b *Broker) runLogAppender(s *stream) {
 				if err := lg.SetConfig(cfg); err != nil {
 					return err
 				}
-				metas := make([][]byte, len(job.metas))
-				payloads := make([][]byte, len(job.payloads))
+				metas, payloads = metas[:0], payloads[:0]
 				for i := range job.metas {
-					metas[i] = job.metas[i].Bytes()
-					payloads[i] = job.payloads[i].Bytes()
+					metas = append(metas, job.metas[i].Bytes())
+					payloads = append(payloads, job.payloads[i].Bytes())
 					nbytes += int64(len(metas[i]) + len(payloads[i]))
 				}
-				return lg.Append(job.step, metas, payloads)
+				err := lg.Append(job.step, metas, payloads)
+				clear(metas)
+				clear(payloads)
+				return err
 			case jobRetire:
 				return lg.AppendRetire(job.step)
 			case jobEnd:

@@ -17,6 +17,13 @@ import (
 // change that alters the numerics — intentionally or not — shows up as
 // a tol-0 divergence against the golden streams before it merges.
 //
+// The recording is also the checked-in fixture for the original
+// stream-log step record (v1, unpadded payloads), kept on purpose: the
+// log now writes only padded v2 step records but must still read v1, and
+// `make corpus` proves v1 recordings replay bit-identically. -update
+// re-records in v2 and so retires that fixture; reach for it only for a
+// numerics change, never to refresh the format.
+//
 // Regenerate deliberately (after an intentional numerics change) with:
 //
 //	go test ./internal/replay -run TestCorpusGolden -update

@@ -27,6 +27,40 @@ func fuzzStepBody(step int, blobs ...[]byte) []byte {
 	return body
 }
 
+// fuzzStepV2Record frames a padded step record the way Append does for
+// a record starting at file offset base; blobs alternate meta, payload.
+func fuzzStepV2Record(base int64, step int, blobs ...[]byte) []byte {
+	var metas, payloads [][]byte
+	for i := 0; i+1 < len(blobs); i += 2 {
+		metas, payloads = append(metas, blobs[i]), append(payloads, blobs[i+1])
+	}
+	rec := make([]byte, stepRecordLen(base, metas, payloads))
+	putStepV2(rec[recFrame:], base+recFrame, step, metas, payloads)
+	return fuzzRecord(recStepV2, rec[recFrame:])
+}
+
+// fuzzV2Seeds are v2 segments for both fuzzers, holding steps first
+// and first+1 and an end record: a clean one with odd meta lengths (so
+// payloads sit behind non-zero padding), and the same one with a pad
+// byte set under a recomputed CRC — clean framing, corrupt body.
+func fuzzV2Seeds(first int) (clean, badPad []byte) {
+	cfg := fuzzRecord(recConfig, encodeConfig(Config{WriterSize: 2, QueueDepth: 2}))
+	step0 := fuzzStepV2Record(int64(len(cfg)), first, []byte("abc"), []byte("payload!"), []byte("m"), []byte("p"))
+	step1 := fuzzStepV2Record(int64(len(cfg)+len(step0)), first+1, []byte("odd"), []byte("xy"), nil, []byte("zzzzzzzzz"))
+	end := fuzzRecord(recEnd, binary.LittleEndian.AppendUint32(nil, uint32(first+2)))
+	clean = append(append(append(append([]byte{}, cfg...), step0...), step1...), end...)
+
+	body := append([]byte(nil), step1[recFrame:]...)
+	padAt := 8 + 4 + 3 + 4 // step, nranks, meta length, meta, payload length
+	if body[padAt] == 0 {
+		panic("fuzz seed has no padding")
+	}
+	body[padAt+1] = 0xee
+	bad := fuzzRecord(recStepV2, body)
+	badPad = append(append(append(append([]byte{}, cfg...), step0...), bad...), end...)
+	return clean, badPad
+}
+
 // FuzzSegmentDecode feeds arbitrary bytes to the segment scanner as a
 // single on-disk segment. The scan must never panic, must heal the file
 // to a readable state, and every step it reports recovered must decode
@@ -48,6 +82,10 @@ func FuzzSegmentDecode(f *testing.F) {
 	flipped := append([]byte(nil), clean...)
 	flipped[len(cfg)+5] ^= 0x80 // bit flip inside step 0's CRC
 	f.Add(flipped)
+	v2, v2BadPad := fuzzV2Seeds(0)
+	f.Add(v2)
+	f.Add(v2[:len(v2)-11]) // torn inside the last padded step
+	f.Add(v2BadPad)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -109,6 +147,11 @@ func FuzzReplayIter(f *testing.F) {
 	flipped := append([]byte(nil), clean...)
 	flipped[len(cfg)+5] ^= 0x80 // bit flip inside step 0's CRC
 	f.Add(flipped, []byte{})
+	v2, v2BadPad := fuzzV2Seeds(0)
+	f.Add(v2, []byte{})
+	f.Add(v2BadPad, []byte{})
+	v2Next, _ := fuzzV2Seeds(2)
+	f.Add(clean[:len(cfg)+len(step0)+len(step1)], v2Next) // v1 steps 0-1, then v2 steps 2-3
 
 	f.Fuzz(func(t *testing.T, seg0, seg1 []byte) {
 		dir := t.TempDir()

@@ -15,8 +15,23 @@
 //
 //	u32 length   (type byte + body, little-endian)
 //	u32 crc      (CRC-32/IEEE over type byte + body)
-//	u8  type     (recConfig | recStep | recRetire | recEnd)
+//	u8  type     (recConfig | recStepV2 | recRetire | recEnd; recStep read-only)
 //	body
+//
+// A step record (recStepV2) carries one full timestep:
+//
+//	u32 step, u32 nranks
+//	per rank: u32 metaLen, meta, u32 payLen, u8 pad, pad zero bytes, payload
+//
+// pad (0–7) places every payload at an 8-byte file offset. Sealed
+// segments are served from page-aligned mmaps and the copying path
+// keeps file alignment in memory, so a payload read back is 8-byte
+// aligned and an SBP2 frame decodes its float blocks in place. The
+// writer frames each record in one reused buffer — header reserved,
+// body laid out behind it, length and CRC filled in place — and writes
+// it with one WriteAt. The original step layout, recStep (the same body
+// without the pad byte and padding), is still read but never written:
+// its payloads sit at arbitrary offsets, so decoding them copies once.
 //
 // Every segment opens with a recConfig record carrying the stream's
 // writer-group size and queue depth, so any single segment is
@@ -46,19 +61,25 @@ import (
 	"sync"
 )
 
-// Record types. recConfig opens every segment; recStep carries one full
-// timestep (all writer ranks); recRetire and recEnd journal the
-// broker's retirement watermark and graceful stream end.
+// Record types. recConfig opens every segment; recStepV2 carries one
+// full timestep (all writer ranks) with 8-byte-aligned payloads, and
+// recStep is its unpadded predecessor, read but no longer written;
+// recRetire and recEnd journal the broker's retirement watermark and
+// graceful stream end.
 const (
 	recConfig byte = 1
 	recStep   byte = 2
 	recRetire byte = 3
 	recEnd    byte = 4
+	recStepV2 byte = 5
 )
 
 const (
 	// recHeader is the fixed prefix of every record: u32 length + u32 CRC.
 	recHeader = 8
+	// recFrame is the header plus the type byte: where a record's body
+	// starts.
+	recFrame = recHeader + 1
 	// maxRecord bounds a record's length field, mirroring the wire
 	// codec's frame cap: anything larger is corruption, not data.
 	maxRecord = 1 << 30
@@ -280,6 +301,7 @@ func (l *Log) scan() error {
 		return err
 	}
 	sawStep := false
+	var buf []byte
 	mode := os.O_RDWR
 	if l.opts.ReadOnly {
 		mode = os.O_RDONLY
@@ -291,7 +313,7 @@ func (l *Log) scan() error {
 			return fmt.Errorf("streamlog: %w", err)
 		}
 		seg.f = f
-		valid, clean, err := l.scanSegment(seg)
+		valid, clean, err := l.scanSegment(seg, &buf)
 		if err != nil {
 			return err
 		}
@@ -342,8 +364,10 @@ func (l *Log) scan() error {
 
 // scanSegment reads seg's records in order, applying each to the log
 // state. It returns the byte offset of the end of the last valid
-// record and whether the segment ended cleanly (no torn tail).
-func (l *Log) scanSegment(seg *segment) (valid int64, clean bool, err error) {
+// record and whether the segment ended cleanly (no torn tail). buf is
+// the scan's body buffer, shared by every segment of one open so a
+// recording of many segments allocates it once.
+func (l *Log) scanSegment(seg *segment, buf *[]byte) (valid int64, clean bool, err error) {
 	info, err := seg.f.Stat()
 	if err != nil {
 		return 0, false, fmt.Errorf("streamlog: %w", err)
@@ -351,7 +375,6 @@ func (l *Log) scanSegment(seg *segment) (valid int64, clean bool, err error) {
 	size := info.Size()
 	var off int64
 	hdr := make([]byte, recHeader)
-	var body []byte
 	for off < size {
 		if size-off < recHeader {
 			return off, false, nil
@@ -364,10 +387,10 @@ func (l *Log) scanSegment(seg *segment) (valid int64, clean bool, err error) {
 		if n < 1 || n > maxRecord || off+recHeader+n > size {
 			return off, false, nil
 		}
-		if int64(cap(body)) < n {
-			body = make([]byte, n)
+		if int64(cap(*buf)) < n {
+			*buf = make([]byte, n)
 		}
-		body = body[:n]
+		body := (*buf)[:n]
 		if _, err := seg.f.ReadAt(body, off+recHeader); err != nil {
 			return off, false, nil
 		}
@@ -397,8 +420,8 @@ func (l *Log) applyRecord(seg *segment, off int64, typ byte, body []byte) bool {
 			return false // a stream's config never changes mid-log
 		}
 		l.cfg, l.haveCfg = cfg, true
-	case recStep:
-		step, _, _, ok := decodeStep(body)
+	case recStep, recStepV2:
+		step, _, _, ok := decodeStep(typ, body)
 		if !ok || (len(l.index) > 0 && step != l.nextStep) {
 			return false
 		}
@@ -453,11 +476,13 @@ func encodeConfig(cfg Config) []byte {
 	return b
 }
 
-// decodeStep parses a recStep body: u32 step, u32 nranks, then per rank
-// u32 meta length + meta and u32 payload length + payload. Defensive
-// against CRC-clean garbage: every length is bounds-checked.
-func decodeStep(body []byte) (step int, metas, payloads [][]byte, ok bool) {
-	if len(body) < 8 {
+// decodeStep parses a step record body of type typ: u32 step, u32
+// nranks, then per rank u32 meta length + meta and u32 payload length +
+// payload — with, in a recStepV2 body, a u8 pad count (at most 7) and
+// that many zero bytes between a payload's length and its bytes.
+// Defensive against CRC-clean garbage: every length is bounds-checked.
+func decodeStep(typ byte, body []byte) (step int, metas, payloads [][]byte, ok bool) {
+	if (typ != recStep && typ != recStepV2) || len(body) < 8 {
 		return 0, nil, nil, false
 	}
 	step = int(binary.LittleEndian.Uint32(body[0:4]))
@@ -470,25 +495,11 @@ func decodeStep(body []byte) (step int, metas, payloads [][]byte, ok bool) {
 	rest := body[8:]
 	metas = make([][]byte, nranks)
 	payloads = make([][]byte, nranks)
-	next := func() ([]byte, bool) {
-		if len(rest) < 4 {
-			return nil, false
-		}
-		n := int(binary.LittleEndian.Uint32(rest[0:4]))
-		rest = rest[4:]
-		if n < 0 || n > len(rest) {
-			return nil, false
-		}
-		b := rest[:n]
-		rest = rest[n:]
-		return b, true
-	}
 	for i := 0; i < nranks; i++ {
-		var okm, okp bool
-		if metas[i], okm = next(); !okm {
+		if metas[i], rest, ok = cutBlob(rest, false); !ok {
 			return 0, nil, nil, false
 		}
-		if payloads[i], okp = next(); !okp {
+		if payloads[i], rest, ok = cutBlob(rest, typ == recStepV2); !ok {
 			return 0, nil, nil, false
 		}
 	}
@@ -497,6 +508,69 @@ func decodeStep(body []byte) (step int, metas, payloads [][]byte, ok bool) {
 	}
 	return step, metas, payloads, true
 }
+
+// cutBlob splits one length-prefixed blob off the front of b; a padded
+// blob has its u8 pad count and zero padding between length and bytes.
+func cutBlob(b []byte, padded bool) (blob, rest []byte, ok bool) {
+	if len(b) < 4 {
+		return nil, nil, false
+	}
+	n := int(binary.LittleEndian.Uint32(b[0:4]))
+	b = b[4:]
+	if padded {
+		if len(b) < 1 || b[0] > 7 || int(b[0]) >= len(b) {
+			return nil, nil, false
+		}
+		pad := b[1 : 1+int(b[0])]
+		for _, z := range pad {
+			if z != 0 {
+				return nil, nil, false
+			}
+		}
+		b = b[1+len(pad):]
+	}
+	if n < 0 || n > len(b) {
+		return nil, nil, false
+	}
+	return b[:n], b[n:], true
+}
+
+// stepRecordLen is the exact framed length of the recStepV2 record of
+// one step when the record starts at file offset base: the padding, and
+// so the length, depends on where the record lands.
+func stepRecordLen(base int64, metas, payloads [][]byte) int64 {
+	off := base + recFrame + 8
+	for i := range metas {
+		off += 4 + int64(len(metas[i])) + 5
+		off += pad8(off) + int64(len(payloads[i]))
+	}
+	return off - base
+}
+
+// putStepV2 lays out a recStepV2 body in body, whose first byte lands at
+// file offset at, padding each payload to an 8-byte file offset. body
+// is exactly stepRecordLen-recFrame bytes of a reused buffer, so every
+// pad byte is written explicitly.
+func putStepV2(body []byte, at int64, step int, metas, payloads [][]byte) {
+	binary.LittleEndian.PutUint32(body[0:4], uint32(step))
+	binary.LittleEndian.PutUint32(body[4:8], uint32(len(metas)))
+	p := 8
+	for i := range metas {
+		binary.LittleEndian.PutUint32(body[p:], uint32(len(metas[i])))
+		p += 4
+		p += copy(body[p:], metas[i])
+		binary.LittleEndian.PutUint32(body[p:], uint32(len(payloads[i])))
+		pad := int(pad8(at + int64(p) + 5))
+		body[p+4] = byte(pad)
+		p += 5
+		clear(body[p : p+pad])
+		p += pad
+		p += copy(body[p:], payloads[i])
+	}
+}
+
+// pad8 is how many bytes follow offset n to reach an 8-byte boundary.
+func pad8(n int64) int64 { return -n & 7 }
 
 // SetConfig journals the stream configuration. It must be called before
 // the first Append; calling again with the same values is a no-op, with
@@ -529,8 +603,9 @@ func (l *Log) Config() (Config, bool) {
 
 // Append journals one fully published timestep: every writer rank's
 // metadata and payload blob. Steps must be appended densely in order —
-// step must equal NextStep. The blobs are copied into the record; the
-// caller keeps ownership.
+// step must equal NextStep. The blobs are copied once, into the log's
+// reused record buffer, and written with one WriteAt; the caller keeps
+// ownership.
 func (l *Log) Append(step int, metas, payloads [][]byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -547,17 +622,13 @@ func (l *Log) Append(step int, metas, payloads [][]byte) error {
 	if step != l.nextStep {
 		return fmt.Errorf("streamlog: append of step %d, expected %d", step, l.nextStep)
 	}
-	body := l.scratch[:0]
-	body = binary.LittleEndian.AppendUint32(body, uint32(step))
-	body = binary.LittleEndian.AppendUint32(body, uint32(len(metas)))
-	for i := range metas {
-		body = binary.LittleEndian.AppendUint32(body, uint32(len(metas[i])))
-		body = append(body, metas[i]...)
-		body = binary.LittleEndian.AppendUint32(body, uint32(len(payloads[i])))
-		body = append(body, payloads[i]...)
+	seg, n, err := l.segmentFor(func(base int64) int64 { return stepRecordLen(base, metas, payloads) })
+	if err != nil {
+		return err
 	}
-	l.scratch = body[:0]
-	seg, off, err := l.appendRecord(recStep, body)
+	rec := l.frame(n)
+	putStepV2(rec[recFrame:], seg.size+recFrame, step, metas, payloads)
+	off, err := l.writeRecord(seg, recStepV2, rec)
 	if err != nil {
 		return err
 	}
@@ -581,8 +652,7 @@ func (l *Log) AppendRetire(step int) error {
 	if err := l.writable(); err != nil {
 		return err
 	}
-	body := binary.LittleEndian.AppendUint32(nil, uint32(step))
-	if _, _, err := l.appendRecord(recRetire, body); err != nil {
+	if err := l.appendRecord(recRetire, uint32(step)); err != nil {
 		return err
 	}
 	if step > l.lastRetired {
@@ -599,8 +669,7 @@ func (l *Log) AppendEnd(lastStep int) error {
 	if err := l.writable(); err != nil {
 		return err
 	}
-	body := binary.LittleEndian.AppendUint32(nil, uint32(lastStep+1))
-	if _, _, err := l.appendRecord(recEnd, body); err != nil {
+	if err := l.appendRecord(recEnd, uint32(lastStep+1)); err != nil {
 		return err
 	}
 	l.ended, l.lastStep = true, lastStep
@@ -630,26 +699,44 @@ func (l *Log) afterAppend() error {
 	return l.evict()
 }
 
-// appendRecord frames one record onto the active segment, rolling to a
-// new segment when the size threshold is crossed. Caller holds the
-// lock. Returns the segment and offset the record landed at.
-func (l *Log) appendRecord(typ byte, body []byte) (*segment, int64, error) {
-	recLen := int64(recHeader + 1 + len(body))
-	if 1+len(body) > maxRecord {
-		return nil, 0, fmt.Errorf("streamlog: record of %d bytes exceeds limit", len(body))
+// appendRecord frames a retire or end record — a u32 body — onto the
+// active segment, rolling first when it would overflow. Caller holds
+// the lock.
+func (l *Log) appendRecord(typ byte, v uint32) error {
+	seg, n, err := l.segmentFor(func(int64) int64 { return recFrame + 4 })
+	if err != nil {
+		return err
 	}
+	rec := l.frame(n)
+	binary.LittleEndian.PutUint32(rec[recFrame:], v)
+	_, err = l.writeRecord(seg, typ, rec)
+	return err
+}
+
+// segmentFor picks the segment the next record lands in and returns the
+// record's exact framed length there; recLen reports that length for a
+// record starting at a given file offset. A record that would push a
+// non-empty active segment past the roll threshold rolls to a fresh
+// segment first, and its length is recomputed at the new offset.
+// Caller holds the lock.
+func (l *Log) segmentFor(recLen func(base int64) int64) (*segment, int64, error) {
 	seg := l.activeSegment()
-	if seg == nil || (seg.size > 0 && seg.size+recLen > l.opts.segmentBytes()) {
+	var base int64
+	if seg != nil {
+		base = seg.size
+	}
+	n := recLen(base)
+	if n-recHeader <= maxRecord && (seg == nil || (seg.size > 0 && seg.size+n > l.opts.segmentBytes())) {
 		var err error
 		if seg, err = l.roll(); err != nil {
 			return nil, 0, err
 		}
+		n = recLen(seg.size)
 	}
-	off, err := l.writeRecord(seg, typ, body)
-	if err != nil {
-		return nil, 0, err
+	if n-recHeader > maxRecord {
+		return nil, 0, fmt.Errorf("streamlog: record of %d bytes exceeds limit", n-recFrame)
 	}
-	return seg, off, nil
+	return seg, n, nil
 }
 
 func (l *Log) activeSegment() *segment {
@@ -671,22 +758,34 @@ func (l *Log) roll() (*segment, error) {
 	l.nextSeq++
 	l.segs = append(l.segs, seg)
 	if l.haveCfg {
-		if _, err := l.writeRecord(seg, recConfig, encodeConfig(l.cfg)); err != nil {
+		body := encodeConfig(l.cfg)
+		rec := l.frame(recFrame + int64(len(body)))
+		copy(rec[recFrame:], body)
+		if _, err := l.writeRecord(seg, recConfig, rec); err != nil {
 			return nil, err
 		}
 	}
 	return seg, nil
 }
 
-// writeRecord frames header+type+body onto seg in one write. Caller
-// holds the lock. Returns the record's starting offset.
-func (l *Log) writeRecord(seg *segment, typ byte, body []byte) (int64, error) {
-	rec := make([]byte, 0, recHeader+1+len(body))
-	rec = binary.LittleEndian.AppendUint32(rec, uint32(1+len(body)))
-	crc := crc32.Update(crc32.ChecksumIEEE([]byte{typ}), crc32.IEEETable, body)
-	rec = binary.LittleEndian.AppendUint32(rec, crc)
-	rec = append(rec, typ)
-	rec = append(rec, body...)
+// frame returns the log's reused record buffer sized to an n-byte
+// record. The caller lays the body out at [recFrame:]; writeRecord
+// fills the rest.
+func (l *Log) frame(n int64) []byte {
+	if int64(cap(l.scratch)) < n {
+		l.scratch = make([]byte, n)
+	}
+	return l.scratch[:n]
+}
+
+// writeRecord seals rec — a frame whose body is laid out at
+// [recFrame:] — by filling its length, CRC and type byte in place, and
+// writes it onto seg in one WriteAt. Caller holds the lock. Returns the
+// record's starting offset.
+func (l *Log) writeRecord(seg *segment, typ byte, rec []byte) (int64, error) {
+	rec[recHeader] = typ
+	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(rec)-recHeader))
+	binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(rec[recHeader:]))
 	off := seg.size
 	if _, err := seg.f.WriteAt(rec, off); err != nil {
 		return 0, fmt.Errorf("streamlog: %w", err)
@@ -758,10 +857,13 @@ func (l *Log) locate(step int) (stepLoc, error) {
 }
 
 // readStepAt is the copying read path: pread the record into fresh
-// allocations. Caller holds the lock.
+// allocations. The body buffer leads with off%8 spare bytes, so each
+// body byte sits at an address congruent to its file offset mod 8 —
+// a v2 payload, aligned in the file, is aligned in memory too and
+// decodes in place. Caller holds the lock.
 func (l *Log) readStepAt(step int, loc stepLoc) (metas, payloads [][]byte, err error) {
-	hdr := make([]byte, recHeader)
-	if _, err := loc.seg.f.ReadAt(hdr, loc.off); err != nil {
+	var hdr [recHeader]byte
+	if _, err := loc.seg.f.ReadAt(hdr[:], loc.off); err != nil {
 		return nil, nil, fmt.Errorf("streamlog: %w", err)
 	}
 	n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
@@ -769,14 +871,16 @@ func (l *Log) readStepAt(step int, loc stepLoc) (metas, payloads [][]byte, err e
 	if n < 1 || n > maxRecord {
 		return nil, nil, fmt.Errorf("streamlog: step %d record corrupt", step)
 	}
-	body := make([]byte, n)
+	// A multiple-of-8 allocation is 8-byte aligned, even when tiny.
+	lead := loc.off % 8
+	body := make([]byte, (lead+n+7)&^7)[lead : lead+n]
 	if _, err := loc.seg.f.ReadAt(body, loc.off+recHeader); err != nil {
 		return nil, nil, fmt.Errorf("streamlog: %w", err)
 	}
-	if crc32.ChecksumIEEE(body) != want || body[0] != recStep {
+	if crc32.ChecksumIEEE(body) != want {
 		return nil, nil, fmt.Errorf("streamlog: step %d record corrupt", step)
 	}
-	got, metas, payloads, ok := decodeStep(body[1:])
+	got, metas, payloads, ok := decodeStep(body[0], body[1:])
 	if !ok || got != step {
 		return nil, nil, fmt.Errorf("streamlog: step %d record corrupt", step)
 	}
@@ -816,10 +920,10 @@ func (l *Log) ReadStepView(step int) (metas, payloads [][]byte, release func(), 
 		return nil, nil, nil, corrupt()
 	}
 	body := mem[off+recHeader : off+recHeader+n]
-	if crc32.ChecksumIEEE(body) != want || body[0] != recStep {
+	if crc32.ChecksumIEEE(body) != want {
 		return nil, nil, nil, corrupt()
 	}
-	got, metas, payloads, ok := decodeStep(body[1:])
+	got, metas, payloads, ok := decodeStep(body[0], body[1:])
 	if !ok || got != step {
 		return nil, nil, nil, corrupt()
 	}
