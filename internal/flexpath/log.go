@@ -190,10 +190,7 @@ func (b *Broker) runLogAppender(s *stream) {
 					payloads = append(payloads, job.payloads[i].Bytes())
 					nbytes += int64(len(metas[i]) + len(payloads[i]))
 				}
-				err := lg.Append(job.step, metas, payloads)
-				clear(metas)
-				clear(payloads)
-				return err
+				return lg.Append(job.step, metas, payloads)
 			case jobRetire:
 				return lg.AppendRetire(job.step)
 			case jobEnd:
