@@ -47,14 +47,20 @@ optimize:
 # The transport contract suite under the race detector, once per stream
 # fabric backend. A backend that silently skips is a gate failure —
 # except uds and shm on platforms without AF_UNIX or shared file
-# mappings, their only legitimate skips.
+# mappings, their only legitimate skips. When the shm backend runs, its
+# two data-plane checks must pass too, not skip.
+SHM_CHECKS := ShmSlotGenerationReuse ShmRingFullBackpressure
 conformance:
 	@set -e; \
 	for backend in Inproc TCP UDS Shm; do \
 		echo "conformance: backend $$backend (-race)"; \
 		out=$$($(GO) test -race -v -count=1 ./internal/flexpath -run "^TestConformance$$backend$$") || { echo "$$out"; exit 1; }; \
 		if echo "$$out" | grep -q -- "--- PASS: TestConformance$$backend"; then \
-			:; \
+			if [ "$$backend" = Shm ]; then \
+				for c in $(SHM_CHECKS); do \
+					echo "$$out" | grep -q -- "--- PASS: TestConformanceShm/$$c " || { echo "conformance: shm check $$c did not pass"; echo "$$out"; exit 1; }; \
+				done; \
+			fi; \
 		elif [ "$$backend" = UDS ] && echo "$$out" | grep -q "AF_UNIX"; then \
 			echo "conformance: uds skipped (no AF_UNIX on this platform)"; \
 		elif [ "$$backend" = Shm ] && echo "$$out" | grep -qi "SKIP"; then \

@@ -35,7 +35,7 @@ import (
 )
 
 func main() {
-	transportKind := flag.String("transport", "tcp", "broker socket flavor: tcp, uds, shm, or auto (resolve from -broker's shape)")
+	transportKind := flag.String("transport", "tcp", "broker socket flavor: tcp, uds or shm (one client for a socket path; the broker decides whether payloads ride shared memory), or auto (resolve from -broker's shape)")
 	broker := flag.String("broker", "127.0.0.1:7777", "sbbroker address: host:port for tcp, socket path for uds/shm")
 	procs := flag.Int("n", 1, "number of ranks for this component")
 	queue := flag.Int("q", 0, "writer-side queue depth for published streams (0 = default)")

@@ -62,7 +62,7 @@ func main() {
 	verbose := flag.Bool("v", false, "log component diagnostics")
 	lintOnly := flag.Bool("lint", false, "check the workflow's stream wiring and exit without running")
 	explain := flag.Bool("explain", false, "print the workflow plan (stages, dataflow edges, fusion analysis, lint) and exit without running")
-	transportKind := flag.String("transport", "", "stream fabric backend: inproc, tcp, uds, shm, or auto (default: the script's transport directive, else inproc)")
+	transportKind := flag.String("transport", "", "stream fabric backend: inproc, tcp, uds or shm (one client for a socket path; the broker decides whether payloads ride shared memory), or auto (default: the script's transport directive, else inproc)")
 	broker := flag.String("broker", "", "backend address: sbbroker host:port for tcp, socket path for uds/shm (plain -broker implies -transport tcp)")
 	logDir := flag.String("log-dir", "", "journal streams to a durable segmented log under this directory (inproc transport; overrides the script's log directive)")
 	maxRestarts := flag.Int("max-restarts", 0, "supervised restarts per stage for retryable failures (0 disables)")

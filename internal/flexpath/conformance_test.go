@@ -34,7 +34,7 @@ func TestConformanceTCP(t *testing.T) {
 		t.Cleanup(func() { srv.Close() })
 		c := flexpath.Dial(srv.Addr())
 		t.Cleanup(func() { c.Close() })
-		return conformance.Backend{Transport: flexpath.Remote{C: c}, Broker: b}
+		return conformance.Backend{Transport: c, Broker: b}
 	})
 }
 
@@ -50,7 +50,7 @@ func TestConformanceUDS(t *testing.T) {
 		t.Cleanup(func() { srv.Close() })
 		c := flexpath.DialUnix(path)
 		t.Cleanup(func() { c.Close() })
-		return conformance.Backend{Transport: flexpath.Remote{C: c}, Broker: b}
+		return conformance.Backend{Transport: c, Broker: b}
 	})
 }
 
@@ -84,7 +84,7 @@ func makeShmBackend(cfg flexpath.ShmConfig) (conformance.Backend, func(), error)
 		os.RemoveAll(dir)
 		return conformance.Backend{}, nil, err
 	}
-	tr := flexpath.DialShmConfig(filepath.Join(dir, "b.sock"), cfg)
+	tr := flexpath.DialUnix(filepath.Join(dir, "b.sock"))
 	cleanup := func() {
 		tr.Close()
 		srv.Close()

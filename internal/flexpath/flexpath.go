@@ -15,8 +15,10 @@
 //     ranks have released it.
 //
 // The package offers two transports with the same per-rank API: the
-// in-process Broker in this file (ranks are goroutines sharing memory)
-// and a TCP broker (Serve/Dial) for multi-process deployments.
+// in-process Broker in this file (ranks are goroutines sharing memory),
+// and for multi-process deployments a socket Server with one Client
+// (Dial for TCP, DialUnix for a Unix socket, whose broker may add a
+// shared-memory payload segment).
 //
 // Fault model: every rank handle ends in exactly one of three ways.
 //

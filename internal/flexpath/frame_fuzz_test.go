@@ -25,8 +25,8 @@ func encodeFrame(t testing.TB, op byte, body []byte) []byte {
 // wire form per frame), and the scratch-reuse path must agree with the
 // fresh-storage path.
 func FuzzFrameDecode(f *testing.F) {
-	// Well-formed frames, including a multi-part writeFrameVec one (the
-	// coalesced publish/fetch path) to prove gathering does not change
+	// Well-formed frames, including multi-part writeFrameVec ones (the
+	// gathered publish/fetch path) to prove gathering does not change
 	// the wire format.
 	fw := &frameWriter{}
 	fw.str("dump.fp")
@@ -35,14 +35,35 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(encodeFrame(f, opAttachWriter, fw.buf))
 	f.Add(encodeFrame(f, opHeartbeat, binary.LittleEndian.AppendUint32(nil, 5000)))
 	f.Add(encodeFrame(f, opCloseWriter, nil))
-	var vec bytes.Buffer
+	// A publish request and a fetch answer of each payload kind, laid
+	// out as RemoteWriter.PublishBlock and serveReader lay them out.
 	var vecs net.Buffers
-	hdr := binary.LittleEndian.AppendUint32(nil, 7) // step
-	hdr = binary.LittleEndian.AppendUint32(hdr, 3)  // meta len
-	if err := writeFrameVec(&vec, &vecs, opPublish, hdr[:8], []byte("abc"), []byte{4, 0, 0, 0}, []byte("wxyz")); err != nil {
-		f.Fatal(err)
+	for _, bySlot := range []bool{false, true} {
+		pub := &frameWriter{}
+		pub.u32(7) // step
+		pub.u32(3) // meta length
+		ans := &frameWriter{}
+		ans.u8(stOK)
+		inline := []byte("wxyz")
+		if bySlot {
+			ref := slotRef{slot: 2, gen: 9, n: 4}
+			pub.slotRef(ref)
+			ans.slotRef(ref)
+			inline = nil
+		} else {
+			pub.inlineHead(len(inline))
+			ans.inlineHead(len(inline))
+		}
+		var req, resp bytes.Buffer
+		if err := writeFrameVec(&req, &vecs, opPublish, pub.buf[:8], []byte("abc"), pub.buf[8:], inline); err != nil {
+			f.Fatal(err)
+		}
+		if err := writeFrameVec(&resp, &vecs, 0, ans.buf, inline); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(req.Bytes())
+		f.Add(resp.Bytes())
 	}
-	f.Add(vec.Bytes())
 	// Mutations a flaky wire could produce.
 	good := encodeFrame(f, opStepMeta, []byte("body"))
 	flipped := append([]byte(nil), good...)

@@ -247,7 +247,7 @@ func TestResizeGroupsHelper(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A socket-backed transport lacks the capability.
-	if err := ResizeGroups(Remote{}, "s.fp", 2, 0); err == nil {
-		t.Fatal("Remote must refuse group resizing")
+	if err := ResizeGroups(Dial("127.0.0.1:1"), "s.fp", 2, 0); err == nil {
+		t.Fatal("a socket Client must refuse group resizing")
 	}
 }

@@ -16,9 +16,11 @@ import (
 	"repro/internal/pool"
 )
 
-// This file adds a TCP incarnation of the transport: a Server fronts a
-// Broker on a socket, and Client provides the same per-rank Attach/
-// Publish/Fetch API from another process. The paper's FlexPath rides on
+// This file adds the socket incarnation of the transport: a Server
+// fronts a Broker on a socket (TCP here, a Unix socket in uds.go, with
+// a shared-memory payload segment in shm.go), and one Client
+// (tcpclient.go) provides the same per-rank Attach/Publish/Fetch API
+// from another process over any of them. The paper's FlexPath rides on
 // EVPath over RDMA or sockets; here the wire is a simple length-prefixed
 // binary protocol. Components are oblivious to which incarnation they
 // run over — they only see WriterHandle/ReaderHandle.
@@ -56,10 +58,14 @@ const (
 	opHeartbeat    // one-way: no response is sent
 	opCancel       // one-way: aborts the in-flight blocking request
 	opAttachReplay // catch-up reader over the broker's durable log
-	opShmRing      // shm: allocate this writer rank's ring of segment slots
-	opShmPublish   // shm: publish a step whose payload sits in a ring slot
-	opShmWaitSlot  // shm: block until a ring slot returns to free
-	opShmFetch     // shm: fetch a block, answered by slot reference when possible
+	opShmWaitSlot  // block until a ring slot of the shm segment returns to free
+)
+
+// Payload markers: the u8 in a publish request (after the meta) and in
+// a fetch answer (after the status) saying how the payload travels.
+const (
+	payloadInline = iota // u32 length + the bytes, in the frame
+	payloadSlot          // u32 slot, u32 generation, u32 length: the bytes sit in the shm segment
 )
 
 // Response status codes.
@@ -99,12 +105,12 @@ func writeFrame(w io.Writer, op byte, body []byte) error {
 // writeFrameVec writes one frame whose body is the concatenation of
 // parts, without first merging them: the header and every part hit the
 // wire together in a single gathered write (one writev per frame). This
-// is the step-batched coalescing path used by the UDS publish request
-// and the block-fetch response — a full timestep's payload crosses the
-// kernel boundary in one syscall with zero payload copies; only the few
-// header bytes are staged in caller scratch. vecs is a caller-owned
-// iovec scratch reused across frames (net.Buffers consumes the slice it
-// writes, so the backing array is recycled here, not the contents).
+// is the path of every publish request and block-fetch answer — a full
+// timestep's payload crosses the kernel boundary in one syscall with
+// zero payload copies; only the few header bytes are staged in caller
+// scratch. vecs is a caller-owned iovec scratch reused across frames
+// (net.Buffers consumes the slice it writes, so the backing array is
+// recycled here, not the contents).
 func writeFrameVec(w io.Writer, vecs *net.Buffers, op byte, parts ...[]byte) error {
 	var hdr [9]byte
 	n := 1
@@ -191,6 +197,21 @@ func (f *frameWriter) bytes(b []byte) {
 }
 func (f *frameWriter) str(s string) { f.bytes([]byte(s)) }
 
+// inlineHead writes the marker and length of an n-byte inline payload;
+// the caller gathers the bytes behind it (see writeFrameVec).
+func (f *frameWriter) inlineHead(n int) {
+	f.u8(payloadInline)
+	f.u32(uint32(n))
+}
+
+// slotRef writes the marker and reference of a payload in a shm slot.
+func (f *frameWriter) slotRef(ref slotRef) {
+	f.u8(payloadSlot)
+	f.u32(uint32(ref.slot))
+	f.u32(ref.gen)
+	f.u32(uint32(ref.n))
+}
+
 // frameReader consumes protocol primitives from a buffer.
 type frameReader struct {
 	buf []byte
@@ -237,11 +258,30 @@ func (f *frameReader) bytes() []byte {
 
 func (f *frameReader) str() string { return string(f.bytes()) }
 
-// Server exposes a Broker over TCP. Every accepted connection serves one
-// rank handle (writer or reader) for its lifetime; dropping the
-// connection closes a reader handle (the rank departed) but Crashes a
-// writer handle (the stream fails with ErrWriterLost) unless the peer
-// first sent a clean close or detach.
+// payload reads what inlineHead or slotRef wrote: the inline bytes, or
+// (bySlot) the slot reference.
+func (f *frameReader) payload() (inline []byte, ref slotRef, bySlot bool) {
+	switch f.u8() {
+	case payloadInline:
+		return f.bytes(), ref, false
+	case payloadSlot:
+		ref.slot = int(f.u32())
+		ref.gen = f.u32()
+		ref.n = int(f.u32())
+		return nil, ref, true
+	default:
+		f.fail("unknown payload marker")
+		return nil, ref, false
+	}
+}
+
+// Server exposes a Broker on a socket: TCP (NewServer), a Unix socket
+// (NewUnixServer), or a Unix socket plus a shared-memory payload
+// segment (NewShmServer); Client dials all three. Every accepted
+// connection serves one rank handle (writer or reader) for its
+// lifetime; dropping the connection closes a reader handle (the rank
+// departed) but Crashes a writer handle (the stream fails with
+// ErrWriterLost) unless the peer first sent a clean close or detach.
 type Server struct {
 	broker *Broker
 	ln     net.Listener
@@ -252,8 +292,9 @@ type Server struct {
 	cleanup func() // backend teardown (UDS lock release); run once by Shutdown
 
 	// shm is the shared-memory data plane (segment + ring allocator),
-	// non-nil only for NewShmServer; the socket protocol is otherwise
-	// identical, with the opShm* opcodes rejected when nil.
+	// non-nil only for NewShmServer. Without it writers get no ring,
+	// slot publishes and opShmWaitSlot are refused, and every fetch is
+	// answered inline.
 	shm *shmServerState
 
 	// dying is set just before Shutdown severs the remaining connections.
@@ -527,7 +568,12 @@ func (s *Server) serveConn(conn net.Conn) {
 			respondErr(conn, &resp, err)
 			return
 		}
-		if respondOK(conn, &resp, func(f *frameWriter) { f.u32(uint32(w.NextStep())) }) != nil {
+		ring := s.shm.ring(w)
+		if respondOK(conn, &resp, func(f *frameWriter) {
+			f.u32(uint32(w.NextStep()))
+			f.u32(uint32(ring.base))
+			f.u32(uint32(ring.n))
+		}) != nil {
 			if !s.dying.Load() {
 				w.Crash(errors.New("connection lost during attach"))
 			}
@@ -554,7 +600,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return
 		}
-		s.serveReader(conn, &resp, next, arm, r)
+		s.serveReader(conn, &resp, next, arm, r, s.shm)
 	case opAttachReplay:
 		fr := &frameReader{buf: body}
 		stream := fr.str()
@@ -573,8 +619,9 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		// A replay session speaks the ordinary reader op set; only how the
-		// broker sources the steps differs.
-		s.serveReader(conn, &resp, next, arm, r)
+		// broker sources the steps differs. It never gates retirement, so
+		// a slot could be reused under its view: it is answered inline.
+		s.serveReader(conn, &resp, next, arm, r, nil)
 	default:
 		respondErr(conn, &resp, fmt.Errorf("flexpath: first message must attach, got opcode %d", op))
 	}
@@ -602,7 +649,7 @@ func (s *Server) serveWriter(conn net.Conn, resp *[]byte, next func() (frame, bo
 			fr := &frameReader{buf: body}
 			step := int(fr.u32())
 			metaB := fr.bytes()
-			payloadB := fr.bytes()
+			inline, ref, bySlot := fr.payload()
 			if fr.err != nil {
 				respondErr(conn, resp, fr.err)
 				return
@@ -610,11 +657,21 @@ func (s *Server) serveWriter(conn net.Conn, resp *[]byte, next func() (frame, bo
 			// The frame body is the receive goroutine's scratch; the broker
 			// needs storage that outlives it. Copy into pooled buffers and
 			// transfer ownership, so the bytes recycle when the step retires
-			// instead of accumulating per step.
+			// instead of accumulating per step. A slot payload already
+			// lives in the segment and is adopted in place.
+			var payload *pool.Buf
+			if bySlot {
+				var err error
+				if payload, err = s.shm.adopt(ref); err != nil {
+					respondErr(conn, resp, err)
+					return
+				}
+			} else {
+				payload = pool.Get(len(inline))
+				copy(payload.Bytes(), inline)
+			}
 			meta := pool.Get(len(metaB))
 			copy(meta.Bytes(), metaB)
-			payload := pool.Get(len(payloadB))
-			copy(payload.Bytes(), payloadB)
 			opCtx, release := arm()
 			err := w.PublishBlockRef(opCtx, step, meta, payload)
 			release()
@@ -625,14 +682,6 @@ func (s *Server) serveWriter(conn net.Conn, resp *[]byte, next func() (frame, bo
 				continue
 			}
 			if respondOK(conn, resp, nil) != nil {
-				return
-			}
-		case opShmRing:
-			if !s.handleShmRing(conn, resp, body, w) {
-				return
-			}
-		case opShmPublish:
-			if !s.handleShmPublish(conn, resp, body, arm, w) {
 				return
 			}
 		case opShmWaitSlot:
@@ -684,7 +733,9 @@ type servedReader interface {
 	Detach() error
 }
 
-func (s *Server) serveReader(conn net.Conn, resp *[]byte, next func() (frame, bool), arm func() (context.Context, func()), r servedReader) {
+// serveReader answers a reader's fetches by slot reference when the
+// payload sits in shm's segment; a nil shm answers every fetch inline.
+func (s *Server) serveReader(conn net.Conn, resp *[]byte, next func() (frame, bool), arm func() (context.Context, func()), r servedReader, shm *shmServerState) {
 	// A dropped reader connection is a departed rank (graceful, un-gates
 	// retirement) — unless the server severed it itself during Shutdown,
 	// in which case the rank is still alive elsewhere and the handle is
@@ -763,20 +814,23 @@ func (s *Server) serveReader(conn net.Conn, resp *[]byte, next func() (frame, bo
 				}
 				continue
 			}
-			// Vectored response: status + length staged in the response
-			// scratch, the payload itself gathered straight from the
-			// broker-held buffer — one writev, no payload copy.
+			// Vectored response: status and payload marker staged in the
+			// response scratch, the payload itself gathered straight from
+			// the broker-held buffer — one writev, no payload copy. A
+			// payload in a segment slot goes by reference instead.
 			f := &frameWriter{buf: (*resp)[:0]}
 			f.u8(stOK)
-			f.u32(uint32(payload.Len()))
-			werr := writeFrameVec(conn, &vecs, 0, f.buf, payload.Bytes())
+			inline := payload.Bytes()
+			if ref, ok := shm.ref(inline); ok {
+				f.slotRef(ref)
+				inline = nil
+			} else {
+				f.inlineHead(len(inline))
+			}
+			werr := writeFrameVec(conn, &vecs, 0, f.buf, inline)
 			*resp = f.buf[:0]
 			payload.Release()
 			if werr != nil {
-				return
-			}
-		case opShmFetch:
-			if !s.handleShmFetch(conn, resp, body, &vecs, arm, r) {
 				return
 			}
 		case opReleaseStep:

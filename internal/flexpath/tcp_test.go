@@ -40,7 +40,7 @@ func TestTCPWriterDisconnectEndsStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sever the writer's connection abruptly.
-	w.conn.Close()
+	w.(*RemoteWriter).conn.Close()
 	client2 := Dial(srv.Addr())
 	defer client2.Close()
 	r, err := client2.AttachReader("dc.fp", 0, 1)

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -61,21 +62,17 @@ const (
 	minLeaseTTL              = 2 * time.Second
 )
 
-// Client connects rank handles to a remote Server. It satisfies the same
-// role as a local Broker: AttachWriter/AttachReader yield per-rank
-// handles with identical semantics, each backed by its own connection.
-// Transient dial and attach failures are retried per Backoff; writer
-// handles maintain a heartbeat lease so the broker can distinguish a
-// crashed writer from a slow one.
+// Client is the Transport over a remote Server, on either network: TCP
+// (Dial) or a Unix-domain socket (DialUnix). AttachWriter/AttachReader
+// yield per-rank handles with the semantics of a local Broker's, each
+// backed by its own connection. Transient dial and attach failures are
+// retried per Backoff; writer handles maintain a heartbeat lease so the
+// broker can distinguish a crashed writer from a slow one. Against a
+// shared-memory broker (NewShmServer) payloads ride the broker's
+// segment instead of the socket; the client needs no setting for it.
 type Client struct {
 	addr    string
 	network string // "tcp" (Dial) or "unix" (DialUnix); "" means tcp
-	// coalesce enables step-batched frame coalescing on writer handles:
-	// each published step leaves the process as a single gathered write
-	// (one writev of header + meta + payload) instead of being staged
-	// into a contiguous frame buffer first. Set by DialUnix, where the
-	// local-host hop makes the copy the dominant cost.
-	coalesce bool
 
 	// Backoff configures dial/attach retries; zero value = defaults.
 	Backoff Backoff
@@ -88,6 +85,7 @@ type Client struct {
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
 	rng   *rand.Rand
+	seg   *shmSegment // the broker's segment, mapped on first reference
 }
 
 // Dial prepares a client for the given TCP server address. No
@@ -108,7 +106,9 @@ func dial(network, addr string) *Client {
 	}
 }
 
-// Close severs all handle connections opened through this client.
+// Close implements Transport: it severs all handle connections opened
+// through this client and unmaps the broker's segment. Settle every
+// handle first — fetched views may alias the mapping.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -116,6 +116,10 @@ func (c *Client) Close() error {
 		conn.Close()
 	}
 	c.conns = map[net.Conn]struct{}{}
+	if c.seg != nil {
+		c.seg.close()
+		c.seg = nil
+	}
 	return nil
 }
 
@@ -350,16 +354,14 @@ func (c *Client) attach(op byte, body []byte) (net.Conn, *frameReader, error) {
 	}
 }
 
-// RemoteWriter is a writer rank handle over TCP; it implements the same
-// contract as *Writer (WriterHandle).
+// RemoteWriter is a writer rank handle over a socket; it implements the
+// same contract as *Writer (WriterHandle).
 type RemoteWriter struct {
 	c    *Client
 	conn net.Conn
 	next int
-	// coalesce publishes each step as one gathered write instead of
-	// staging meta and payload into a contiguous frame first (see
-	// Client.coalesce).
-	coalesce bool
+	ring shmRing     // this rank's slots; the zero ring publishes inline
+	seg  *shmSegment // the mapping ring indexes, when it is non-zero
 
 	wmu sync.Mutex // serialises frame writes (requests vs heartbeats)
 
@@ -368,12 +370,14 @@ type RemoteWriter struct {
 	hbStop chan struct{}
 	fbuf   []byte      // publish frame scratch, guarded by mu
 	rbuf   []byte      // response read scratch, guarded by mu
-	parts  [][]byte    // coalesced publish part list, guarded by mu
-	vecs   net.Buffers // coalesced publish iovec scratch, guarded by mu
+	parts  [][]byte    // gathered publish part list, guarded by mu
+	vecs   net.Buffers // gathered publish iovec scratch, guarded by mu
 }
 
-// AttachWriter joins the writer group of a stream on the remote broker.
-func (c *Client) AttachWriter(stream string, rank, size, depth int) (*RemoteWriter, error) {
+// AttachWriter implements Transport: it joins the writer group of a
+// stream on the remote broker, taking the ring of segment slots the
+// broker's attach answer carries.
+func (c *Client) AttachWriter(stream string, rank, size, depth int) (WriterHandle, error) {
 	f := &frameWriter{}
 	f.str(stream)
 	f.u32(uint32(rank))
@@ -383,7 +387,18 @@ func (c *Client) AttachWriter(stream string, rank, size, depth int) (*RemoteWrit
 	if err != nil {
 		return nil, err
 	}
-	w := &RemoteWriter{c: c, conn: conn, next: int(fr.u32()), coalesce: c.coalesce}
+	w := &RemoteWriter{c: c, conn: conn, next: int(fr.u32()), ring: shmRing{base: int(fr.u32()), n: int(fr.u32())}}
+	err = fr.err
+	if err == nil && w.ring.n > 0 {
+		w.seg, err = c.segment()
+		if err == nil && w.ring.base+w.ring.n > w.seg.slotCount {
+			err = fmt.Errorf("flexpath: shm ring [%d,%d) outside the %d-slot segment", w.ring.base, w.ring.base+w.ring.n, w.seg.slotCount)
+		}
+	}
+	if err != nil {
+		w.Detach()
+		return nil, err
+	}
 	interval := c.HeartbeatInterval
 	if interval == 0 {
 		interval = defaultHeartbeatInterval
@@ -428,36 +443,38 @@ func (w *RemoteWriter) heartbeat(interval, ttl time.Duration) {
 func (w *RemoteWriter) NextStep() int { return w.next }
 
 // PublishBlock queues this rank's block for the given step, blocking
-// while the remote queue window is full. The request frame and response
-// are staged in handle-owned scratch buffers, so a steady publish loop
-// allocates nothing on this side of the wire.
+// while the remote queue window is full. A payload that fits a slot of
+// this rank's ring is copied once into the slot and published by
+// reference; any other leaves the process from its own storage. Either
+// way the request is one gathered write whose staged prefix lives in
+// handle-owned scratch, so a steady publish loop allocates nothing on
+// this side of the wire.
 func (w *RemoteWriter) PublishBlock(ctx context.Context, step int, meta, payload []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return ErrClosed
 	}
-	var err error
-	if w.coalesce {
-		// Step-batched coalescing: only the 12 bytes of step and length
-		// prefixes are staged; meta and payload leave the process from
-		// their original storage in a single writev with the frame header.
-		f := &frameWriter{buf: w.fbuf[:0]}
-		f.u32(uint32(step))
-		f.u32(uint32(len(meta)))
-		f.u32(uint32(len(payload)))
-		w.fbuf = f.buf
-		parts := append(w.parts[:0], f.buf[:8], meta, f.buf[8:12], payload)
-		w.parts = parts[:0]
-		_, err = callVec(ctx, w.conn, &w.wmu, opPublish, parts, &w.vecs, &w.rbuf)
+	f := &frameWriter{buf: w.fbuf[:0]}
+	f.u32(uint32(step))
+	f.u32(uint32(len(meta)))
+	if w.ring.n > 0 && len(payload) > 0 && len(payload) <= w.seg.slotBytes {
+		ref, err := w.claim(ctx, step, payload)
+		if err != nil {
+			return err
+		}
+		f.slotRef(ref)
+		payload = nil
 	} else {
-		f := &frameWriter{buf: w.fbuf[:0]}
-		f.u32(uint32(step))
-		f.bytes(meta)
-		f.bytes(payload)
-		w.fbuf = f.buf
-		_, err = call(ctx, w.conn, &w.wmu, opPublish, f.buf, &w.rbuf)
+		f.inlineHead(len(payload))
 	}
+	w.fbuf = f.buf
+	parts := append(w.parts[:0], f.buf[:8], meta, f.buf[8:], payload)
+	w.parts = parts[:0]
+	// From here a slot claim belongs to the broker (see
+	// shmServerState.adopt): no rollback on error, so a
+	// cancelled-and-retried publish simply claims the slot afresh.
+	_, err := callVec(ctx, w.conn, &w.wmu, opPublish, parts, &w.vecs, &w.rbuf)
 	if err == nil && step >= w.next {
 		w.next = step + 1
 	}
@@ -465,10 +482,10 @@ func (w *RemoteWriter) PublishBlock(ctx context.Context, step int, meta, payload
 }
 
 // PublishBlockRef is the pooled-buffer publish path of the
-// WriterHandle contract: the bytes are serialized into the request
-// frame and the references released — over TCP the pooled storage never
-// leaves this process, so consuming the refs immediately returns it to
-// the pool for the producer's next step.
+// WriterHandle contract: the bytes are written to the socket or the
+// slot and the references released — the pooled storage never leaves
+// this process, so consuming the refs immediately returns it to the
+// pool for the producer's next step.
 func (w *RemoteWriter) PublishBlockRef(ctx context.Context, step int, meta, payload *pool.Buf) error {
 	err := w.PublishBlock(ctx, step, meta.Bytes(), payload.Bytes())
 	meta.Release()
@@ -513,8 +530,8 @@ func (w *RemoteWriter) Crash(cause error) error {
 	return w.settle(opCrashWriter, f.buf)
 }
 
-// RemoteReader is a reader rank handle over TCP; it implements the same
-// contract as *Reader (ReaderHandle).
+// RemoteReader is a reader rank handle over a socket; it implements the
+// same contract as *Reader (ReaderHandle).
 type RemoteReader struct {
 	c    *Client
 	conn net.Conn
@@ -526,23 +543,27 @@ type RemoteReader struct {
 	closed bool
 	fbuf   []byte        // request frame scratch, guarded by mu
 	rbuf   []byte        // response read scratch, guarded by mu
-	frames []fetchedStep // pooled fetch responses not yet released, guarded by mu
+	frames []fetchedStep // fetched payloads not yet released, guarded by mu
 }
 
-// fetchedStep is one FetchBlock response frame, held until its step is
-// released because the returned payload aliases it.
+// fetchedStep is one FetchBlock answer, held until its step is released
+// because the returned payload aliases it: a pooled response frame, or
+// the control word of the shm slot the payload sits in.
 type fetchedStep struct {
 	step  int
 	frame *pool.Buf
+	ctrl  *uint64
 }
 
 // fetchLead places a fetch response in its pooled buffer so that the
-// payload, which follows a u8 status and a u32 length, starts at byte 8:
-// 8-byte aligned, as the zero-copy payload decode needs.
-const fetchLead = 8 - 5
+// payload, which follows a u8 status, a u8 payload marker and a u32
+// length, starts at byte 8: 8-byte aligned, as the zero-copy payload
+// decode needs.
+const fetchLead = 8 - 6
 
-// AttachReader joins the reader group of a stream on the remote broker.
-func (c *Client) AttachReader(stream string, rank, size int) (*RemoteReader, error) {
+// AttachReader implements Transport: it joins the reader group of a
+// stream on the remote broker.
+func (c *Client) AttachReader(stream string, rank, size int) (ReaderHandle, error) {
 	f := &frameWriter{}
 	f.str(stream)
 	f.u32(uint32(rank))
@@ -554,12 +575,13 @@ func (c *Client) AttachReader(stream string, rank, size int) (*RemoteReader, err
 	return &RemoteReader{c: c, conn: conn, next: int(fr.u32())}, nil
 }
 
-// OpenReaderFrom opens a catch-up replay session on the remote broker,
-// positioned at step from (see Broker.OpenReaderFrom). The returned
-// handle speaks the ordinary reader op set, so it is a *RemoteReader in
-// every respect except that the broker sources historical steps from
-// its durable log and the session never gates retirement.
-func (c *Client) OpenReaderFrom(stream string, from int) (*RemoteReader, error) {
+// OpenReaderFrom implements ReplayTransport: it opens a catch-up replay
+// session on the remote broker, positioned at step from (see
+// Broker.OpenReaderFrom). The returned handle speaks the ordinary
+// reader op set, so it is a *RemoteReader in every respect except that
+// the broker sources historical steps from its durable log and the
+// session never gates retirement.
+func (c *Client) OpenReaderFrom(stream string, from int) (ReaderHandle, error) {
 	if from < 0 {
 		return nil, fmt.Errorf("flexpath: replay from negative step %d", from)
 	}
@@ -618,10 +640,11 @@ func (r *RemoteReader) StepMeta(ctx context.Context, step int) ([][]byte, error)
 	return out, nil
 }
 
-// FetchBlock returns one writer rank's payload for the step. The
-// response is read straight into a pooled frame with the payload 8-byte
-// aligned, and the returned slice aliases it: it is valid until this
-// rank releases the step (or closes or detaches).
+// FetchBlock returns one writer rank's payload for the step. An inline
+// answer is read straight into a pooled frame with the payload 8-byte
+// aligned; a slot answer resolves to a view of the broker's segment.
+// Either way the returned slice is valid until this rank releases the
+// step (or closes or detaches).
 func (r *RemoteReader) FetchBlock(ctx context.Context, step, writerRank int) ([]byte, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -641,22 +664,34 @@ func (r *RemoteReader) FetchBlock(ctx context.Context, step, writerRank int) ([]
 		frame.Release()
 		return nil, err
 	}
-	payload := fr.bytes()
+	inline, ref, bySlot := fr.payload()
 	if fr.err != nil {
 		frame.Release()
 		return nil, fr.err
 	}
+	if bySlot {
+		frame.Release()
+		return r.view(step, ref)
+	}
 	r.frames = append(r.frames, fetchedStep{step: step, frame: frame})
-	return payload, nil
+	return inline, nil
 }
 
-// releaseFrames returns the fetch frames of one step (all steps when
-// step is negative) to the pool. The caller holds r.mu.
+// releaseFrames lets go of the payloads fetched for one step (all steps
+// when step is negative): frames return to the pool, and each viewed
+// slot gets its "touch", an atomic RMW on its control word. The touch is
+// the release half of the reader→writer happens-before edge (see
+// shm.go), so it must run after the caller's last read of the view and
+// before the release or settle RPC lets the broker free the slot. The
+// caller holds r.mu.
 func (r *RemoteReader) releaseFrames(step int) {
 	kept := r.frames[:0]
 	for _, h := range r.frames {
 		if step < 0 || h.step == step {
 			h.frame.Release()
+			if h.ctrl != nil {
+				atomic.AddUint64(h.ctrl, 0)
+			}
 		} else {
 			kept = append(kept, h)
 		}

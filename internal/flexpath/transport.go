@@ -147,14 +147,14 @@ const (
 	// CRC-framed, heartbeat writer leases. Works across hosts.
 	KindTCP = "tcp"
 	// KindUDS is the Unix-domain-socket broker: the same CRC frame codec
-	// as TCP with step-batched frame coalescing (one writev per
-	// published step), for multi-process workflows on one host that
+	// and client as TCP, for multi-process workflows on one host that
 	// should skip TCP loopback overhead. addr is a socket path.
 	KindUDS = "uds"
 	// KindShm is the shared-memory broker: a UDS doorbell for control
 	// and metadata plus an mmap'd segment (addr + ".seg") carrying
 	// payloads — same-node multi-process runs with cross-process
-	// zero-copy reads. addr is the doorbell socket path.
+	// zero-copy reads. addr is the doorbell socket path. A client dials
+	// it exactly as uds; the segment is a broker setting.
 	KindShm = "shm"
 	// KindAuto defers the choice to placement: the plan layer (or
 	// ResolveAuto, from the address shape alone) picks inproc when all
@@ -225,46 +225,12 @@ func (t InProc) ResizeGroups(stream string, writerSize, readerSize int) error {
 // beyond its streams, which retire through handle settlement.
 func (t InProc) Close() error { return nil }
 
-// Remote adapts a socket Client (TCP or UDS) to Transport.
-type Remote struct {
-	C *Client
-}
-
-// AttachWriter implements Transport.
-func (t Remote) AttachWriter(stream string, rank, size, depth int) (WriterHandle, error) {
-	w, err := t.C.AttachWriter(stream, rank, size, depth)
-	if err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
-// AttachReader implements Transport.
-func (t Remote) AttachReader(stream string, rank, size int) (ReaderHandle, error) {
-	r, err := t.C.AttachReader(stream, rank, size)
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// OpenReaderFrom implements ReplayTransport.
-func (t Remote) OpenReaderFrom(stream string, from int) (ReaderHandle, error) {
-	r, err := t.C.OpenReaderFrom(stream, from)
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// Close implements Transport, severing every handle connection opened
-// through the client.
-func (t Remote) Close() error { return t.C.Close() }
-
 // Open returns a Transport for the named backend kind. addr is ignored
 // for inproc (a fresh broker is created), a host:port for tcp, and a
-// socket path for uds. This is the single place run-time backend
-// selection resolves, shared by sbrun, sbcomp, and the benchmarks.
+// socket path for uds and shm, which dial the same client: the broker
+// behind the path decides whether payloads ride its shared-memory
+// segment. This is the single place run-time backend selection
+// resolves, shared by sbrun, sbcomp, and the benchmarks.
 func Open(kind, addr string) (Transport, error) {
 	switch kind {
 	case KindInproc, "":
@@ -273,17 +239,12 @@ func Open(kind, addr string) (Transport, error) {
 		if addr == "" {
 			return nil, fmt.Errorf("flexpath: transport %q requires a broker address (host:port)", kind)
 		}
-		return Remote{C: Dial(addr)}, nil
-	case KindUDS:
+		return Dial(addr), nil
+	case KindUDS, KindShm:
 		if addr == "" {
 			return nil, fmt.Errorf("flexpath: transport %q requires a broker socket path", kind)
 		}
-		return Remote{C: DialUnix(addr)}, nil
-	case KindShm:
-		if addr == "" {
-			return nil, fmt.Errorf("flexpath: transport %q requires a broker socket path", kind)
-		}
-		return DialShm(addr), nil
+		return DialUnix(addr), nil
 	case KindAuto:
 		return Open(ResolveAuto(addr), addr)
 	default:
@@ -360,19 +321,15 @@ func (r Router) Close() error {
 var (
 	_ WriterHandle = (*Writer)(nil)
 	_ WriterHandle = (*RemoteWriter)(nil)
-	_ WriterHandle = (*ShmWriter)(nil)
 	_ ReaderHandle = (*Reader)(nil)
 	_ ReaderHandle = (*RemoteReader)(nil)
 	_ ReaderHandle = (*ReplayReader)(nil)
-	_ ReaderHandle = (*ShmReader)(nil)
 	_ Transport    = InProc{}
-	_ Transport    = Remote{}
-	_ Transport    = (*ShmTransport)(nil)
+	_ Transport    = (*Client)(nil)
 	_ Transport    = Router{}
 
 	_ ReplayTransport = InProc{}
-	_ ReplayTransport = Remote{}
-	_ ReplayTransport = (*ShmTransport)(nil)
+	_ ReplayTransport = (*Client)(nil)
 	_ ReplayTransport = Router{}
 
 	_ GroupResizer = InProc{}

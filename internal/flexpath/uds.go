@@ -9,17 +9,12 @@ import (
 )
 
 // Unix-domain-socket backend: the TCP broker protocol verbatim — same
-// CRC frame codec, same opcode set, same Server loop — carried over
-// AF_UNIX instead of loopback TCP. Two things change for the
-// local-host case. First, the kernel path is cheaper (no pseudo-header
-// checksums, no loopback queueing discipline). Second, the client
-// enables step-batched frame coalescing: each published step leaves
-// the process as one writev of frame header + meta + payload from
-// their original storage, instead of being staged into a contiguous
-// frame buffer first — on a local socket that staging copy is a
-// dominant cost. Server-side, block fetch responses are gathered the
-// same way (see serveReader), so neither direction of the hot path
-// copies payload bytes into connection scratch.
+// CRC frame codec, same opcode set, same Server loop, same Client —
+// carried over AF_UNIX instead of loopback TCP, whose kernel path is
+// cheaper (no pseudo-header checksums, no loopback queueing
+// discipline). A Unix socket is also the doorbell of the shared-memory
+// broker (NewShmServer, shm.go): the same client dials both, and the
+// broker decides whether payloads ride the socket or its segment.
 
 // NewUnixServer starts a broker server on a Unix-domain socket at
 // path. A stale socket file left by a dead broker is replaced; a live
@@ -73,11 +68,9 @@ func listenUnix(path string) (*net.UnixListener, *os.File, error) {
 	return ln, lock, nil
 }
 
-// DialUnix prepares a client for a broker socket path, with
-// step-batched frame coalescing enabled. No connection is made until a
-// handle attaches.
+// DialUnix prepares a client for a broker socket path, served by
+// NewUnixServer or NewShmServer. No connection or mapping is made until
+// a handle attaches.
 func DialUnix(path string) *Client {
-	c := dial("unix", path)
-	c.coalesce = true
-	return c
+	return dial("unix", path)
 }

@@ -46,7 +46,7 @@ var ErrRescale = errors.New("sb: stage rescale requested")
 
 // Transport is the stream fabric a component attaches to: the two
 // attach methods of flexpath.Transport, whose handles the adios layer
-// aliases. Every flexpath backend (InProc, Remote, ShmTransport, Router,
+// aliases. Every flexpath backend (InProc, the socket *Client, Router,
 // LogSource) satisfies it as it is.
 type Transport interface {
 	// AttachWriter joins the writer group of a stream as rank of size,

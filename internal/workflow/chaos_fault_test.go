@@ -167,7 +167,7 @@ func TestChaosLaunchOrderPermutationsOverTCP(t *testing.T) {
 				spec.Stages = append(spec.Stages, base.Stages[idx])
 			}
 
-			tr := fault.New(flexpath.Remote{C: client}, fault.Plan{
+			tr := fault.New(client, fault.Plan{
 				Seed:    int64(100 + pi),
 				ErrRate: 0.4,
 				Ops:     map[fault.Op]bool{fault.OpAttachWriter: true, fault.OpAttachReader: true},

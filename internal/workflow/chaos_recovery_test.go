@@ -105,7 +105,7 @@ func TestChaosBrokerCrashRecovery(t *testing.T) {
 	}
 	done := make(chan runOut, 1)
 	go func() {
-		res, err := Run(ctx, flexpath.Remote{C: client}, spec, Options{
+		res, err := Run(ctx, client, spec, Options{
 			Restart: RestartPolicy{MaxRestarts: 50, Backoff: time.Millisecond, StepTimeout: 10 * time.Second},
 		})
 		done <- runOut{res, err}

@@ -103,7 +103,7 @@ func TestBrokerDeathMidWorkflowSurfacesError(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := Run(context.Background(), flexpath.Remote{C: client}, spec, Options{})
+		_, err := Run(context.Background(), client, spec, Options{})
 		done <- err
 	}()
 	time.Sleep(100 * time.Millisecond) // let the pipeline start flowing

@@ -304,7 +304,7 @@ func TestWorkflowOverTCPTransport(t *testing.T) {
 	h := hist.(*components.Histogram)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if _, err := Run(ctx, flexpath.Remote{C: client}, lammpsWorkflowSpec(h), Options{}); err != nil {
+	if _, err := Run(ctx, client, lammpsWorkflowSpec(h), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	results := h.Results()
