@@ -458,7 +458,8 @@ func (c *Client) segment() (*shmSegment, error) {
 
 // claim copies payload into this rank's ring slot for step and stores
 // the slot's new control word, returning the reference the publish
-// carries. The caller holds w.mu and has w.fbuf in use.
+// carries. The caller holds w.mu and is staging the publish in w.fbuf,
+// so a wait request is framed in a buffer of its own.
 func (w *RemoteWriter) claim(ctx context.Context, step int, payload []byte) (slotRef, error) {
 	slot := w.ring.slot(step)
 	ctrl := w.seg.ctrl(slot)
