@@ -98,7 +98,7 @@ cover:
 		awk -v p="$$pct" -v f="$$floor" 'BEGIN{exit !(p+0 >= f+0)}' || { echo "cover: ./$$pkg fell below its $$floor% floor"; exit 1; }; \
 	done
 	@set -e; \
-	for pkg in ./internal/adios ./internal/controlplane ./internal/flexpath ./internal/launch ./internal/replay ./internal/streamlog; do \
+	for pkg in ./internal/adios ./internal/controlplane ./internal/flexpath ./internal/launch ./internal/ndarray ./internal/replay ./internal/streamlog; do \
 		for target in $$($(GO) test $$pkg -list '^Fuzz' -run '^$$' | grep '^Fuzz'); do \
 			echo "cover: fuzz smoke $$pkg $$target ($(FUZZTIME))"; \
 			$(GO) test $$pkg -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) >/dev/null; \

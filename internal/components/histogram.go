@@ -124,9 +124,21 @@ func (h *Histogram) Run(env *sb.Env) error {
 	}, h)
 }
 
+// globalExtremes reduces every rank's extremes in one collective:
+// max(x) = -min(-x), negation is exact, and Min and Max pick their
+// second operand alike when a comparison fails on NaN, so the result is
+// bit for bit that of a Min and a Max Allreduce.
+func globalExtremes(comm *mpi.Comm, localMin, localMax float64) (lo, hi float64, err error) {
+	ext, err := mpi.AllreduceFloat64s(comm, []float64{localMin, -localMax}, mpi.Min[float64])
+	if err != nil {
+		return 0, 0, err
+	}
+	return ext[0], -ext[1], nil
+}
+
 // ComputeHistogram performs the distributed histogram kernel over each
-// rank's local values: Allreduce min/max, local binning, Allreduce of the
-// counts. Every rank returns the identical global result.
+// rank's local values: one Allreduce of min and negated max, local
+// binning, Allreduce of the counts. Every rank returns the identical global result.
 func ComputeHistogram(comm *mpi.Comm, local []float64, bins int) (StepHistogram, error) {
 	if bins <= 0 {
 		return StepHistogram{}, fmt.Errorf("histogram: bins must be positive, got %d", bins)
@@ -170,11 +182,7 @@ func ComputeHistogram(comm *mpi.Comm, local []float64, bins int) (StepHistogram,
 			}
 		}
 	}
-	globalMin, err := mpi.Allreduce(comm, localMin, mpi.Min[float64])
-	if err != nil {
-		return StepHistogram{}, err
-	}
-	globalMax, err := mpi.Allreduce(comm, localMax, mpi.Max[float64])
+	globalMin, globalMax, err := globalExtremes(comm, localMin, localMax)
 	if err != nil {
 		return StepHistogram{}, err
 	}

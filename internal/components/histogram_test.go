@@ -271,3 +271,44 @@ func TestHistogramBinBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The folded extremes collective must agree bit for bit with the two
+// Allreduce calls it replaced — a Min over the local minima and a Max
+// over the local maxima — for empty ranks (+Inf/-Inf), infinities,
+// signed zeros and NaN in any rank position.
+func TestGlobalExtremesMatchTwoCalls(t *testing.T) {
+	pool := []float64{math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1), 0, 1.5, -2}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		size := 1 + trial%4
+		mins, maxs := make([]float64, size), make([]float64, size)
+		for r := range mins {
+			if rng.Intn(4) == 0 { // an empty rank's scan result
+				mins[r], maxs[r] = math.Inf(1), math.Inf(-1)
+				continue
+			}
+			mins[r], maxs[r] = pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]
+		}
+		err := mpi.Run(size, func(c *mpi.Comm) error {
+			lo, hi, err := globalExtremes(c, mins[c.Rank()], maxs[c.Rank()])
+			if err != nil {
+				return err
+			}
+			wantLo, err := mpi.Allreduce(c, mins[c.Rank()], mpi.Min[float64])
+			if err != nil {
+				return err
+			}
+			wantHi, err := mpi.Allreduce(c, maxs[c.Rank()], mpi.Max[float64])
+			if err != nil {
+				return err
+			}
+			if math.Float64bits(lo) != math.Float64bits(wantLo) || math.Float64bits(hi) != math.Float64bits(wantHi) {
+				t.Errorf("ranks %v/%v: folded extremes (%v, %v), two calls (%v, %v)", mins, maxs, lo, hi, wantLo, wantHi)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}

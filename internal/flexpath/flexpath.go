@@ -295,10 +295,14 @@ func (b *Broker) getStream(name string) *stream {
 }
 
 // wait blocks on the broker condition until pred holds or ctx is done.
-// The caller must hold b.mu; wait returns holding it.
+// The caller must hold b.mu; wait returns holding it. A predicate that
+// already holds returns at once, without registering a wake-up on ctx.
 func (b *Broker) wait(ctx context.Context, pred func() bool) error {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	if pred() {
+		return ctx.Err()
 	}
 	if ctx.Done() != nil {
 		stop := context.AfterFunc(ctx, func() {

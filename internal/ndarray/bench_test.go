@@ -100,3 +100,58 @@ func BenchmarkPartitionAlong(b *testing.B) {
 		PartitionAlong(shape, 0, 64, i%64)
 	}
 }
+
+// BenchmarkWorkloadShapes times the data-movement kernels at the shapes
+// the benchmark workloads move each step, serially, in bytes moved.
+func BenchmarkWorkloadShapes(b *testing.B) {
+	filled := func(dims ...Dim) *Array {
+		a := New(dims...)
+		for i := range a.Data() {
+			a.Data()[i] = float64(i)
+		}
+		return a
+	}
+	gtcp := filled(Dim{"slices", 32}, Dim{"points", 4096}, Dim{"q", 7})
+	picked := filled(Dim{"slices", 32}, Dim{"points", 4096}, Dim{"q", 3})
+	flat := filled(Dim{"slices", 32}, Dim{"points", 12288})
+	atoms := filled(Dim{"atoms", 262144}, Dim{"xyz", 3})
+	half := New(Dim{"atoms", 131072}, Dim{"xyz", 3})
+	lammps := filled(Dim{"particles", 32768}, Dim{"props", 5})
+	out := make([]float64, picked.Size())
+	lmpOut := make([]float64, 32768*3)
+	for _, c := range []struct {
+		name  string
+		bytes int
+		fn    func() error
+	}{
+		{"gtcp_select", picked.Size(), func() error {
+			_, err := gtcp.SelectIndicesInto(out, 2, []int{3, 4, 5})
+			return err
+		}},
+		{"gtcp_dimreduce1", picked.Size(), func() error {
+			_, err := picked.DimReduceWith(nil, out, 2, 1)
+			return err
+		}},
+		{"gtcp_dimreduce2", flat.Size(), func() error {
+			_, err := flat.DimReduceWith(nil, out, 0, 1)
+			return err
+		}},
+		{"atoms_assemble", half.Size(), func() error {
+			return CopyRegion(half, []int{0, 0}, atoms, []int{65536, 0}, []int{131072, 3})
+		}},
+		{"lammps_select", len(lmpOut), func() error {
+			_, err := lammps.SelectIndicesInto(lmpOut, 1, []int{2, 3, 4})
+			return err
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(c.bytes * 8))
+			for i := 0; i < b.N; i++ {
+				if err := c.fn(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

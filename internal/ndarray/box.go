@@ -55,16 +55,25 @@ func (b Box) Clone() Box {
 
 // ValidIn reports an error unless the box lies entirely within shape.
 func (b Box) ValidIn(shape []int) error {
-	if len(b.Offsets) != len(shape) {
-		return fmt.Errorf("ndarray: box rank %d does not match shape rank %d", len(b.Offsets), len(shape))
+	return b.check(len(shape), func(i int) int { return shape[i] })
+}
+
+// validIn is ValidIn against an array's dimensions.
+func (b Box) validIn(dims []Dim) error {
+	return b.check(len(dims), func(i int) int { return dims[i].Size })
+}
+
+func (b Box) check(rank int, extent func(int) int) error {
+	if len(b.Offsets) != rank {
+		return fmt.Errorf("ndarray: box rank %d does not match shape rank %d", len(b.Offsets), rank)
 	}
-	for i := range shape {
+	for i := 0; i < rank; i++ {
 		if b.Offsets[i] < 0 || b.Counts[i] < 0 {
 			return fmt.Errorf("ndarray: box has negative offset/count in dimension %d", i)
 		}
-		if b.Offsets[i]+b.Counts[i] > shape[i] {
+		if b.Offsets[i]+b.Counts[i] > extent(i) {
 			return fmt.Errorf("ndarray: box [%d,%d) exceeds extent %d in dimension %d",
-				b.Offsets[i], b.Offsets[i]+b.Counts[i], shape[i], i)
+				b.Offsets[i], b.Offsets[i]+b.Counts[i], extent(i), i)
 		}
 	}
 	return nil
@@ -130,8 +139,7 @@ func (b Box) String() string {
 // CopyBox extracts the sub-array covered by box from a. The result is a
 // fresh array whose dimensions keep a's labels with the box's counts.
 func (a *Array) CopyBox(b Box) (*Array, error) {
-	shape := a.Shape()
-	if err := b.ValidIn(shape); err != nil {
+	if err := b.validIn(a.dims); err != nil {
 		return nil, err
 	}
 	dims := make([]Dim, len(a.dims))
@@ -139,15 +147,16 @@ func (a *Array) CopyBox(b Box) (*Array, error) {
 		dims[i] = Dim{Name: d.Name, Size: b.Counts[i]}
 	}
 	out := New(dims...)
-	copyBoxed(out.data, a.data, shape, b, true)
+	if err := CopyRegion(out, make([]int, len(dims)), a, b.Offsets, b.Counts); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
 // PasteBox writes src (whose shape must equal the box counts) into the
 // region of a covered by the box.
 func (a *Array) PasteBox(b Box, src *Array) error {
-	shape := a.Shape()
-	if err := b.ValidIn(shape); err != nil {
+	if err := b.validIn(a.dims); err != nil {
 		return err
 	}
 	for i, c := range b.Counts {
@@ -156,55 +165,7 @@ func (a *Array) PasteBox(b Box, src *Array) error {
 				src.dims[i].Size, c, i)
 		}
 	}
-	copyBoxed(src.data, a.data, shape, b, false)
-	return nil
-}
-
-// copyBoxed moves elements between the flat buffer of a full array with
-// the given shape and the flat row-major buffer of the box region.
-// extract=true copies array→boxBuf; false copies boxBuf→array. The
-// innermost dimension is moved with copy for throughput.
-func copyBoxed(boxBuf, arr []float64, shape []int, b Box, extract bool) {
-	n := len(shape)
-	if n == 0 {
-		if extract {
-			boxBuf[0] = arr[0]
-		} else {
-			arr[0] = boxBuf[0]
-		}
-		return
-	}
-	if b.Volume() == 0 {
-		return
-	}
-	strides := StridesOf(shape)
-	// Iterate over all outer dimensions; copy contiguous runs of the last.
-	outer := 1
-	for i := 0; i < n-1; i++ {
-		outer *= b.Counts[i]
-	}
-	last := b.Counts[n-1]
-	idx := make([]int, n-1)
-	boxPos := 0
-	for o := 0; o < outer; o++ {
-		arrPos := b.Offsets[n-1] * strides[n-1]
-		for i := 0; i < n-1; i++ {
-			arrPos += (b.Offsets[i] + idx[i]) * strides[i]
-		}
-		if extract {
-			copy(boxBuf[boxPos:boxPos+last], arr[arrPos:arrPos+last])
-		} else {
-			copy(arr[arrPos:arrPos+last], boxBuf[boxPos:boxPos+last])
-		}
-		boxPos += last
-		for i := n - 2; i >= 0; i-- {
-			idx[i]++
-			if idx[i] < b.Counts[i] {
-				break
-			}
-			idx[i] = 0
-		}
-	}
+	return CopyRegion(a, b.Offsets, src, make([]int, len(b.Counts)), b.Counts)
 }
 
 // Partition1D splits the half-open range [0,total) into nparts contiguous

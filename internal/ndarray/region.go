@@ -9,50 +9,38 @@ import (
 // may have different shapes; only the region extents must fit both. This
 // is the kernel of the MxN exchange: a reader assembling its bounding box
 // from several writers' blocks copies each intersection with one call.
+// Trailing axes the region spans whole in both arrays fold into one run,
+// so a block of whole rows is a single copy.
 func CopyRegion(dst *Array, dstOff []int, src *Array, srcOff []int, counts []int) error {
 	n := dst.NDim()
 	if src.NDim() != n || len(dstOff) != n || len(srcOff) != n || len(counts) != n {
 		return fmt.Errorf("ndarray: CopyRegion rank mismatch (dst %d, src %d, offsets %d/%d, counts %d)",
 			n, src.NDim(), len(dstOff), len(srcOff), len(counts))
 	}
-	dstBox := Box{Offsets: dstOff, Counts: counts}
-	if err := dstBox.ValidIn(dst.Shape()); err != nil {
+	if err := (Box{Offsets: dstOff, Counts: counts}).validIn(dst.dims); err != nil {
 		return fmt.Errorf("ndarray: CopyRegion destination: %w", err)
 	}
-	srcBox := Box{Offsets: srcOff, Counts: counts}
-	if err := srcBox.ValidIn(src.Shape()); err != nil {
+	if err := (Box{Offsets: srcOff, Counts: counts}).validIn(src.dims); err != nil {
 		return fmt.Errorf("ndarray: CopyRegion source: %w", err)
 	}
 	if Volume(counts) == 0 {
 		return nil
 	}
-	if n == 0 {
-		dst.data[0] = src.data[0]
-		return nil
+	dOff, sOff, dStride, sStride := 0, 0, 1, 1
+	for i := n - 1; i >= 0; i-- {
+		dOff += dstOff[i] * dStride
+		sOff += srcOff[i] * sStride
+		dStride *= dst.dims[i].Size
+		sStride *= src.dims[i].Size
 	}
-	dstStrides := dst.Strides()
-	srcStrides := src.Strides()
-	outer := 1
-	for i := 0; i < n-1; i++ {
-		outer *= counts[i]
+	var buf [3 * walkRank]int
+	w := newWalk(buf[:], n, dOff, sOff)
+	dStride, sStride = 1, 1
+	for i := n - 1; i >= 0; i-- {
+		w.add(counts[i], dStride, sStride)
+		dStride *= dst.dims[i].Size
+		sStride *= src.dims[i].Size
 	}
-	last := counts[n-1]
-	idx := make([]int, n-1)
-	for o := 0; o < outer; o++ {
-		dPos := dstOff[n-1] * dstStrides[n-1]
-		sPos := srcOff[n-1] * srcStrides[n-1]
-		for i := 0; i < n-1; i++ {
-			dPos += (dstOff[i] + idx[i]) * dstStrides[i]
-			sPos += (srcOff[i] + idx[i]) * srcStrides[i]
-		}
-		copy(dst.data[dPos:dPos+last], src.data[sPos:sPos+last])
-		for i := n - 2; i >= 0; i-- {
-			idx[i]++
-			if idx[i] < counts[i] {
-				break
-			}
-			idx[i] = 0
-		}
-	}
+	w.exec(nil, dst.data, src.data)
 	return nil
 }

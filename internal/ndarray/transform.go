@@ -20,32 +20,52 @@ func (a *Array) Transpose(perm ...int) (*Array, error) {
 	return a.TransposeWith(nil, nil, perm...)
 }
 
-// newInto is New backed by dst when dst is non-nil, so a caller can
-// supply reused output storage; dst must then hold exactly the volume of
-// dims. Every element is overwritten by the caller.
+// newInto builds an array of dims backed by dst when dst is non-nil, so
+// a caller can supply reused output storage; dst must then hold exactly
+// the volume of dims. The array takes ownership of dims. Every element
+// is overwritten by the caller.
 func newInto(dst []float64, dims []Dim) (*Array, error) {
-	if dst == nil {
-		return New(dims...), nil
+	n := 1
+	for _, d := range dims {
+		n *= d.Size
 	}
-	return FromData(dst, dims...)
+	if dst == nil {
+		dst = make([]float64, n)
+	} else if len(dst) != n {
+		return nil, fmt.Errorf("ndarray: data length %d does not match shape volume %d", len(dst), n)
+	}
+	return &Array{dims: dims, data: dst}, nil
 }
 
-// TransposeWith is Transpose with the output walk sharded by run (nil =
+// TransposeWith is Transpose with the copy sharded by run (nil =
 // serial) and written into dst (nil = fresh storage; otherwise exactly
-// the array's size). Each shard walks its own [lo,hi) slice of the
-// output's row-major order, seeding the source offset from lo, so the
-// result is identical to the serial walk.
+// the array's size). Source axes that stay adjacent and in order under
+// perm move together: an order-preserving perm is one copy, trailing
+// axes left in place move as runs, and a swap of two (folded) axes moves
+// in cache-sized tiles. Shards split the output's row-major order, so
+// the result is identical to the serial walk.
 func (a *Array) TransposeWith(run ShardRunner, dst []float64, perm ...int) (*Array, error) {
 	n := len(a.dims)
 	if len(perm) != n {
 		return nil, fmt.Errorf("ndarray: transpose permutation has %d entries for %d-d array", len(perm), n)
 	}
-	seen := make([]bool, n)
+	var buf [4 * walkRank]int
+	// srcStrides first marks the axes perm names, then holds the
+	// source's row-major strides.
+	srcStrides := buf[3*walkRank:]
+	if n > walkRank {
+		srcStrides = make([]int, n)
+	}
 	for _, p := range perm {
-		if p < 0 || p >= n || seen[p] {
+		if p < 0 || p >= n || srcStrides[p] != 0 {
 			return nil, fmt.Errorf("ndarray: invalid transpose permutation %v", perm)
 		}
-		seen[p] = true
+		srcStrides[p] = 1
+	}
+	stride := 1
+	for i := n - 1; i >= 0; i-- {
+		srcStrides[i] = stride
+		stride *= a.dims[i].Size
 	}
 	dims := make([]Dim, n)
 	for i, p := range perm {
@@ -55,39 +75,16 @@ func (a *Array) TransposeWith(run ShardRunner, dst []float64, perm ...int) (*Arr
 	if err != nil {
 		return nil, err
 	}
-	if len(a.data) == 0 {
+	if len(out.data) == 0 {
 		return out, nil
 	}
-	srcStrides := a.Strides()
-	outShape := out.Shape()
-	outStrides := StridesOf(outShape)
-	// Walk a range of the output in row-major order, computing the
-	// matching source linear offset incrementally.
-	fill := func(lo, hi int) {
-		idx := make([]int, n)
-		srcPos := 0
-		for i := 0; i < n; i++ {
-			idx[i] = (lo / outStrides[i]) % outShape[i]
-			srcPos += idx[i] * srcStrides[perm[i]]
-		}
-		for dst := lo; dst < hi; dst++ {
-			out.data[dst] = a.data[srcPos]
-			for i := n - 1; i >= 0; i-- {
-				idx[i]++
-				srcPos += srcStrides[perm[i]]
-				if idx[i] < outShape[i] {
-					break
-				}
-				srcPos -= idx[i] * srcStrides[perm[i]]
-				idx[i] = 0
-			}
-		}
+	w := newWalk(buf[:3*walkRank], n, 0, 0)
+	stride = 1
+	for i := n - 1; i >= 0; i-- {
+		w.add(dims[i].Size, stride, srcStrides[perm[i]])
+		stride *= dims[i].Size
 	}
-	if run == nil {
-		fill(0, len(out.data))
-	} else {
-		run(len(out.data), fill)
-	}
+	w.exec(run, out.data, a.data)
 	return out, nil
 }
 
@@ -165,7 +162,9 @@ func (a *Array) SelectIndices(axis int, indices []int) (*Array, error) {
 }
 
 // SelectIndicesInto is SelectIndices writing into dst (nil = fresh
-// storage; otherwise exactly the result's size).
+// storage; otherwise exactly the result's size). Consecutive ascending
+// indices move as one run of values; when all of them are, the selection
+// is one strided copy.
 func (a *Array) SelectIndicesInto(dst []float64, axis int, indices []int) (*Array, error) {
 	n := len(a.dims)
 	if axis < 0 || axis >= n {
@@ -194,13 +193,30 @@ func (a *Array) SelectIndicesInto(dst []float64, axis int, indices []int) (*Arra
 	for i := axis + 1; i < n; i++ {
 		inner *= a.dims[i].Size
 	}
-	srcAxis := a.dims[axis].Size
+	srcAxis, m := a.dims[axis].Size, len(indices)
+	consecutive := true
+	for k := 1; k < m; k++ {
+		consecutive = consecutive && indices[k] == indices[0]+k
+	}
+	if consecutive {
+		// One run of m*inner values per outer index: a strided copy.
+		var buf [6]int
+		w := newWalk(buf[:], 2, 0, indices[0]*inner)
+		w.add(m*inner, 1, 1)
+		w.add(outer, m*inner, srcAxis*inner)
+		w.exec(nil, out.data, a.data)
+		return out, nil
+	}
 	for o := 0; o < outer; o++ {
-		srcBase := o * srcAxis * inner
-		dstBase := o * len(indices) * inner
-		for k, ix := range indices {
-			copy(out.data[dstBase+k*inner:dstBase+(k+1)*inner],
-				a.data[srcBase+ix*inner:srcBase+(ix+1)*inner])
+		srcBase, dstBase := o*srcAxis*inner, o*m*inner
+		for k := 0; k < m; {
+			// Consecutive ascending indices move as one run.
+			r := 1
+			for k+r < m && indices[k+r] == indices[k]+r {
+				r++
+			}
+			moveRuns(out.data, a.data, dstBase+k*inner, srcBase+indices[k]*inner, 0, 0, 1, r*inner)
+			k += r
 		}
 	}
 	return out, nil
