@@ -138,7 +138,8 @@ func globalExtremes(comm *mpi.Comm, localMin, localMax float64) (lo, hi float64,
 
 // ComputeHistogram performs the distributed histogram kernel over each
 // rank's local values: one Allreduce of min and negated max, local
-// binning, Allreduce of the counts. Every rank returns the identical global result.
+// binning, Allreduce of the counts. Every rank returns the identical
+// global result.
 func ComputeHistogram(comm *mpi.Comm, local []float64, bins int) (StepHistogram, error) {
 	if bins <= 0 {
 		return StepHistogram{}, fmt.Errorf("histogram: bins must be positive, got %d", bins)

@@ -244,7 +244,7 @@ func dimsWithCounts(dims []Dim, counts []int) []Dim {
 }
 
 // Property: CopyBox then PasteBox into a zero array and re-CopyBox yields
-// the same sub-array (round trip through both directions of copyBoxed).
+// the same sub-array (a round trip through the walker in both directions).
 func TestQuickBoxRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

@@ -26,17 +26,12 @@ func CopyRegion(dst *Array, dstOff []int, src *Array, srcOff []int, counts []int
 	if Volume(counts) == 0 {
 		return nil
 	}
-	dOff, sOff, dStride, sStride := 0, 0, 1, 1
-	for i := n - 1; i >= 0; i-- {
-		dOff += dstOff[i] * dStride
-		sOff += srcOff[i] * sStride
-		dStride *= dst.dims[i].Size
-		sStride *= src.dims[i].Size
-	}
 	var buf [3 * walkRank]int
-	w := newWalk(buf[:], n, dOff, sOff)
-	dStride, sStride = 1, 1
+	w := newWalk(buf[:], n)
+	dStride, sStride := 1, 1
 	for i := n - 1; i >= 0; i-- {
+		w.dOff += dstOff[i] * dStride
+		w.sOff += srcOff[i] * sStride
 		w.add(counts[i], dStride, sStride)
 		dStride *= dst.dims[i].Size
 		sStride *= src.dims[i].Size

@@ -78,7 +78,7 @@ func (a *Array) TransposeWith(run ShardRunner, dst []float64, perm ...int) (*Arr
 	if len(out.data) == 0 {
 		return out, nil
 	}
-	w := newWalk(buf[:3*walkRank], n, 0, 0)
+	w := newWalk(buf[:3*walkRank], n)
 	stride = 1
 	for i := n - 1; i >= 0; i-- {
 		w.add(dims[i].Size, stride, srcStrides[perm[i]])
@@ -101,7 +101,10 @@ func (a *Array) DimReduce(remove, grow int) (*Array, error) {
 
 // DimReduceWith is DimReduce with the underlying transpose sharded by
 // run (nil = serial) and written into dst (nil = fresh storage;
-// otherwise exactly the array's size).
+// otherwise exactly the array's size). When the removed axis already
+// follows the grow axis the permutation keeps every axis in order, so
+// the transpose folds to that one (sharded) copy; otherwise it moves
+// the runs the permutation leaves contiguous, as TransposeWith does.
 func (a *Array) DimReduceWith(run ShardRunner, dst []float64, remove, grow int) (*Array, error) {
 	n := len(a.dims)
 	if n < 2 {
@@ -164,7 +167,8 @@ func (a *Array) SelectIndices(axis int, indices []int) (*Array, error) {
 // SelectIndicesInto is SelectIndices writing into dst (nil = fresh
 // storage; otherwise exactly the result's size). Consecutive ascending
 // indices move as one run of values; when all of them are, the selection
-// is one strided copy.
+// is one strided copy. Otherwise the runs are gathered outer index by
+// outer index, so the source is read once.
 func (a *Array) SelectIndicesInto(dst []float64, axis int, indices []int) (*Array, error) {
 	n := len(a.dims)
 	if axis < 0 || axis >= n {
@@ -201,7 +205,8 @@ func (a *Array) SelectIndicesInto(dst []float64, axis int, indices []int) (*Arra
 	if consecutive {
 		// One run of m*inner values per outer index: a strided copy.
 		var buf [6]int
-		w := newWalk(buf[:], 2, 0, indices[0]*inner)
+		w := newWalk(buf[:], 2)
+		w.sOff = indices[0] * inner
 		w.add(m*inner, 1, 1)
 		w.add(outer, m*inner, srcAxis*inner)
 		w.exec(nil, out.data, a.data)

@@ -33,15 +33,15 @@ type walk struct {
 	run             int   // contiguous values moved per step
 }
 
-// newWalk returns an empty walk for a copy of up to rank axes, planning
-// in buf (3*rank ints) when it is large enough. The returned walk refers
-// to buf, so a caller's stack buffer keeps the plan off the heap.
-func newWalk(buf []int, rank, dOff, sOff int) walk {
+// newWalk returns an empty walk from offset 0 to offset 0 for a copy of
+// up to rank axes, planning in buf (3*rank ints) when it is large
+// enough. The returned walk refers to buf, so a caller's stack buffer
+// keeps the plan off the heap.
+func newWalk(buf []int, rank int) walk {
 	if 3*rank > len(buf) {
 		buf = make([]int, 3*rank)
 	}
-	return walk{count: buf[:rank], dst: buf[rank : 2*rank], src: buf[2*rank : 3*rank],
-		dOff: dOff, sOff: sOff, run: 1}
+	return walk{count: buf[:rank], dst: buf[rank : 2*rank], src: buf[2*rank : 3*rank], run: 1}
 }
 
 // add appends the next axis outward: c indices apart by d in the
@@ -64,9 +64,9 @@ func (w *walk) add(c, d, s int) {
 func (w *walk) tiled() bool { return w.k == 2 && w.src[1] < w.src[0] }
 
 // exec performs the copy, sharded by run (nil = serial). Shards split the
-// destination's row-major order; each unit of work (a run, a tile row,
-// or for a single run its values) belongs to the shard holding its first
-// value, so the result is the serial one.
+// destination's row-major order; each unit of work (a run, a destination
+// row of a two-axis swap, or for a single run its values) belongs to the
+// shard holding its first value, so the result is the serial one.
 func (w *walk) exec(run ShardRunner, dst, src []float64) {
 	units, grain := 1, w.run
 	for _, c := range w.count[:w.k] {
@@ -91,9 +91,8 @@ func (w *walk) exec(run ShardRunner, dst, src []float64) {
 // clone copies the plan to the heap for sharded execution, leaving the
 // serial path's stack buffer unescaped.
 func (w *walk) clone() *walk {
-	buf := make([]int, 3*w.k)
-	c := newWalk(buf, w.k, w.dOff, w.sOff)
-	c.k, c.run = w.k, w.run
+	c := newWalk(nil, w.k)
+	c.k, c.dOff, c.sOff, c.run = w.k, w.dOff, w.sOff, w.run
 	copy(c.count, w.count)
 	copy(c.dst, w.dst)
 	copy(c.src, w.src)
@@ -101,8 +100,8 @@ func (w *walk) clone() *walk {
 }
 
 // span moves units [lo,hi) of the walk: values of the single run when
-// there are no outer axes, rows of tiles for a two-axis swap, runs
-// otherwise.
+// there are no outer axes, destination rows for a two-axis swap (moved
+// tile by tile), runs otherwise.
 func (w *walk) span(dst, src []float64, lo, hi int) {
 	if lo >= hi {
 		return

@@ -2,6 +2,7 @@ package ndarray
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -134,6 +135,24 @@ func chunkRunner(chunk int) ShardRunner {
 	}
 }
 
+// goRunner runs each of up to shards pieces of [0,n) on its own
+// goroutine and waits, so the race detector sees shards whose writes
+// overlap.
+func goRunner(shards int) ShardRunner {
+	return func(n int, fn func(lo, hi int)) {
+		var wg sync.WaitGroup
+		chunk := (n + shards - 1) / shards
+		for lo := 0; lo < n; lo += chunk {
+			wg.Add(1)
+			go func(lo int) {
+				defer wg.Done()
+				fn(lo, min(lo+chunk, n))
+			}(lo)
+		}
+		wg.Wait()
+	}
+}
+
 func TestWalkTransposeMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 2000; trial++ {
@@ -141,7 +160,7 @@ func TestWalkTransposeMatchesOracle(t *testing.T) {
 		kind := trial % permKinds
 		perm := drawPerm(r, a.NDim(), kind)
 		want := naiveTranspose(a, perm)
-		for _, run := range []ShardRunner{nil, chunkRunner(1), chunkRunner(1 + r.Intn(7))} {
+		for _, run := range []ShardRunner{nil, chunkRunner(1), chunkRunner(1 + r.Intn(7)), goRunner(3)} {
 			got, err := a.TransposeWith(run, make([]float64, a.Size()), perm...)
 			if err != nil {
 				t.Fatal(err)
@@ -171,7 +190,7 @@ func TestWalkTransposeTiledSwap(t *testing.T) {
 			perm = []int{0, 2, 1, 3}
 		}
 		want := naiveTranspose(a, perm)
-		for _, run := range []ShardRunner{nil, chunkRunner(97)} {
+		for _, run := range []ShardRunner{nil, chunkRunner(97), goRunner(4)} {
 			got, err := a.TransposeWith(run, nil, perm...)
 			if err != nil {
 				t.Fatal(err)
