@@ -104,19 +104,19 @@ func BenchmarkPartitionAlong(b *testing.B) {
 // BenchmarkWorkloadShapes times the data-movement kernels at the shapes
 // the benchmark workloads move each step, serially, in bytes moved.
 func BenchmarkWorkloadShapes(b *testing.B) {
-	filled := func(dims ...Dim) *Array {
+	ramp := func(dims ...Dim) *Array {
 		a := New(dims...)
 		for i := range a.Data() {
 			a.Data()[i] = float64(i)
 		}
 		return a
 	}
-	gtcp := filled(Dim{"slices", 32}, Dim{"points", 4096}, Dim{"q", 7})
-	picked := filled(Dim{"slices", 32}, Dim{"points", 4096}, Dim{"q", 3})
-	flat := filled(Dim{"slices", 32}, Dim{"points", 12288})
-	atoms := filled(Dim{"atoms", 262144}, Dim{"xyz", 3})
+	gtcp := ramp(Dim{"slices", 32}, Dim{"points", 4096}, Dim{"q", 7})
+	picked := ramp(Dim{"slices", 32}, Dim{"points", 4096}, Dim{"q", 3})
+	flat := ramp(Dim{"slices", 32}, Dim{"points", 12288})
+	atoms := ramp(Dim{"atoms", 262144}, Dim{"xyz", 3})
 	half := New(Dim{"atoms", 131072}, Dim{"xyz", 3})
-	lammps := filled(Dim{"particles", 32768}, Dim{"props", 5})
+	lammps := ramp(Dim{"particles", 32768}, Dim{"props", 5})
 	out := make([]float64, picked.Size())
 	lmpOut := make([]float64, 32768*3)
 	for _, c := range []struct {

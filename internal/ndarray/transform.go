@@ -199,8 +199,8 @@ func (a *Array) SelectIndicesInto(dst []float64, axis int, indices []int) (*Arra
 	}
 	srcAxis, m := a.dims[axis].Size, len(indices)
 	consecutive := true
-	for k := 1; k < m; k++ {
-		consecutive = consecutive && indices[k] == indices[0]+k
+	for k := 1; k < m && consecutive; k++ {
+		consecutive = indices[k] == indices[0]+k
 	}
 	if consecutive {
 		// One run of m*inner values per outer index: a strided copy.
