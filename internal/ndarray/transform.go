@@ -165,10 +165,9 @@ func (a *Array) SelectIndices(axis int, indices []int) (*Array, error) {
 }
 
 // SelectIndicesInto is SelectIndices writing into dst (nil = fresh
-// storage; otherwise exactly the result's size). Consecutive ascending
-// indices move as one run of values; when all of them are, the selection
-// is one strided copy. Otherwise the runs are gathered outer index by
-// outer index, so the source is read once.
+// storage; otherwise exactly the result's size). Each group of
+// consecutive ascending indices is one strided copy, moving a run of
+// values per outer index.
 func (a *Array) SelectIndicesInto(dst []float64, axis int, indices []int) (*Array, error) {
 	n := len(a.dims)
 	if axis < 0 || axis >= n {
@@ -198,31 +197,18 @@ func (a *Array) SelectIndicesInto(dst []float64, axis int, indices []int) (*Arra
 		inner *= a.dims[i].Size
 	}
 	srcAxis, m := a.dims[axis].Size, len(indices)
-	consecutive := true
-	for k := 1; k < m && consecutive; k++ {
-		consecutive = indices[k] == indices[0]+k
-	}
-	if consecutive {
-		// One run of m*inner values per outer index: a strided copy.
-		var buf [6]int
+	var buf [6]int
+	for k := 0; k < m; {
+		r := 1
+		for k+r < m && indices[k+r] == indices[k]+r {
+			r++
+		}
 		w := newWalk(buf[:], 2)
-		w.sOff = indices[0] * inner
-		w.add(m*inner, 1, 1)
+		w.dOff, w.sOff = k*inner, indices[k]*inner
+		w.add(r*inner, 1, 1)
 		w.add(outer, m*inner, srcAxis*inner)
 		w.exec(nil, out.data, a.data)
-		return out, nil
-	}
-	for o := 0; o < outer; o++ {
-		srcBase, dstBase := o*srcAxis*inner, o*m*inner
-		for k := 0; k < m; {
-			// Consecutive ascending indices move as one run.
-			r := 1
-			for k+r < m && indices[k+r] == indices[k]+r {
-				r++
-			}
-			moveRuns(out.data, a.data, dstBase+k*inner, srcBase+indices[k]*inner, 0, 0, 1, r*inner)
-			k += r
-		}
+		k += r
 	}
 	return out, nil
 }

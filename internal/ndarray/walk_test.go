@@ -335,11 +335,12 @@ func TestWalkSelectMatchesOracle(t *testing.T) {
 	}
 }
 
-// The walker must not allocate more per call than the element-wise
-// kernels it replaced. Shapes are the benchmark's: the 3-to-2 assembly
-// of atoms[262144,3], GTCP's select of three quantities from
-// [32,4096,7] and its two dimension-reduction transposes. The bounds are
-// the allocations the replaced kernels made.
+// The walker's plan stays off the heap: serial kernels allocate only
+// the result array, its shape and argument bookkeeping, and a sharded
+// one adds the plan it hands the shards. Shapes are the benchmark's: the 3-to-2 assembly of
+// atoms[262144,3], GTCP's select of three quantities from [32,4096,7]
+// and its two dimension-reduction transposes. The bounds are the counts
+// the walker makes, so an allocation brought back fails the test.
 func TestWalkAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocates ~20 MB of test arrays")
@@ -356,22 +357,22 @@ func TestWalkAllocs(t *testing.T) {
 		bound float64
 		fn    func() error
 	}{
-		{"CopyRegion", 7, func() error {
+		{"CopyRegion", 0, func() error {
 			return CopyRegion(half, []int{0, 0}, atoms, []int{65536, 0}, []int{131072, 3})
 		}},
-		{"SelectIndicesInto", 3, func() error {
+		{"SelectIndicesInto", 2, func() error {
 			_, err := gtcp.SelectIndicesInto(picked, 2, []int{3, 4, 5})
 			return err
 		}},
-		{"TransposeWith/identity", 11, func() error {
+		{"TransposeWith/identity", 3, func() error {
 			_, err := chain.TransposeWith(nil, out, 0, 1, 2)
 			return err
 		}},
-		{"TransposeWith/swap", 11, func() error {
+		{"TransposeWith/swap", 3, func() error {
 			_, err := flat.TransposeWith(nil, out, 1, 0)
 			return err
 		}},
-		{"DimReduceWith/sharded", 15, func() error {
+		{"DimReduceWith/sharded", 8, func() error {
 			_, err := chain.DimReduceWith(chunkRunner(len(out)/2), out, 2, 1)
 			return err
 		}},
