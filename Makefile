@@ -73,11 +73,13 @@ conformance:
 build:
 	$(GO) build ./...
 
-# Static checks: go vet, and the building toolchain's own gofmt — any
-# file it would reformat fails the gate, listed.
+# Static checks: go vet over both modules (the benchmark has its own
+# go.mod), and the building toolchain's own gofmt — any file it would
+# reformat fails the gate, listed.
 vet:
 	$(GO) vet ./...
-	@out=$$($$($(GO) env GOROOT)/bin/gofmt -l ./internal ./cmd ./examples); \
+	$(GO) -C benchmark vet ./...
+	@out=$$($$($(GO) env GOROOT)/bin/gofmt -l ./internal ./cmd ./examples ./benchmark); \
 	if [ -n "$$out" ]; then echo "vet: gofmt would reformat:"; echo "$$out"; exit 1; fi
 
 test:

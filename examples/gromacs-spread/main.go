@@ -5,9 +5,10 @@
 //
 // This example also demonstrates the storage-coupling extension from the
 // paper's future work (§VI): the coordinate stream is simultaneously
-// forked to a FileWriter, and after the in situ workflow finishes, a
-// FileReader replays the persisted steps through a second analysis chain
-// — the same components, now decoupled in time.
+// forked to a FileWriter, which records it as a stream-log directory
+// (the format sbreplay -ls lists), and after the in situ workflow
+// finishes, a FileReader replays the recorded steps through a second
+// analysis chain — the same components, now decoupled in time.
 //
 // Run with:
 //

@@ -7,7 +7,8 @@ import (
 )
 
 // The decoders face bytes from the network (TCP transport) and from
-// disk (file-reader component); they must reject arbitrary corruption
+// disk, where they only ever meet the blobs of a stream-log recording
+// (internal/streamlog, CRC-framed); they must reject arbitrary corruption
 // with an error — never panic, never over-allocate, never mis-decode
 // silently. Fuzzing drives that contract; the seeds below also run as
 // ordinary cases under plain `go test`.

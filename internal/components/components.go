@@ -4,7 +4,9 @@
 // Table II comparison and the extensions sketched in the paper's future
 // work (§VI): Fork (multiple write groups / DAG workflows), AllPairs (a
 // data-increasing analysis), and FileWriter/FileReader (storage coupling
-// that breaks the all-simultaneous dependency).
+// that breaks the all-simultaneous dependency: a stream recorded into a
+// stream-log store, the format the broker's journal uses, and replayed
+// from it).
 //
 // Every component is configured exclusively through positional run-time
 // arguments mirroring the paper's aprun usage lines, and is instantiated

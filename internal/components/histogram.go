@@ -136,20 +136,15 @@ func globalExtremes(comm *mpi.Comm, localMin, localMax float64) (lo, hi float64,
 	return ext[0], -ext[1], nil
 }
 
-// ComputeHistogram performs the distributed histogram kernel over each
-// rank's local values: one Allreduce of min and negated max, local
-// binning, Allreduce of the counts. Every rank returns the identical
-// global result.
-func ComputeHistogram(comm *mpi.Comm, local []float64, bins int) (StepHistogram, error) {
-	if bins <= 0 {
-		return StepHistogram{}, fmt.Errorf("histogram: bins must be positive, got %d", bins)
-	}
-	// The min/max scan and the binning loop both shard across the kernel
-	// worker pool: each shard scans (or bins into) private state, and the
-	// shard results merge in shard order, keeping the outcome identical
-	// to the serial loop.
+// localExtremes scans one rank's values for their least and greatest,
+// or +Inf and -Inf when there are none. NaN fails both comparisons, so
+// it never wins. The scan, like the binning loop, shards across the
+// kernel worker pool: each shard scans (or bins into) private state,
+// and the shard results merge in shard order, keeping the outcome
+// identical to the serial loop.
+func localExtremes(local []float64) (localMin, localMax float64) {
 	shards := sb.ShardCount(len(local))
-	localMin, localMax := math.Inf(1), math.Inf(-1)
+	localMin, localMax = math.Inf(1), math.Inf(-1)
 	if shards == 1 {
 		for _, v := range local {
 			if v < localMin {
@@ -183,6 +178,31 @@ func ComputeHistogram(comm *mpi.Comm, local []float64, bins int) (StepHistogram,
 			}
 		}
 	}
+	return localMin, localMax
+}
+
+// ComputeHistogram performs the distributed histogram kernel over each
+// rank's local values: one Allreduce of min and negated max, local
+// binning, Allreduce of the counts. Every rank returns the identical
+// global result. Non-finite values (NaN, ±Inf) are left out: they set
+// neither extreme and fall in no bin, so Total counts finite values.
+func ComputeHistogram(comm *mpi.Comm, local []float64, bins int) (StepHistogram, error) {
+	if bins <= 0 {
+		return StepHistogram{}, fmt.Errorf("histogram: bins must be positive, got %d", bins)
+	}
+	localMin, localMax := localExtremes(local)
+	if math.IsInf(localMin, -1) || math.IsInf(localMax, 1) {
+		// An infinity won the scan: bin and scan a copy without the
+		// rank's infinities. NaN never wins, and binning skips it.
+		finite := make([]float64, 0, len(local))
+		for _, v := range local {
+			if !math.IsInf(v, 0) {
+				finite = append(finite, v)
+			}
+		}
+		local = finite
+		localMin, localMax = localExtremes(local)
+	}
 	globalMin, globalMax, err := globalExtremes(comm, localMin, localMax)
 	if err != nil {
 		return StepHistogram{}, err
@@ -190,20 +210,27 @@ func ComputeHistogram(comm *mpi.Comm, local []float64, bins int) (StepHistogram,
 	counts := make([]float64, bins)
 	if globalMin <= globalMax { // false only for a globally empty array
 		width := (globalMax - globalMin) / float64(bins)
+		last := float64(bins)
 		binRange := func(counts []float64, vals []float64) {
 			for _, v := range vals {
-				var b int
-				if width == 0 {
-					b = 0 // all values identical: single occupied bin
-				} else {
-					b = int((v - globalMin) / width)
-					if b >= bins { // v == globalMax lands in the last bin
-						b = bins - 1
+				b := 0 // all values identical (width 0): single occupied bin
+				if width != 0 {
+					// One comparison in floating point, where NaN fails it,
+					// keeps int() away from NaN whatever the platform.
+					if x := (v - globalMin) / width; x < last {
+						b = int(x)
+					} else if v >= globalMin && v <= globalMax {
+						b = bins - 1 // v == globalMax, or a range that overflows width
+					} else {
+						continue // NaN
 					}
+				} else if v != globalMin {
+					continue // NaN
 				}
 				counts[b]++
 			}
 		}
+		shards := sb.ShardCount(len(local))
 		if shards == 1 {
 			binRange(counts, local)
 		} else {

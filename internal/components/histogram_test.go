@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/mpi"
+	"repro/internal/sb"
 )
 
 func TestComputeHistogramSingleRank(t *testing.T) {
@@ -309,6 +310,64 @@ func TestGlobalExtremesMatchTwoCalls(t *testing.T) {
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// Non-finite values are left out of the extremes and of every bin, on
+// the serial and the sharded path and on one rank or two alike: the
+// result is the histogram of the finite values alone.
+func TestComputeHistogramNonFinite(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	inputs := [][]float64{{1, inf}, {-inf, 2}, {-inf, inf}, {nan, 1, 2}, {inf}}
+	const bins = 8
+	defer sb.SetKernelWorkers(sb.KernelWorkers())
+	rng := rand.New(rand.NewSource(5))
+	for _, workers := range []int{1, 4} {
+		sb.SetKernelWorkers(workers)
+		for _, in := range inputs {
+			values := in
+			if workers > 1 { // enough finite values around them for every rank to shard
+				values = make([]float64, 6*4096)
+				for i := range values {
+					values[i] = rng.NormFloat64()
+				}
+				for j, v := range in {
+					values[(2*j+1)*len(values)/(2*len(in))] = v
+				}
+			}
+			var finite []float64
+			for _, v := range values {
+				if !math.IsNaN(v) && !math.IsInf(v, 0) {
+					finite = append(finite, v)
+				}
+			}
+			want := serialHistogram(finite, bins)
+			for _, ranks := range []int{1, 2} {
+				err := mpi.Run(ranks, func(c *mpi.Comm) error {
+					local := values[c.Rank()*len(values)/ranks : (c.Rank()+1)*len(values)/ranks]
+					if workers > 1 && sb.ShardCount(len(local)) < 2 {
+						t.Errorf("%d values do not shard", len(local))
+					}
+					got, err := ComputeHistogram(c, local, bins)
+					if err != nil {
+						return err
+					}
+					if got.Min != want.Min || got.Max != want.Max || got.Total != want.Total {
+						t.Errorf("workers=%d ranks=%d input %v: got %+v, want %+v", workers, ranks, in, got, want)
+					}
+					for i := range got.Counts {
+						if got.Counts[i] != want.Counts[i] {
+							t.Errorf("workers=%d ranks=%d input %v: counts %v, want %v", workers, ranks, in, got.Counts, want.Counts)
+							break
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("workers=%d ranks=%d input %v: %v", workers, ranks, in, err)
+				}
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package components
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/ndarray"
 	"repro/internal/sb"
+	"repro/internal/streamlog"
 )
 
 // harness runs a producer, a component under test, and a consumer
@@ -510,14 +512,9 @@ func TestStorageRoundTrip(t *testing.T) {
 	h1.runComponent(cw, 2)
 	h1.wait()
 
-	// The directory now holds steps×ranks block files.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != steps*2 {
-		t.Fatalf("found %d files, want %d", len(entries), steps*2)
-	}
+	// The directory now holds one recorded stream: steps records from 2
+	// writer ranks, then an end record.
+	checkRecording(t, dir, "in.fp", 2, steps)
 
 	// Phase 2 (separately launched): disk → stream with 3 reader ranks.
 	h2 := newHarness(t)
@@ -537,6 +534,149 @@ func TestStorageRoundTrip(t *testing.T) {
 		return nil
 	})
 	h2.wait()
+}
+
+// checkRecording asserts that dir holds exactly one recorded stream,
+// written by size ranks, with steps 0..steps-1 and an end record.
+func checkRecording(t *testing.T, dir, stream string, size, steps int) {
+	t.Helper()
+	src, err := flexpath.OpenLogSource(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	if got := src.Streams(); len(got) != 1 || got[0] != stream {
+		t.Fatalf("recorded streams %v, want [%s]", got, stream)
+	}
+	r, err := src.AttachReader(stream, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if n, err := r.WriterSize(context.Background()); err != nil || n != size {
+		t.Fatalf("WriterSize = %d, %v; want %d", n, err, size)
+	}
+	lg, err := src.Store().Log(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lg.FirstStep() != 0 || lg.NextStep() != steps {
+		t.Fatalf("recorded steps [%d..%d), want [0..%d)", lg.FirstStep(), lg.NextStep(), steps)
+	}
+	if last, ended := lg.Ended(); !ended || last != steps-1 {
+		t.Fatalf("Ended() = %d, %v; want %d, true", last, ended, steps-1)
+	}
+}
+
+// recordSteps appends steps 0..steps-1 of gen to the store at dir as
+// size writer ranks would have published them, without an end record:
+// the state a crashed recorder leaves.
+func recordSteps(t *testing.T, dir, stream, array string, size, steps int,
+	gen func(step int) (*ndarray.Array, map[string]string)) {
+	t.Helper()
+	store, err := streamlog.OpenStore(dir, streamlog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	lg, err := store.Log(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.SetConfig(streamlog.Config{WriterSize: size, QueueDepth: flexpath.DefaultQueueDepth}); err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < steps; step++ {
+		global, attrs := gen(step)
+		metas, payloads := make([][]byte, size), make([][]byte, size)
+		for rank := range metas {
+			box := ndarray.PartitionAlong(global.Shape(), 0, size, rank)
+			block, err := global.CopyBox(box)
+			if err != nil {
+				t.Fatal(err)
+			}
+			metas[rank] = adios.EncodeMeta(&adios.BlockMeta{Step: step,
+				Vars: []adios.VarMeta{{Name: array, GlobalDims: global.Dims(), Box: box}}, Attrs: attrs})
+			payloads[rank] = adios.EncodePayload([]string{array}, [][]float64{block.Data()})
+		}
+		if err := lg.Append(step, metas, payloads); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// A file-writer restarted on a store that already holds steps 0..k-1
+// gathers those steps again but appends only from step k, so the
+// recording stays the first run's prefix followed by the rest.
+func TestFileWriterResumesRecording(t *testing.T) {
+	const n, steps, k = 12, 4, 2
+	dir := t.TempDir()
+	gen := func(step int) (*ndarray.Array, map[string]string) {
+		a := ndarray.New(ndarray.Dim{Name: "n", Size: n})
+		for i := range a.Data() {
+			a.Data()[i] = float64(step)*10 + float64(i)
+		}
+		return a, map[string]string{"phase": fmt.Sprint(step)}
+	}
+	earlier := func(step int) (*ndarray.Array, map[string]string) {
+		a, attrs := gen(step)
+		for i, v := range a.Data() {
+			a.Data()[i] = -v
+		}
+		return a, attrs
+	}
+	recordSteps(t, dir, "in.fp", "x", 2, k, earlier)
+
+	h1 := newHarness(t)
+	h1.produce("in.fp", "x", 2, steps, gen)
+	cw, err := New("file-writer", []string{"in.fp", "x", dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h1.runComponent(cw, 2)
+	h1.wait()
+	checkRecording(t, dir, "in.fp", 2, steps)
+
+	h2 := newHarness(t)
+	cr, err := New("file-reader", []string{dir, "replay.fp"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h2.runComponent(cr, 2)
+	seen := 0
+	h2.consume("replay.fp", "x", 1, func(step int, got *ndarray.Array, info *adios.StepInfo) error {
+		seen++
+		ref, _ := gen(step)
+		if step < k {
+			ref, _ = earlier(step)
+		}
+		if !got.Equal(ref) {
+			return fmt.Errorf("replayed data %v, want %v", got.Data(), ref.Data())
+		}
+		return nil
+	})
+	h2.wait()
+	if seen != steps {
+		t.Fatalf("replayed %d steps, want %d", seen, steps)
+	}
+}
+
+// file-reader replays exactly one recorded stream; a store holding two
+// is refused with an error naming them.
+func TestFileReaderRejectsManyStreams(t *testing.T) {
+	dir := t.TempDir()
+	gen := func(step int) (*ndarray.Array, map[string]string) {
+		return ndarray.New(ndarray.Dim{Name: "n", Size: 4}), nil
+	}
+	recordSteps(t, dir, "a.fp", "x", 1, 1, gen)
+	recordSteps(t, dir, "b.fp", "x", 1, 1, gen)
+	c, _ := New("file-reader", []string{dir, "out.fp"})
+	err := mpi.Run(1, func(comm *mpi.Comm) error {
+		return c.Run(&sb.Env{Comm: comm, Transport: flexpath.NewInProc()})
+	})
+	if err == nil || !strings.Contains(err.Error(), "2 recorded streams [a.fp b.fp]") {
+		t.Fatalf("file-reader on two streams: %v", err)
+	}
 }
 
 func TestFileReaderEmptyDir(t *testing.T) {

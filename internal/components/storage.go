@@ -1,18 +1,17 @@
 package components
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"sort"
 	"time"
 
 	"repro/internal/adios"
+	"repro/internal/flexpath"
+	"repro/internal/mpi"
 	"repro/internal/ndarray"
 	"repro/internal/sb"
+	"repro/internal/streamlog"
 )
 
 const (
@@ -25,13 +24,11 @@ const (
 // that write and read from storage as part of a workflow can break that
 // dependency" (§VI). FileWriter and FileReader are that pair: a stage
 // can persist a stream to disk and a later (even separately launched)
-// stage can replay it.
-//
-// On-disk layout: one file per (step, writer rank) named
-// step%06d.rank%04d.sb, containing a u32 metadata length, the adios
-// metadata blob, and the adios payload blob.
+// stage can replay it. The directory is a stream-log store
+// (internal/streamlog), the one on-disk format the broker's journal and
+// sbreplay also write, so sbreplay -ls lists it and replays from it.
 
-// FileWriter drains a stream to a directory.
+// FileWriter records a stream into a stream-log store.
 type FileWriter struct {
 	InStream, InArray string
 	Dir               string
@@ -49,35 +46,55 @@ func NewFileWriter(args []string) (sb.Component, error) {
 // Name implements sb.Component.
 func (f *FileWriter) Name() string { return "file-writer" }
 
-// Run implements sb.Component: each rank persists its own partition of
-// every step, preserving the self-describing metadata.
+// Run implements sb.Component: each rank reads and encodes its own
+// partition of every step, and rank 0 gathers the blocks and appends
+// them as one step record to the store's log of the input stream. Steps
+// the log already holds are not appended again, so a restarted writer
+// resumes the recording.
 func (f *FileWriter) Run(env *sb.Env) error {
 	if env.Metrics != nil {
 		env.Metrics.MarkStarted()
 		defer env.Metrics.MarkFinished()
 	}
-	if env.Comm.Rank() == 0 {
-		if err := os.MkdirAll(f.Dir, 0o755); err != nil {
+	rank, size := env.Comm.Rank(), env.Comm.Size()
+	var store *streamlog.Store // rank 0's; nil on the other ranks
+	var lg *streamlog.Log
+	if rank == 0 {
+		var err error
+		if store, err = streamlog.OpenStore(f.Dir, streamlog.Options{}); err != nil {
 			return fmt.Errorf("file-writer: %w", err)
 		}
-	}
-	if err := env.Comm.Barrier(); err != nil { // directory exists before any rank writes
-		return err
+		defer store.Close()
+		if lg, err = store.Log(f.InStream); err != nil {
+			return fmt.Errorf("file-writer: %w", err)
+		}
+		if err := lg.SetConfig(streamlog.Config{WriterSize: size, QueueDepth: flexpath.DefaultQueueDepth}); err != nil {
+			return fmt.Errorf("file-writer: %w", err)
+		}
 	}
 	r, err := env.OpenReader(f.InStream)
 	if err != nil {
 		return fmt.Errorf("file-writer: attaching reader to %q: %w", f.InStream, err)
 	}
 	defer r.Close()
-	rank, size := env.Comm.Rank(), env.Comm.Size()
-	for step := 0; ; step++ {
+	for {
 		info, err := r.BeginStep(env.Ctx())
 		if errors.Is(err, io.EOF) {
+			if store == nil {
+				return nil
+			}
+			if err := lg.AppendEnd(lg.NextStep() - 1); err != nil {
+				return fmt.Errorf("file-writer: %w", err)
+			}
+			if err := store.Close(); err != nil {
+				return fmt.Errorf("file-writer: %w", err)
+			}
 			return nil
 		}
 		if err != nil {
-			return fmt.Errorf("file-writer: step %d: %w", step, err)
+			return fmt.Errorf("file-writer: %w", err)
 		}
+		step := info.Step
 		begin := time.Now() // active time: excludes waiting for the producer
 		v, ok := info.Var(f.InArray)
 		if !ok {
@@ -98,8 +115,18 @@ func (f *FileWriter) Run(env *sb.Env) error {
 			Attrs: info.Attrs,
 		})
 		payload := adios.EncodePayload([]string{f.InArray}, [][]float64{block.Data()})
-		if err := writeStepFile(stepFilePath(f.Dir, step, rank), meta, payload); err != nil {
+		blobs, err := mpi.Gather(env.Comm, [2][]byte{meta, payload}, 0)
+		if err != nil {
 			return fmt.Errorf("file-writer: step %d: %w", step, err)
+		}
+		if store != nil && step >= lg.NextStep() {
+			metas, payloads := make([][]byte, size), make([][]byte, size)
+			for i, b := range blobs {
+				metas[i], payloads[i] = b[0], b[1]
+			}
+			if err := lg.Append(step, metas, payloads); err != nil {
+				return fmt.Errorf("file-writer: step %d: %w", step, err)
+			}
 		}
 		if err := r.EndStep(); err != nil {
 			return fmt.Errorf("file-writer: step %d: %w", step, err)
@@ -111,7 +138,7 @@ func (f *FileWriter) Run(env *sb.Env) error {
 	}
 }
 
-// FileReader replays a directory written by FileWriter onto a stream.
+// FileReader replays a directory recorded by FileWriter onto a stream.
 type FileReader struct {
 	Dir       string
 	OutStream string
@@ -129,52 +156,75 @@ func NewFileReader(args []string) (sb.Component, error) {
 // Name implements sb.Component.
 func (f *FileReader) Name() string { return "file-reader" }
 
-// Run implements sb.Component: every rank loads the union of the per-rank
-// block files for each step, assembles the global array, and republishes
-// its own partition — so the replaying group's size is independent of the
-// persisting group's.
+// Run implements sb.Component: every rank opens the recording, which
+// must hold exactly one stream, reads its own partition of each step's
+// array through the ordinary M×N path and republishes it with the
+// step's attributes, so the replaying group's size is independent of
+// the recording one's.
 func (f *FileReader) Run(env *sb.Env) error {
 	if env.Metrics != nil {
 		env.Metrics.MarkStarted()
 		defer env.Metrics.MarkFinished()
 	}
-	steps, err := listStepFiles(f.Dir)
+	src, err := flexpath.OpenLogSource(f.Dir)
 	if err != nil {
 		return fmt.Errorf("file-reader: %w", err)
 	}
+	defer src.Close()
+	streams := src.Streams()
+	if len(streams) != 1 {
+		return fmt.Errorf("file-reader: %s holds %d recorded streams %v, want exactly one", f.Dir, len(streams), streams)
+	}
+	rank, size := env.Comm.Rank(), env.Comm.Size()
+	br, err := src.AttachReader(streams[0], rank, size)
+	if err != nil {
+		return fmt.Errorf("file-reader: %w", err)
+	}
+	r := adios.NewReader(br)
+	defer r.Close()
 	w, err := env.OpenWriter(f.OutStream)
 	if err != nil {
 		return fmt.Errorf("file-reader: attaching writer to %q: %w", f.OutStream, err)
 	}
 	defer w.Close()
-	rank, size := env.Comm.Rank(), env.Comm.Size()
-	for step := 0; step < len(steps); step++ {
+	for {
+		info, err := r.BeginStep(env.Ctx())
+		if errors.Is(err, io.EOF) {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("file-reader: %w", err)
+		}
+		step := info.Step
 		begin := time.Now()
-		global, varName, attrs, err := loadStep(steps[step])
+		if len(info.Vars) != 1 {
+			return fmt.Errorf("file-reader: step %d holds %d variables, want 1", step, len(info.Vars))
+		}
+		v := info.Vars[0]
+		axis, err := sb.ChooseAxis(v.Shape())
 		if err != nil {
 			return fmt.Errorf("file-reader: step %d: %w", step, err)
 		}
-		axis, err := sb.ChooseAxis(global.Shape())
-		if err != nil {
-			return fmt.Errorf("file-reader: step %d: %w", step, err)
-		}
-		box := ndarray.PartitionAlong(global.Shape(), axis, size, rank)
-		block, err := global.CopyBox(box)
+		box := ndarray.PartitionAlong(v.Shape(), axis, size, rank)
+		block, err := r.ReadBox(env.Ctx(), v.Name, box)
 		if err != nil {
 			return fmt.Errorf("file-reader: step %d: %w", step, err)
 		}
 		if err := w.BeginStep(); err != nil {
 			return err
 		}
-		for k, v := range attrs {
-			if err := w.SetAttribute(k, v); err != nil {
+		for k, val := range info.Attrs {
+			if err := w.SetAttribute(k, val); err != nil {
 				return err
 			}
 		}
-		if err := w.Write(varName, global.Dims(), box, block.Data()); err != nil {
+		if err := w.Write(v.Name, v.Dims, box, block.Data()); err != nil {
 			return fmt.Errorf("file-reader: step %d: %w", step, err)
 		}
 		if err := w.EndStep(env.Ctx()); err != nil {
+			return fmt.Errorf("file-reader: step %d: %w", step, err)
+		}
+		if err := r.EndStep(); err != nil {
 			return fmt.Errorf("file-reader: step %d: %w", step, err)
 		}
 		if env.Metrics != nil {
@@ -182,120 +232,6 @@ func (f *FileReader) Run(env *sb.Env) error {
 			env.Metrics.RecordStep(step, time.Since(begin), n, n)
 		}
 	}
-	return nil
-}
-
-func stepFilePath(dir string, step, rank int) string {
-	return filepath.Join(dir, fmt.Sprintf("step%06d.rank%04d.sb", step, rank))
-}
-
-func writeStepFile(path string, meta, payload []byte) error {
-	file, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(meta)))
-	for _, chunk := range [][]byte{lenBuf[:], meta, payload} {
-		if _, err := file.Write(chunk); err != nil {
-			file.Close()
-			return err
-		}
-	}
-	return file.Close()
-}
-
-func readStepFile(path string) (meta, payload []byte, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(data) < 4 {
-		return nil, nil, fmt.Errorf("step file %q truncated", path)
-	}
-	n := int(binary.LittleEndian.Uint32(data))
-	if n < 0 || 4+n > len(data) {
-		return nil, nil, fmt.Errorf("step file %q has invalid metadata length %d", path, n)
-	}
-	return data[4 : 4+n], data[4+n:], nil
-}
-
-// listStepFiles groups the directory's block files by step, verifying
-// the step sequence is dense from zero.
-func listStepFiles(dir string) ([][]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	byStep := map[int][]string{}
-	for _, e := range entries {
-		var step, rank int
-		if _, err := fmt.Sscanf(e.Name(), "step%06d.rank%04d.sb", &step, &rank); err != nil {
-			continue
-		}
-		byStep[step] = append(byStep[step], filepath.Join(dir, e.Name()))
-	}
-	if len(byStep) == 0 {
-		return nil, fmt.Errorf("no step files in %q", dir)
-	}
-	out := make([][]string, len(byStep))
-	for step, files := range byStep {
-		if step < 0 || step >= len(byStep) {
-			return nil, fmt.Errorf("non-contiguous step numbering in %q: found step %d among %d steps",
-				dir, step, len(byStep))
-		}
-		sort.Strings(files)
-		out[step] = files
-	}
-	return out, nil
-}
-
-// loadStep assembles one step's global array from its block files.
-func loadStep(files []string) (*ndarray.Array, string, map[string]string, error) {
-	var global *ndarray.Array
-	varName := ""
-	var attrs map[string]string
-	for _, path := range files {
-		metaBuf, payloadBuf, err := readStepFile(path)
-		if err != nil {
-			return nil, "", nil, err
-		}
-		meta, err := adios.DecodeMeta(metaBuf)
-		if err != nil {
-			return nil, "", nil, fmt.Errorf("%s: %w", path, err)
-		}
-		if len(meta.Vars) != 1 {
-			return nil, "", nil, fmt.Errorf("%s: expected 1 variable, found %d", path, len(meta.Vars))
-		}
-		vm := meta.Vars[0]
-		if global == nil {
-			global = ndarray.New(vm.GlobalDims...)
-			varName = vm.Name
-			attrs = meta.Attrs
-		} else if vm.Name != varName {
-			return nil, "", nil, fmt.Errorf("%s: variable %q differs from %q", path, vm.Name, varName)
-		}
-		payload, err := adios.DecodePayload(payloadBuf)
-		if err != nil {
-			return nil, "", nil, fmt.Errorf("%s: %w", path, err)
-		}
-		vals, ok := payload[vm.Name]
-		if !ok {
-			return nil, "", nil, fmt.Errorf("%s: payload lacks %q", path, vm.Name)
-		}
-		blockDims := make([]ndarray.Dim, len(vm.GlobalDims))
-		for i, d := range vm.GlobalDims {
-			blockDims[i] = ndarray.Dim{Name: d.Name, Size: vm.Box.Counts[i]}
-		}
-		block, err := ndarray.FromData(vals, blockDims...)
-		if err != nil {
-			return nil, "", nil, fmt.Errorf("%s: %w", path, err)
-		}
-		if err := global.PasteBox(vm.Box, block); err != nil {
-			return nil, "", nil, fmt.Errorf("%s: %w", path, err)
-		}
-	}
-	return global, varName, attrs, nil
 }
 
 func init() {

@@ -108,16 +108,6 @@ func Run(t *testing.T, f Factory) {
 	}
 }
 
-// Checks returns the names of the contract checks, in execution order
-// (for tooling that needs to enumerate or select them).
-func Checks() []string {
-	out := make([]string, len(checks))
-	for i, c := range checks {
-		out[i] = c.name
-	}
-	return out
-}
-
 func ctxT(t *testing.T) context.Context {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

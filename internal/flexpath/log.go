@@ -68,13 +68,6 @@ func (b *Broker) AttachLog(store *streamlog.Store) {
 	b.registerLogMetricsLocked()
 }
 
-// LogStore returns the attached store, or nil.
-func (b *Broker) LogStore() *streamlog.Store {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.logStore
-}
-
 // registerLogMetricsLocked publishes the log gauges once both a store
 // and a registry exist — AttachLog and SetObserver may run in either
 // order. Caller holds b.mu.

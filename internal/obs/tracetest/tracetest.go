@@ -51,9 +51,6 @@ func FromPeer(p int) Pred { return func(s obs.Span) bool { return s.Peer == p } 
 // InEpoch matches spans from one restart epoch.
 func InEpoch(e int) Pred { return func(s obs.Span) bool { return s.Epoch == e } }
 
-// WithGen matches spans carrying one pooled-buffer generation.
-func WithGen(g uint64) Pred { return func(s obs.Span) bool { return s.Gen == g } }
-
 // Failed matches spans that recorded an error.
 func Failed() Pred { return func(s obs.Span) bool { return s.Err != "" } }
 

@@ -87,13 +87,6 @@ func (hs *HandleSet) Suspend() {
 	hs.poison()
 }
 
-// Poisoned reports whether any managed operation has failed.
-func (hs *HandleSet) Poisoned() bool {
-	hs.mu.Lock()
-	defer hs.mu.Unlock()
-	return hs.poisoned
-}
-
 // noteErr records an operation failure. io.EOF is the normal end of a
 // stream, not a failure.
 func (hs *HandleSet) noteErr(err error) {
