@@ -6,8 +6,8 @@ GO ?= go
 COVER_FLOOR_flexpath ?= 80.0
 COVER_FLOOR_workflow ?= 90.0
 COVER_FLOOR_controlplane ?= 85.0
-# Per-target fuzz budget for the smoke in `cover`. Eight targets at the
-# default make the whole smoke about ten seconds.
+# Per-target fuzz budget for the smoke in `cover`. Fifteen targets at
+# the default make the smoke about fifteen seconds of fuzzing.
 FUZZTIME ?= 1s
 
 .PHONY: check build test vet race chaos cover conformance plan recover replay corpus optimize benchmark

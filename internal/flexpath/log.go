@@ -112,14 +112,13 @@ func (b *Broker) logEnqueueStep(s *stream, step int, st *stepState) {
 	if b.logStore == nil || s.logBroken {
 		return
 	}
-	job := logJob{kind: jobStep, step: step,
-		metas:    make([]*pool.Buf, len(st.metas)),
-		payloads: make([]*pool.Buf, len(st.payloads))}
+	w := len(st.metas)
+	bufs := make([]*pool.Buf, 2*w)
 	for i := range st.metas {
-		job.metas[i] = st.metas[i].Retain()
-		job.payloads[i] = st.payloads[i].Retain()
+		bufs[i] = st.metas[i].Retain()
+		bufs[w+i] = st.payloads[i].Retain()
 	}
-	b.logEnqueue(s, job)
+	b.logEnqueue(s, logJob{kind: jobStep, step: step, metas: bufs[:w:w], payloads: bufs[w:]})
 }
 
 // logEnqueueRetire journals a retirement. Caller holds b.mu.
@@ -160,8 +159,9 @@ func (b *Broker) runLogAppender(s *stream) {
 		b.mu.Unlock()
 		return
 	}
-	// The per-step view slices are reused across jobs: Append copies the
-	// blobs before it returns.
+	// The per-step view slices are reused across jobs: Append writes the
+	// payloads straight from the pooled buffers and holds no blob past
+	// its return, and the buffers are released only after it returns.
 	var metas, payloads [][]byte
 	b.mu.Lock()
 	for len(s.logQueue) > 0 {

@@ -1,6 +1,7 @@
 package streamlog
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"os"
@@ -25,6 +26,29 @@ func fuzzStepBody(step int, blobs ...[]byte) []byte {
 		body = append(body, b...)
 	}
 	return body
+}
+
+// putStepV2 is the contiguous layout of a recStepV2 body, the oracle
+// Append's run-by-run write is checked against: body, whose first byte
+// lands at file offset at, is exactly stepRecordLen-recFrame bytes,
+// and each payload is copied in behind its padding to an 8-byte file
+// offset. Every pad byte is written explicitly.
+func putStepV2(body []byte, at int64, step int, metas, payloads [][]byte) {
+	binary.LittleEndian.PutUint32(body[0:4], uint32(step))
+	binary.LittleEndian.PutUint32(body[4:8], uint32(len(metas)))
+	p := 8
+	for i := range metas {
+		binary.LittleEndian.PutUint32(body[p:], uint32(len(metas[i])))
+		p += 4
+		p += copy(body[p:], metas[i])
+		binary.LittleEndian.PutUint32(body[p:], uint32(len(payloads[i])))
+		pad := int(pad8(at + int64(p) + 5))
+		body[p+4] = byte(pad)
+		p += 5
+		clear(body[p : p+pad])
+		p += pad
+		p += copy(body[p:], payloads[i])
+	}
 }
 
 // fuzzStepV2Record frames a padded step record the way Append does for
@@ -215,5 +239,87 @@ func FuzzReplayIter(f *testing.F) {
 			}
 		}
 		l.Close()
+	})
+}
+
+// FuzzAppendMatchesLayout is the byte-identity oracle for Append's
+// run-by-run write. It appends a fuzzed-length first step, then steps
+// of 1–4 ranks whose meta and payload lengths come from lens (empty
+// ones included), and an end record, to a log whose segments are small
+// enough to roll. Every segment file must equal the record stream the
+// contiguous layout builds — putStepV2, framed and CRC'd by
+// fuzzRecord, with a config record opening each segment — whatever
+// padding the records land on.
+func FuzzAppendMatchesLayout(f *testing.F) {
+	for first := 0; first < 8; first++ {
+		f.Add(uint8(first*9), uint8(first), []byte{3, 17, 0, 0, 5, 8, 1, 255, 2, 9, 7, 1, 0, 30, 11, 4}, uint16(first*97))
+	}
+	f.Fuzz(func(t *testing.T, first, ranks uint8, lens []byte, segBytes uint16) {
+		w := 1 + int(ranks)%4
+		segLimit := 128 + int64(segBytes)%2048
+		lead := make([]byte, 0, 2*w)
+		for r := 0; r < w; r++ {
+			lead = append(lead, first, first/4)
+		}
+		steps := [][]byte{lead} // per step: meta, payload, meta, payload, … lengths
+		for i := 0; i+2*w <= len(lens) && len(steps) <= 32; i += 2 * w {
+			steps = append(steps, lens[i:i+2*w])
+		}
+
+		dir := t.TempDir()
+		l := mustLog(t, dir, Options{SegmentBytes: segLimit})
+		if err := l.SetConfig(Config{WriterSize: w, QueueDepth: 2}); err != nil {
+			t.Fatal(err)
+		}
+		cfgRec := fuzzRecord(recConfig, encodeConfig(Config{WriterSize: w, QueueDepth: 2}))
+		var want [][]byte // expected segment files
+		put := func(rec func(base int64) []byte) {
+			if n := len(want); n > 0 {
+				if r := rec(int64(len(want[n-1]))); int64(len(want[n-1])+len(r)) <= segLimit {
+					want[n-1] = append(want[n-1], r...)
+					return
+				}
+			}
+			want = append(want, append([]byte(nil), cfgRec...))
+			want[len(want)-1] = append(want[len(want)-1], rec(int64(len(cfgRec)))...)
+		}
+		for s, ls := range steps {
+			metas, payloads := make([][]byte, w), make([][]byte, w)
+			var blobs [][]byte
+			for r := 0; r < w; r++ {
+				metas[r] = blob(s, r, int(ls[2*r])%24)
+				payloads[r] = blob(s+1, r, int(ls[2*r+1]))
+				blobs = append(blobs, metas[r], payloads[r])
+			}
+			if err := l.Append(s, metas, payloads); err != nil {
+				t.Fatal(err)
+			}
+			put(func(base int64) []byte { return fuzzStepV2Record(base, s, blobs...) })
+		}
+		if err := l.AppendEnd(len(steps) - 1); err != nil {
+			t.Fatal(err)
+		}
+		end := fuzzRecord(recEnd, binary.LittleEndian.AppendUint32(nil, uint32(len(steps))))
+		put(func(int64) []byte { return end })
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		seqs, err := listSegments(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(seqs) != len(want) {
+			t.Fatalf("%d segments, want %d", len(seqs), len(want))
+		}
+		for i, seq := range seqs {
+			got, err := os.ReadFile(segPath(dir, seq))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want[i]) {
+				t.Fatalf("segment %d: %d bytes differ from the contiguous layout's %d", seq, len(got), len(want[i]))
+			}
+		}
 	})
 }

@@ -27,11 +27,13 @@
 // segments are served from page-aligned mmaps and the copying path
 // keeps file alignment in memory, so a payload read back is 8-byte
 // aligned and an SBP2 frame decodes its float blocks in place. The
-// writer frames each record in one reused buffer — header reserved,
-// body laid out behind it, length and CRC filled in place — and writes
-// it with one WriteAt. The original step layout, recStep (the same body
-// without the pad byte and padding), is still read but never written:
-// its payloads sit at arbitrary offsets, so decoding them copies once.
+// writer copies no payload: it lays out only a record's framing and
+// metas in one reused buffer, computes the CRC over those runs and the
+// caller's payload slices in file order, and writes each run with its
+// own WriteAt, about two per writer rank. The original step layout,
+// recStep (the same body without the pad byte and padding), is still
+// read but never written: its payloads sit at arbitrary offsets, so
+// decoding them copies once.
 //
 // Every segment opens with a recConfig record carrying the stream's
 // writer-group size and queue depth, so any single segment is
@@ -234,7 +236,8 @@ type Log struct {
 
 	views int // outstanding ReadStepView mmap views (leak accounting)
 
-	scratch []byte // record assembly buffer, reused across appends
+	scratch []byte   // framing assembly buffer, reused across appends
+	runs    [][]byte // a step record's write runs, reused across appends
 }
 
 // OpenLog opens (or creates) the log rooted at dir, healing any torn
@@ -547,26 +550,40 @@ func stepRecordLen(base int64, metas, payloads [][]byte) int64 {
 	return off - base
 }
 
-// putStepV2 lays out a recStepV2 body in body, whose first byte lands at
-// file offset at, padding each payload to an 8-byte file offset. body
-// is exactly stepRecordLen-recFrame bytes of a reused buffer, so every
-// pad byte is written explicitly.
-func putStepV2(body []byte, at int64, step int, metas, payloads [][]byte) {
-	binary.LittleEndian.PutUint32(body[0:4], uint32(step))
-	binary.LittleEndian.PutUint32(body[4:8], uint32(len(metas)))
-	p := 8
+// putStepHeads lays out the recStepV2 record of one step starting at
+// file offset base, except its payloads: heads receives the frame
+// (filled in later by writeRecord), the step header, and per rank the
+// meta length, meta, payload length, pad byte and zero padding. heads
+// is exactly stepRecordLen minus the payload bytes long, so every pad
+// byte is written explicitly. The record is returned appended to runs
+// as the byte runs to write in file order: stretches of heads
+// alternating with the caller's payloads, each empty payload folded
+// away so the stretches around it merge.
+func putStepHeads(heads []byte, base int64, step int, metas, payloads [][]byte, runs [][]byte) [][]byte {
+	binary.LittleEndian.PutUint32(heads[recFrame:], uint32(step))
+	binary.LittleEndian.PutUint32(heads[recFrame+4:], uint32(len(metas)))
+	p, from := recFrame+8, 0
+	at := base // at+p is the file offset of heads[p]; payloads push it on
 	for i := range metas {
-		binary.LittleEndian.PutUint32(body[p:], uint32(len(metas[i])))
+		binary.LittleEndian.PutUint32(heads[p:], uint32(len(metas[i])))
 		p += 4
-		p += copy(body[p:], metas[i])
-		binary.LittleEndian.PutUint32(body[p:], uint32(len(payloads[i])))
+		p += copy(heads[p:], metas[i])
+		binary.LittleEndian.PutUint32(heads[p:], uint32(len(payloads[i])))
 		pad := int(pad8(at + int64(p) + 5))
-		body[p+4] = byte(pad)
+		heads[p+4] = byte(pad)
 		p += 5
-		clear(body[p : p+pad])
+		clear(heads[p : p+pad])
 		p += pad
-		p += copy(body[p:], payloads[i])
+		if len(payloads[i]) > 0 {
+			runs = append(runs, heads[from:p], payloads[i])
+			from = p
+			at += int64(len(payloads[i]))
+		}
 	}
+	if from < len(heads) {
+		runs = append(runs, heads[from:])
+	}
+	return runs
 }
 
 // pad8 is how many bytes follow offset n to reach an 8-byte boundary.
@@ -603,9 +620,13 @@ func (l *Log) Config() (Config, bool) {
 
 // Append journals one fully published timestep: every writer rank's
 // metadata and payload blob. Steps must be appended densely in order —
-// step must equal NextStep. The blobs are copied once, into the log's
-// reused record buffer, and written with one WriteAt; the caller keeps
-// ownership.
+// step must equal NextStep. Payloads are written from the caller's
+// slices, never copied: the log's reused buffer holds only the framing
+// and the metas, and the record goes to disk as one WriteAt per run,
+// about two per rank. The caller keeps ownership; Append does not hold
+// any blob past its return. A failed write leaves NextStep, the index
+// and the segment's size as they were; the partial record past the
+// segment's end is overwritten by the next append or healed on open.
 func (l *Log) Append(step int, metas, payloads [][]byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -626,9 +647,12 @@ func (l *Log) Append(step int, metas, payloads [][]byte) error {
 	if err != nil {
 		return err
 	}
-	rec := l.frame(n)
-	putStepV2(rec[recFrame:], seg.size+recFrame, step, metas, payloads)
-	off, err := l.writeRecord(seg, recStepV2, rec)
+	for _, p := range payloads {
+		n -= int64(len(p))
+	}
+	l.runs = putStepHeads(l.frame(n), seg.size, step, metas, payloads, l.runs[:0])
+	off, err := l.writeRecord(seg, recStepV2, l.runs...)
+	clear(l.runs) // hold no caller payload past the return
 	if err != nil {
 		return err
 	}
@@ -768,9 +792,9 @@ func (l *Log) roll() (*segment, error) {
 	return seg, nil
 }
 
-// frame returns the log's reused record buffer sized to an n-byte
-// record. The caller lays the body out at [recFrame:]; writeRecord
-// fills the rest.
+// frame returns the log's reused buffer sized to n bytes: a whole
+// record, or a step record's runs around its payloads. The caller lays
+// the body out at [recFrame:]; writeRecord fills the rest.
 func (l *Log) frame(n int64) []byte {
 	if int64(cap(l.scratch)) < n {
 		l.scratch = make([]byte, n)
@@ -778,20 +802,33 @@ func (l *Log) frame(n int64) []byte {
 	return l.scratch[:n]
 }
 
-// writeRecord seals rec — a frame whose body is laid out at
-// [recFrame:] — by filling its length, CRC and type byte in place, and
-// writes it onto seg in one WriteAt. Caller holds the lock. Returns the
-// record's starting offset.
-func (l *Log) writeRecord(seg *segment, typ byte, rec []byte) (int64, error) {
-	rec[recHeader] = typ
-	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(rec)-recHeader))
-	binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(rec[recHeader:]))
-	off := seg.size
-	if _, err := seg.f.WriteAt(rec, off); err != nil {
-		return 0, fmt.Errorf("streamlog: %w", err)
+// writeRecord seals a record and writes it onto the end of seg. runs
+// are the record's bytes in file order; runs[0] starts with a frame
+// from l.frame, whose length, CRC and type byte are filled in place.
+// Each run goes down with its own WriteAt, so a payload is written
+// straight from the caller's slice. Caller holds the lock. Returns the
+// record's starting offset; on error seg is left as it was.
+func (l *Log) writeRecord(seg *segment, typ byte, runs ...[]byte) (int64, error) {
+	head := runs[0]
+	head[recHeader] = typ
+	n := int64(len(head))
+	crc := crc32.ChecksumIEEE(head[recHeader:])
+	for _, r := range runs[1:] {
+		n += int64(len(r))
+		crc = crc32.Update(crc, crc32.IEEETable, r)
 	}
-	seg.size += int64(len(rec))
-	l.total += int64(len(rec))
+	binary.LittleEndian.PutUint32(head[0:4], uint32(n-recHeader))
+	binary.LittleEndian.PutUint32(head[4:8], crc)
+	off := seg.size
+	at := off
+	for _, r := range runs {
+		if _, err := seg.f.WriteAt(r, at); err != nil {
+			return 0, fmt.Errorf("streamlog: %w", err)
+		}
+		at += int64(len(r))
+	}
+	seg.size += n
+	l.total += n
 	return off, nil
 }
 

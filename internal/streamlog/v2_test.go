@@ -10,9 +10,9 @@ import (
 	"unsafe"
 )
 
-// TestAppendAllocatesNothing gates the in-place framing: once the
-// record buffer has grown to a step's size, journaling another step of
-// the same shape allocates nothing — no body copy, no record copy.
+// TestAppendAllocatesNothing gates the append path: once the framing
+// buffer has grown to a step's shape, journaling another step of that
+// shape allocates nothing, and no payload byte is ever staged in it.
 func TestAppendAllocatesNothing(t *testing.T) {
 	const ranks, paySize = 3, 2 << 20
 	l := mustLog(t, t.TempDir(), Options{SegmentBytes: 1 << 40})
@@ -32,9 +32,26 @@ func TestAppendAllocatesNothing(t *testing.T) {
 		}
 		step++
 	}
-	appendOne() // warm-up: segment, config record and record buffer
+	appendOne() // warm-up: segment, config record and framing buffer
 	if allocs := testing.AllocsPerRun(8, appendOne); allocs != 0 {
 		t.Fatalf("steady-state Append allocates %.1f times per step, want 0", allocs)
+	}
+
+	// No payload is staged: the log's buffer never grew past the largest
+	// record's framing and metas. Staging payloads makes it ~6 MB.
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	seg := l.activeSegment()
+	var heads int64
+	for s := 0; s < step; s++ {
+		end := seg.size
+		if s+1 < step {
+			end = l.index[s+1].off
+		}
+		heads = max(heads, end-l.index[s].off-ranks*paySize)
+	}
+	if got := int64(cap(l.scratch)); got > heads {
+		t.Fatalf("framing buffer holds %d bytes, more than the %d of a record without its payloads", got, heads)
 	}
 }
 
