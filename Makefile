@@ -125,9 +125,10 @@ corpus:
 	$(GO) run ./cmd/sbreplay -diff -tol 0 -stage magnitude -log-dir $(CORPUS)/crack -against $(CORPUS)/crack $(CORPUS)/crack.sb
 	$(GO) test -race -count=1 ./internal/replay -run TestCorpusGolden -v
 
-# The fault-injection suite on its own (seeded, deterministic plans).
+# The fault-injection suite on its own (seeded, deterministic plans and
+# scripted restarts), uncached and under the race detector.
 chaos:
-	$(GO) test ./internal/workflow -run TestChaos -v
+	$(GO) test -race -count=1 ./internal/workflow -run TestChaos -v
 
 # The durable-log crash drills under the race detector: broker state
 # rebuilt from the journal, catch-up replay, and the kill-and-restart

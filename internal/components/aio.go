@@ -3,9 +3,7 @@ package components
 import (
 	"fmt"
 	"math"
-	"os"
 	"strconv"
-	"sync"
 
 	"repro/internal/adios"
 	"repro/internal/sb"
@@ -27,8 +25,7 @@ type AIO struct {
 	OutPath           string // "-" or empty disables file output
 	Names             []string
 
-	mu      sync.Mutex
-	results []StepHistogram
+	rec recorder[StepHistogram]
 }
 
 // NewAIO parses: input-stream input-array dimension-index num-bins
@@ -63,13 +60,7 @@ func NewAIO(args []string) (sb.Component, error) {
 func (a *AIO) Name() string { return "aio" }
 
 // Results returns the per-timestep histograms accumulated by rank 0.
-func (a *AIO) Results() []StepHistogram {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]StepHistogram, len(a.results))
-	copy(out, a.results)
-	return out
-}
+func (a *AIO) Results() []StepHistogram { return a.rec.all() }
 
 // ReservedAxes implements sb.ReduceKernel: the property axis must stay
 // whole on every rank for the fused select+magnitude.
@@ -118,35 +109,11 @@ func (a *AIO) Reduce(in *StepIn) (StepHistogram, error) {
 
 // Run implements sb.Component.
 func (a *AIO) Run(env *sb.Env) error {
-	var out *os.File
-	if a.OutPath != "" && env.Comm.Rank() == 0 {
-		f, err := os.Create(a.OutPath)
-		if err != nil {
-			return fmt.Errorf("aio: %w", err)
-		}
-		defer f.Close()
-		out = f
-	}
-	return sb.RunReduce(env, sb.ReduceConfig[StepHistogram]{
+	return a.rec.run(env, a.OutPath, histogramText(a.InArray), sb.ReduceConfig[StepHistogram]{
 		Name:     "aio",
 		InStream: a.InStream, InArray: a.InArray,
 		RequireDims: 2,
 		OutBytes:    int64(a.NumBins * 8),
-		OnResult: func(step int, result StepHistogram) error {
-			result.Step = step
-			a.mu.Lock()
-			// A supervised restart can re-deliver an already-recorded step.
-			if n := len(a.results); n > 0 && a.results[n-1].Step >= step {
-				a.mu.Unlock()
-				return nil
-			}
-			a.results = append(a.results, result)
-			a.mu.Unlock()
-			if out != nil {
-				return WriteHistogramText(out, a.InArray, result)
-			}
-			return nil
-		},
 	}, a)
 }
 

@@ -1,11 +1,8 @@
 package components
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"strconv"
-	"time"
 
 	"repro/internal/ndarray"
 	"repro/internal/sb"
@@ -59,84 +56,51 @@ func (c *Concat) Name() string { return "concat" }
 // axis, and publishes the joined block: the output box equals the
 // partition box with the concat extent widened to the sum of the inputs.
 func (c *Concat) Run(env *sb.Env) error {
-	if env.Metrics != nil {
-		env.Metrics.MarkStarted()
-		defer env.Metrics.MarkFinished()
+	l := sb.NewLoop(env, "concat")
+	defer l.Close()
+	for _, in := range []string{c.InStream1, c.InStream2} {
+		if _, err := l.Reader(in); err != nil {
+			return err
+		}
 	}
-	r1, err := env.OpenReader(c.InStream1)
+	w, err := l.Writer(c.OutStream)
 	if err != nil {
-		return fmt.Errorf("concat: attaching reader to %q: %w", c.InStream1, err)
+		return err
 	}
-	defer r1.Close()
-	r2, err := env.OpenReader(c.InStream2)
-	if err != nil {
-		return fmt.Errorf("concat: attaching reader to %q: %w", c.InStream2, err)
-	}
-	defer r2.Close()
-	w, err := env.OpenWriter(c.OutStream)
-	if err != nil {
-		return fmt.Errorf("concat: attaching writer to %q: %w", c.OutStream, err)
-	}
-	defer w.Close()
-
-	rank, size := env.Comm.Rank(), env.Comm.Size()
-	for step := 0; ; step++ {
-		info1, err1 := r1.BeginStep(env.Ctx())
-		if errors.Is(err1, io.EOF) {
-			// Drain the other stream's step if it still has one, then end.
-			if _, err2 := r2.BeginStep(env.Ctx()); err2 == nil {
-				r2.EndStep()
-			}
-			return nil
+	return l.Run(func(s *sb.Step) error {
+		v1, err := s.Var(0, c.InArray1)
+		if err != nil {
+			return err
 		}
-		if err1 != nil {
-			return fmt.Errorf("concat: step %d: %w", step, err1)
-		}
-		info2, err2 := r2.BeginStep(env.Ctx())
-		if errors.Is(err2, io.EOF) {
-			r1.EndStep()
-			return nil
-		}
-		if err2 != nil {
-			return fmt.Errorf("concat: step %d: %w", step, err2)
-		}
-		begin := time.Now()
-
-		v1, ok := info1.Var(c.InArray1)
-		if !ok {
-			return fmt.Errorf("concat: step %d of stream %q has no array %q", step, c.InStream1, c.InArray1)
-		}
-		v2, ok := info2.Var(c.InArray2)
-		if !ok {
-			return fmt.Errorf("concat: step %d of stream %q has no array %q", step, c.InStream2, c.InArray2)
+		v2, err := s.Var(1, c.InArray2)
+		if err != nil {
+			return err
 		}
 		n := len(v1.Dims)
 		if len(v2.Dims) != n {
-			return fmt.Errorf("concat: step %d: inputs have ranks %d and %d", step, n, len(v2.Dims))
+			return fmt.Errorf("inputs have ranks %d and %d", n, len(v2.Dims))
 		}
 		if c.Axis >= n {
-			return fmt.Errorf("concat: axis %d out of range for %d-dimensional inputs", c.Axis, n)
+			return fmt.Errorf("axis %d out of range for %d-dimensional inputs", c.Axis, n)
 		}
 		for i := 0; i < n; i++ {
 			if i != c.Axis && v1.Dims[i].Size != v2.Dims[i].Size {
-				return fmt.Errorf("concat: step %d: extent mismatch in dimension %d: %d vs %d",
-					step, i, v1.Dims[i].Size, v2.Dims[i].Size)
+				return fmt.Errorf("extent mismatch in dimension %d: %d vs %d", i, v1.Dims[i].Size, v2.Dims[i].Size)
 			}
 		}
-		axis, err := sb.ChooseAxis(v1.Shape(), c.Axis)
+		box, err := s.Partition(v1, c.Axis)
 		if err != nil {
-			return fmt.Errorf("concat: step %d: %w", step, err)
+			return err
 		}
-		box := ndarray.PartitionAlong(v1.Shape(), axis, size, rank)
-		b1, err := r1.ReadBox(env.Ctx(), c.InArray1, box)
+		b1, err := s.ReadBox(0, c.InArray1, box)
 		if err != nil {
-			return fmt.Errorf("concat: step %d: %w", step, err)
+			return err
 		}
 		box2 := box.Clone()
 		box2.Counts[c.Axis] = v2.Dims[c.Axis].Size
-		b2raw, err := r2.ReadBox(env.Ctx(), c.InArray2, box2)
+		b2raw, err := s.ReadBox(1, c.InArray2, box2)
 		if err != nil {
-			return fmt.Errorf("concat: step %d: %w", step, err)
+			return err
 		}
 		// Align the second block's labels with the first so Concat's
 		// label check passes (first input's labels win by contract).
@@ -144,43 +108,20 @@ func (c *Concat) Run(env *sb.Env) error {
 		dims2[c.Axis].Size = b2raw.Dim(c.Axis).Size
 		b2, err := ndarray.FromData(b2raw.Data(), dims2...)
 		if err != nil {
-			return fmt.Errorf("concat: step %d: %w", step, err)
+			return err
 		}
 		joined, err := ndarray.Concat(c.Axis, b1, b2)
 		if err != nil {
-			return fmt.Errorf("concat: step %d: %w", step, err)
+			return err
 		}
 		outDims := make([]ndarray.Dim, n)
 		copy(outDims, v1.Dims)
 		outDims[c.Axis].Size = v1.Dims[c.Axis].Size + v2.Dims[c.Axis].Size
 		outBox := box.Clone()
 		outBox.Counts[c.Axis] = outDims[c.Axis].Size
-
-		if err := w.BeginStep(); err != nil {
-			return err
-		}
-		for k, val := range info1.Attrs {
-			if err := w.SetAttribute(k, val); err != nil {
-				return err
-			}
-		}
-		if err := w.Write(c.OutArray, outDims, outBox, joined.Data()); err != nil {
-			return fmt.Errorf("concat: step %d: %w", step, err)
-		}
-		if err := w.EndStep(env.Ctx()); err != nil {
-			return fmt.Errorf("concat: step %d: %w", step, err)
-		}
-		if err := r1.EndStep(); err != nil {
-			return err
-		}
-		if err := r2.EndStep(); err != nil {
-			return err
-		}
-		if env.Metrics != nil {
-			in := int64((b1.Size() + b2.Size()) * 8)
-			env.Metrics.RecordStep(step, time.Since(begin), in, int64(joined.Size()*8))
-		}
-	}
+		s.BytesOut = int64(joined.Size() * 8)
+		return s.Publish(w, s.N, c.OutArray, outDims, outBox, joined.Data(), s.Info[0].Attrs)
+	})
 }
 
 func init() { Register("concat", NewConcat) }

@@ -1,13 +1,9 @@
 package components
 
 import (
-	"errors"
 	"fmt"
-	"io"
-	"time"
 
 	"repro/internal/adios"
-	"repro/internal/ndarray"
 	"repro/internal/sb"
 )
 
@@ -43,73 +39,35 @@ func NewFork(args []string) (sb.Component, error) {
 // Name implements sb.Component.
 func (f *Fork) Name() string { return "fork" }
 
-// Run implements sb.Component.
+// Run implements sb.Component: each rank reads its partition of a step
+// and publishes it on every output.
 func (f *Fork) Run(env *sb.Env) error {
-	if env.Metrics != nil {
-		env.Metrics.MarkStarted()
-		defer env.Metrics.MarkFinished()
+	l := sb.NewLoop(env, "fork")
+	defer l.Close()
+	if _, err := l.Reader(f.InStream); err != nil {
+		return err
 	}
-	r, err := env.OpenReader(f.InStream)
-	if err != nil {
-		return fmt.Errorf("fork: attaching reader to %q: %w", f.InStream, err)
-	}
-	defer r.Close()
 	writers := make([]*adios.Writer, len(f.OutStreams))
 	for i, name := range f.OutStreams {
-		w, err := env.OpenWriter(name)
+		w, err := l.Writer(name)
 		if err != nil {
-			return fmt.Errorf("fork: attaching writer to %q: %w", name, err)
+			return err
 		}
-		defer w.Close()
 		writers[i] = w
 	}
-	rank, size := env.Comm.Rank(), env.Comm.Size()
-	for step := 0; ; step++ {
-		info, err := r.BeginStep(env.Ctx())
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
+	return l.Run(func(s *sb.Step) error {
+		v, box, block, err := s.Read(0, f.InArray)
 		if err != nil {
-			return fmt.Errorf("fork: step %d: %w", step, err)
+			return err
 		}
-		begin := time.Now() // active time: excludes waiting for the producer
-		v, ok := info.Var(f.InArray)
-		if !ok {
-			return fmt.Errorf("fork: step %d of stream %q has no array %q", step, f.InStream, f.InArray)
-		}
-		axis, err := sb.ChooseAxis(v.Shape())
-		if err != nil {
-			return fmt.Errorf("fork: step %d: %w", step, err)
-		}
-		box := ndarray.PartitionAlong(v.Shape(), axis, size, rank)
-		block, err := r.ReadBox(env.Ctx(), f.InArray, box)
-		if err != nil {
-			return fmt.Errorf("fork: step %d: %w", step, err)
-		}
-		for wi, w := range writers {
-			if err := w.BeginStep(); err != nil {
-				return fmt.Errorf("fork: step %d out %d: %w", step, wi, err)
-			}
-			for k, val := range info.Attrs {
-				if err := w.SetAttribute(k, val); err != nil {
-					return err
-				}
-			}
-			if err := w.Write(f.InArray, v.Dims, box, block.Data()); err != nil {
-				return fmt.Errorf("fork: step %d out %d: %w", step, wi, err)
-			}
-			if err := w.EndStep(env.Ctx()); err != nil {
-				return fmt.Errorf("fork: step %d out %d: %w", step, wi, err)
+		for _, w := range writers {
+			if err := s.Publish(w, s.N, f.InArray, v.Dims, box, block.Data(), s.Info[0].Attrs); err != nil {
+				return err
 			}
 		}
-		if err := r.EndStep(); err != nil {
-			return fmt.Errorf("fork: step %d: %w", step, err)
-		}
-		if env.Metrics != nil {
-			n := int64(block.Size() * 8)
-			env.Metrics.RecordStep(step, time.Since(begin), n, n*int64(len(writers)))
-		}
-	}
+		s.BytesOut = s.BytesIn * int64(len(writers))
+		return nil
+	})
 }
 
 func init() { Register("fork", NewFork) }

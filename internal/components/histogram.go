@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"strconv"
-	"sync"
 
 	"repro/internal/adios"
 	"repro/internal/mpi"
@@ -44,8 +42,7 @@ type Histogram struct {
 	NumBins           int
 	OutPath           string // optional; empty disables file output
 
-	mu      sync.Mutex
-	results []StepHistogram
+	rec recorder[StepHistogram]
 }
 
 // NewHistogram parses the paper's argument order (Fig. 2), with an
@@ -72,13 +69,7 @@ func (h *Histogram) Name() string { return "histogram" }
 
 // Results returns the per-timestep histograms accumulated by rank 0, in
 // step order. Safe to call after Run returns on all ranks.
-func (h *Histogram) Results() []StepHistogram {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]StepHistogram, len(h.results))
-	copy(out, h.results)
-	return out
-}
+func (h *Histogram) Results() []StepHistogram { return h.rec.all() }
 
 // ReservedAxes implements sb.ReduceKernel: 1-D input, nothing reserved.
 func (h *Histogram) ReservedAxes(v *adios.GlobalVar, info *adios.StepInfo) ([]int, error) {
@@ -92,36 +83,23 @@ func (h *Histogram) Reduce(in *StepIn) (StepHistogram, error) {
 
 // Run implements sb.Component.
 func (h *Histogram) Run(env *sb.Env) error {
-	var out *os.File
-	if h.OutPath != "" && env.Comm.Rank() == 0 {
-		f, err := os.Create(h.OutPath)
-		if err != nil {
-			return fmt.Errorf("histogram: %w", err)
-		}
-		defer f.Close()
-		out = f
-	}
-	return sb.RunReduce(env, sb.ReduceConfig[StepHistogram]{
+	return h.rec.run(env, h.OutPath, histogramText(h.InArray), sb.ReduceConfig[StepHistogram]{
 		Name:     "histogram",
 		InStream: h.InStream, InArray: h.InArray,
 		RequireDims: 1,
 		OutBytes:    int64(h.NumBins * 8),
-		OnResult: func(step int, result StepHistogram) error {
-			result.Step = step
-			h.mu.Lock()
-			// A supervised restart can re-deliver an already-recorded step.
-			if n := len(h.results); n > 0 && h.results[n-1].Step >= step {
-				h.mu.Unlock()
-				return nil
-			}
-			h.results = append(h.results, result)
-			h.mu.Unlock()
-			if out != nil {
-				return WriteHistogramText(out, h.InArray, result)
-			}
-			return nil
-		},
 	}, h)
+}
+
+// histogramText is the recorder's file writer for histograms of the
+// named quantity.
+func histogramText(quantity string) func(w io.Writer, h StepHistogram) error {
+	return func(w io.Writer, h StepHistogram) error { return WriteHistogramText(w, quantity, h) }
+}
+
+func (h StepHistogram) withStep(step int) StepHistogram {
+	h.Step = step
+	return h
 }
 
 // globalExtremes reduces every rank's extremes in one collective:

@@ -2,9 +2,8 @@ package components
 
 import (
 	"fmt"
+	"io"
 	"math"
-	"os"
-	"sync"
 
 	"repro/internal/adios"
 	"repro/internal/mpi"
@@ -35,8 +34,7 @@ type Stats struct {
 	InStream, InArray string
 	OutPath           string
 
-	mu      sync.Mutex
-	results []StepStats
+	rec recorder[StepStats]
 }
 
 // NewStats parses: input-stream input-array [output-path].
@@ -56,13 +54,7 @@ func NewStats(args []string) (sb.Component, error) {
 func (s *Stats) Name() string { return "stats" }
 
 // Results returns the per-timestep statistics accumulated by rank 0.
-func (s *Stats) Results() []StepStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]StepStats, len(s.results))
-	copy(out, s.results)
-	return out
-}
+func (s *Stats) Results() []StepStats { return s.rec.all() }
 
 // ReservedAxes implements sb.ReduceKernel: any axis may be partitioned.
 func (s *Stats) ReservedAxes(v *adios.GlobalVar, info *adios.StepInfo) ([]int, error) {
@@ -76,38 +68,22 @@ func (s *Stats) Reduce(in *StepIn) (StepStats, error) {
 
 // Run implements sb.Component.
 func (s *Stats) Run(env *sb.Env) error {
-	var out *os.File
-	if s.OutPath != "" && env.Comm.Rank() == 0 {
-		f, err := os.Create(s.OutPath)
-		if err != nil {
-			return fmt.Errorf("stats: %w", err)
-		}
-		defer f.Close()
-		out = f
-	}
-	return sb.RunReduce(env, sb.ReduceConfig[StepStats]{
+	return s.rec.run(env, s.OutPath, writeStatsText, sb.ReduceConfig[StepStats]{
 		Name:     "stats",
 		InStream: s.InStream, InArray: s.InArray,
 		OutBytes: 48,
-		OnResult: func(step int, result StepStats) error {
-			result.Step = step
-			s.mu.Lock()
-			// A supervised restart can re-deliver a step the previous
-			// incarnation already recorded; results are keyed by step.
-			if n := len(s.results); n > 0 && s.results[n-1].Step >= step {
-				s.mu.Unlock()
-				return nil
-			}
-			s.results = append(s.results, result)
-			s.mu.Unlock()
-			if out != nil {
-				_, err := fmt.Fprintf(out, "step %d  n=%d  min=%g  max=%g  mean=%g  std=%g\n",
-					result.Step, result.Count, result.Min, result.Max, result.Mean, result.Std)
-				return err
-			}
-			return nil
-		},
 	}, s)
+}
+
+func writeStatsText(w io.Writer, r StepStats) error {
+	_, err := fmt.Fprintf(w, "step %d  n=%d  min=%g  max=%g  mean=%g  std=%g\n",
+		r.Step, r.Count, r.Min, r.Max, r.Mean, r.Std)
+	return err
+}
+
+func (r StepStats) withStep(step int) StepStats {
+	r.Step = step
+	return r
 }
 
 // ComputeStats merges per-rank moments into global summary statistics:

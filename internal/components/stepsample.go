@@ -1,13 +1,9 @@
 package components
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"strconv"
-	"time"
 
-	"repro/internal/ndarray"
 	"repro/internal/sb"
 )
 
@@ -48,79 +44,31 @@ func NewStepSample(args []string) (sb.Component, error) {
 // Name implements sb.Component.
 func (s *StepSample) Name() string { return "step-sample" }
 
-// Run implements sb.Component. StepSample cannot use RunMap (it skips
-// publishing for dropped steps), so it carries its own loop: kept steps
-// are read, re-partitioned and republished; dropped steps are released
+// Run implements sb.Component: kept steps are read, re-partitioned and
+// republished as output step N/stride; dropped steps are released
 // without fetching their payload, which is the point — the transport
 // retires them with no data movement beyond metadata.
 func (s *StepSample) Run(env *sb.Env) error {
-	if env.Metrics != nil {
-		env.Metrics.MarkStarted()
-		defer env.Metrics.MarkFinished()
+	l := sb.NewLoop(env, "step-sample")
+	defer l.Close()
+	if _, err := l.Reader(s.InStream); err != nil {
+		return err
 	}
-	r, err := env.OpenReader(s.InStream)
+	w, err := l.Writer(s.OutStream)
 	if err != nil {
-		return fmt.Errorf("step-sample: attaching reader to %q: %w", s.InStream, err)
+		return err
 	}
-	defer r.Close()
-	w, err := env.OpenWriter(s.OutStream)
-	if err != nil {
-		return fmt.Errorf("step-sample: attaching writer to %q: %w", s.OutStream, err)
-	}
-	defer w.Close()
-
-	rank, size := env.Comm.Rank(), env.Comm.Size()
-	for step := 0; ; step++ {
-		info, err := r.BeginStep(env.Ctx())
-		if errors.Is(err, io.EOF) {
+	return l.Run(func(st *sb.Step) error {
+		if st.N%s.Stride != 0 {
 			return nil
 		}
+		v, box, block, err := st.Read(0, s.InArray)
 		if err != nil {
-			return fmt.Errorf("step-sample: step %d: %w", step, err)
-		}
-		if step%s.Stride != 0 {
-			// Dropped step: release without reading any block data.
-			if err := r.EndStep(); err != nil {
-				return fmt.Errorf("step-sample: step %d: %w", step, err)
-			}
-			continue
-		}
-		begin := time.Now()
-		v, ok := info.Var(s.InArray)
-		if !ok {
-			return fmt.Errorf("step-sample: step %d of stream %q has no array %q", step, s.InStream, s.InArray)
-		}
-		axis, err := sb.ChooseAxis(v.Shape())
-		if err != nil {
-			return fmt.Errorf("step-sample: step %d: %w", step, err)
-		}
-		box := ndarray.PartitionAlong(v.Shape(), axis, size, rank)
-		block, err := r.ReadBox(env.Ctx(), s.InArray, box)
-		if err != nil {
-			return fmt.Errorf("step-sample: step %d: %w", step, err)
-		}
-		if err := w.BeginStep(); err != nil {
 			return err
 		}
-		for k, val := range info.Attrs {
-			if err := w.SetAttribute(k, val); err != nil {
-				return err
-			}
-		}
-		if err := w.Write(s.OutArray, v.Dims, box, block.Data()); err != nil {
-			return fmt.Errorf("step-sample: step %d: %w", step, err)
-		}
-		if err := w.EndStep(env.Ctx()); err != nil {
-			return fmt.Errorf("step-sample: step %d: %w", step, err)
-		}
-		if err := r.EndStep(); err != nil {
-			return fmt.Errorf("step-sample: step %d: %w", step, err)
-		}
-		if env.Metrics != nil {
-			n := int64(block.Size() * 8)
-			env.Metrics.RecordStep(step, time.Since(begin), n, n)
-		}
-	}
+		st.BytesOut = st.BytesIn
+		return st.Publish(w, st.N/s.Stride, s.OutArray, v.Dims, box, block.Data(), st.Info[0].Attrs)
+	})
 }
 
 func init() { Register("step-sample", NewStepSample) }

@@ -1,15 +1,11 @@
 package components
 
 import (
-	"errors"
 	"fmt"
-	"io"
-	"time"
 
 	"repro/internal/adios"
 	"repro/internal/flexpath"
 	"repro/internal/mpi"
-	"repro/internal/ndarray"
 	"repro/internal/sb"
 	"repro/internal/streamlog"
 )
@@ -52,10 +48,8 @@ func (f *FileWriter) Name() string { return "file-writer" }
 // the log already holds are not appended again, so a restarted writer
 // resumes the recording.
 func (f *FileWriter) Run(env *sb.Env) error {
-	if env.Metrics != nil {
-		env.Metrics.MarkStarted()
-		defer env.Metrics.MarkFinished()
-	}
+	l := sb.NewLoop(env, "file-writer")
+	defer l.Close()
 	rank, size := env.Comm.Rank(), env.Comm.Size()
 	var store *streamlog.Store // rank 0's; nil on the other ranks
 	var lg *streamlog.Log
@@ -72,70 +66,41 @@ func (f *FileWriter) Run(env *sb.Env) error {
 			return fmt.Errorf("file-writer: %w", err)
 		}
 	}
-	r, err := env.OpenReader(f.InStream)
-	if err != nil {
-		return fmt.Errorf("file-writer: attaching reader to %q: %w", f.InStream, err)
+	if _, err := l.Reader(f.InStream); err != nil {
+		return err
 	}
-	defer r.Close()
-	for {
-		info, err := r.BeginStep(env.Ctx())
-		if errors.Is(err, io.EOF) {
-			if store == nil {
-				return nil
-			}
-			if err := lg.AppendEnd(lg.NextStep() - 1); err != nil {
-				return fmt.Errorf("file-writer: %w", err)
-			}
-			if err := store.Close(); err != nil {
-				return fmt.Errorf("file-writer: %w", err)
-			}
-			return nil
-		}
+	err := l.Run(func(s *sb.Step) error {
+		v, box, block, err := s.Read(0, f.InArray)
 		if err != nil {
-			return fmt.Errorf("file-writer: %w", err)
+			return err
 		}
-		step := info.Step
-		begin := time.Now() // active time: excludes waiting for the producer
-		v, ok := info.Var(f.InArray)
-		if !ok {
-			return fmt.Errorf("file-writer: step %d of stream %q has no array %q", step, f.InStream, f.InArray)
-		}
-		axis, err := sb.ChooseAxis(v.Shape())
-		if err != nil {
-			return fmt.Errorf("file-writer: step %d: %w", step, err)
-		}
-		box := ndarray.PartitionAlong(v.Shape(), axis, size, rank)
-		block, err := r.ReadBox(env.Ctx(), f.InArray, box)
-		if err != nil {
-			return fmt.Errorf("file-writer: step %d: %w", step, err)
-		}
+		s.BytesOut = s.BytesIn
 		meta := adios.EncodeMeta(&adios.BlockMeta{
-			Step:  step,
+			Step:  s.N,
 			Vars:  []adios.VarMeta{{Name: f.InArray, GlobalDims: v.Dims, Box: box}},
-			Attrs: info.Attrs,
+			Attrs: s.Info[0].Attrs,
 		})
 		payload := adios.EncodePayload([]string{f.InArray}, [][]float64{block.Data()})
 		blobs, err := mpi.Gather(env.Comm, [2][]byte{meta, payload}, 0)
-		if err != nil {
-			return fmt.Errorf("file-writer: step %d: %w", step, err)
+		if err != nil || store == nil || s.N < lg.NextStep() {
+			return err
 		}
-		if store != nil && step >= lg.NextStep() {
-			metas, payloads := make([][]byte, size), make([][]byte, size)
-			for i, b := range blobs {
-				metas[i], payloads[i] = b[0], b[1]
-			}
-			if err := lg.Append(step, metas, payloads); err != nil {
-				return fmt.Errorf("file-writer: step %d: %w", step, err)
-			}
+		metas, payloads := make([][]byte, size), make([][]byte, size)
+		for i, b := range blobs {
+			metas[i], payloads[i] = b[0], b[1]
 		}
-		if err := r.EndStep(); err != nil {
-			return fmt.Errorf("file-writer: step %d: %w", step, err)
-		}
-		if env.Metrics != nil {
-			n := int64(block.Size() * 8)
-			env.Metrics.RecordStep(step, time.Since(begin), n, n)
-		}
+		return lg.Append(s.N, metas, payloads)
+	})
+	if err != nil || store == nil {
+		return err
 	}
+	if err := lg.AppendEnd(lg.NextStep() - 1); err != nil {
+		return fmt.Errorf("file-writer: %w", err)
+	}
+	if err := store.Close(); err != nil {
+		return fmt.Errorf("file-writer: %w", err)
+	}
+	return nil
 }
 
 // FileReader replays a directory recorded by FileWriter onto a stream.
@@ -160,78 +125,45 @@ func (f *FileReader) Name() string { return "file-reader" }
 // must hold exactly one stream, reads its own partition of each step's
 // array through the ordinary M×N path and republishes it with the
 // step's attributes, so the replaying group's size is independent of
-// the recording one's.
+// the recording one's. A restarted rank resumes the recording at the
+// step its writer publishes next.
 func (f *FileReader) Run(env *sb.Env) error {
-	if env.Metrics != nil {
-		env.Metrics.MarkStarted()
-		defer env.Metrics.MarkFinished()
-	}
 	src, err := flexpath.OpenLogSource(f.Dir)
 	if err != nil {
 		return fmt.Errorf("file-reader: %w", err)
 	}
 	defer src.Close()
+	l := sb.NewLoop(env, "file-reader")
+	defer l.Close()
 	streams := src.Streams()
 	if len(streams) != 1 {
 		return fmt.Errorf("file-reader: %s holds %d recorded streams %v, want exactly one", f.Dir, len(streams), streams)
 	}
-	rank, size := env.Comm.Rank(), env.Comm.Size()
-	br, err := src.AttachReader(streams[0], rank, size)
+	w, err := l.Writer(f.OutStream)
+	if err != nil {
+		return err
+	}
+	br, err := src.OpenReaderFrom(streams[0], w.Steps())
 	if err != nil {
 		return fmt.Errorf("file-reader: %w", err)
 	}
-	r := adios.NewReader(br)
-	defer r.Close()
-	w, err := env.OpenWriter(f.OutStream)
-	if err != nil {
-		return fmt.Errorf("file-reader: attaching writer to %q: %w", f.OutStream, err)
-	}
-	defer w.Close()
-	for {
-		info, err := r.BeginStep(env.Ctx())
-		if errors.Is(err, io.EOF) {
-			return nil
+	l.AddReader(streams[0], adios.NewReaderAt(br, br.NextStep()))
+	return l.Run(func(s *sb.Step) error {
+		if len(s.Info[0].Vars) != 1 {
+			return fmt.Errorf("recording holds %d variables, want 1", len(s.Info[0].Vars))
 		}
+		v := s.Info[0].Vars[0]
+		box, err := s.Partition(v)
 		if err != nil {
-			return fmt.Errorf("file-reader: %w", err)
-		}
-		step := info.Step
-		begin := time.Now()
-		if len(info.Vars) != 1 {
-			return fmt.Errorf("file-reader: step %d holds %d variables, want 1", step, len(info.Vars))
-		}
-		v := info.Vars[0]
-		axis, err := sb.ChooseAxis(v.Shape())
-		if err != nil {
-			return fmt.Errorf("file-reader: step %d: %w", step, err)
-		}
-		box := ndarray.PartitionAlong(v.Shape(), axis, size, rank)
-		block, err := r.ReadBox(env.Ctx(), v.Name, box)
-		if err != nil {
-			return fmt.Errorf("file-reader: step %d: %w", step, err)
-		}
-		if err := w.BeginStep(); err != nil {
 			return err
 		}
-		for k, val := range info.Attrs {
-			if err := w.SetAttribute(k, val); err != nil {
-				return err
-			}
+		block, err := s.ReadBox(0, v.Name, box)
+		if err != nil {
+			return err
 		}
-		if err := w.Write(v.Name, v.Dims, box, block.Data()); err != nil {
-			return fmt.Errorf("file-reader: step %d: %w", step, err)
-		}
-		if err := w.EndStep(env.Ctx()); err != nil {
-			return fmt.Errorf("file-reader: step %d: %w", step, err)
-		}
-		if err := r.EndStep(); err != nil {
-			return fmt.Errorf("file-reader: step %d: %w", step, err)
-		}
-		if env.Metrics != nil {
-			n := int64(block.Size() * 8)
-			env.Metrics.RecordStep(step, time.Since(begin), n, n)
-		}
-	}
+		s.BytesOut = s.BytesIn
+		return s.Publish(w, s.N, v.Name, v.Dims, box, block.Data(), s.Info[0].Attrs)
+	})
 }
 
 func init() {

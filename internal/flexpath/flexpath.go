@@ -371,6 +371,17 @@ func (b *Broker) AttachWriter(stream string, rank, size, depth int) (*Writer, er
 		return nil, s.failed
 	}
 	if s.ended {
+		if s.writerDone[rank] && s.writerSize > 1 {
+			// A rank that succeeded in one attempt of a supervised stage
+			// closed its slot, and its peers' closes in later attempts
+			// ended the group: every step the rank owes is published. Its
+			// resumed incarnation gets a spent handle at the rank's end, so
+			// it can run out its input and return; a publish past the end
+			// fails, and closing the handle changes nothing. A lone writer
+			// closes only when its attempt succeeded, so a re-attach after
+			// its group ended reuses the stream and stays an error.
+			return &Writer{b: b, s: s, rank: rank, closed: true}, nil
+		}
 		return nil, fmt.Errorf("flexpath: stream %q writer group already closed", stream)
 	}
 	if s.writerLive[rank] {
@@ -420,10 +431,13 @@ func (w *Writer) publishRef(ctx context.Context, step int, meta, payload *pool.B
 	b := w.b
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	s := w.s
+	if w.closed && s.ended {
+		return fmt.Errorf("flexpath: stream %q has ended; writer rank %d cannot publish step %d: %w", s.name, w.rank, step, ErrClosed)
+	}
 	if w.closed {
 		return ErrClosed
 	}
-	s := w.s
 	if s.failed != nil {
 		return s.failed
 	}

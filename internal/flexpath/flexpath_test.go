@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -513,6 +514,51 @@ func TestAttachWriterAfterGroupClosed(t *testing.T) {
 	w.Close()
 	if _, err := b.AttachWriter("x.fp", 0, 1, 0); err == nil {
 		t.Fatal("attach to ended stream accepted")
+	}
+}
+
+// A rank of a several-writer group that closed its slot before its peers
+// ended the group gets a spent handle at its end when it re-attaches: a
+// supervised rank resumed after its output is whole runs out its input
+// and returns. (A lone writer is refused: TestAttachWriterAfterGroupClosed.)
+func TestAttachWriterSpentAfterPeersEndedGroup(t *testing.T) {
+	b := NewBroker()
+	ctx := ctxT(t)
+	w0, _ := b.AttachWriter("sp.fp", 0, 2, 0)
+	w1, _ := b.AttachWriter("sp.fp", 1, 2, 0)
+	for _, w := range []*Writer{w0, w1} {
+		if err := w.PublishBlock(ctx, 0, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w0.Close()
+	w1.Detach()
+	w1, err := b.AttachWriter("sp.fp", 1, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w1.Close() // ends the group
+	spent, err := b.AttachWriter("sp.fp", 0, 2, 0)
+	if err != nil {
+		t.Fatalf("re-attach of a done rank to its ended group: %v", err)
+	}
+	if n := spent.NextStep(); n != 1 {
+		t.Fatalf("spent handle at step %d, want 1", n)
+	}
+	err = spent.PublishBlock(ctx, 1, nil, nil)
+	if !errors.Is(err, ErrClosed) || !strings.Contains(err.Error(), `"sp.fp" has ended`) {
+		t.Fatalf("publish past the end = %v, want ErrClosed naming the ended stream", err)
+	}
+	if err := spent.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, _ := b.AttachReader("sp.fp", 0, 1)
+	if _, err := r.StepMeta(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	r.ReleaseStep(0)
+	if _, err := r.StepMeta(ctx, 1); !errors.Is(err, io.EOF) {
+		t.Fatalf("after the spent handle closed: %v, want EOF", err)
 	}
 }
 

@@ -63,9 +63,9 @@ const (
 	KindReaderRelease Kind = "reader.release"
 	// KindKernelTransform times one rank's kernel Transform call.
 	KindKernelTransform Kind = "kernel.transform"
-	// KindStageStep is one rank's full step through a map-style
-	// component: read, transform, republish, release. Parent of the
-	// step's transport and kernel spans.
+	// KindStageStep is one rank's full step through a streaming stage's
+	// step loop (one per part of a fused stage): wait, read, compute,
+	// publish, release. Parent of the step's transport and kernel spans.
 	KindStageStep Kind = "stage.step"
 	// KindStageAttempt is one supervised launch of a workflow stage;
 	// Epoch is the attempt number (0 = first launch).

@@ -122,7 +122,7 @@ func (f *Fused) BindMetrics(ranks int, reg *obs.Registry) []*Metrics {
 // broker hop (see runChain).
 func (f *Fused) Run(env *Env) error {
 	f.ensureMetrics(env.Comm.Size(), env.Registry)
-	return runChain(env, f.name, f.parts, f.metrics)
+	return runChain(env, f.parts, f.metrics)
 }
 
 // handoff turns the previous kernel's output into the next kernel's
@@ -134,19 +134,23 @@ func (f *Fused) Run(env *Env) error {
 // on every rank every step, so a partition disagreement can never
 // deadlock it, and a failing rank aborts the world, which wakes every
 // peer blocked in it.
-func handoff(env *Env, cfg MapConfig, kernel MapKernel, info *adios.StepInfo, prev *StepOutput, step int) (*StepInput, error) {
-	v := info.Vars[0]
-	box, err := partitionFor(kernel, v, info, env.Comm.Size(), env.Comm.Rank())
+func handoff(s *Step, kernel MapKernel, info *adios.StepInfo, prev *StepOutput) (*StepInput, error) {
+	env, v := s.l.env, info.Vars[0]
+	reserved, err := kernel.ReservedAxes(v, info)
 	if err != nil {
-		return nil, stepErr(cfg, step, err)
+		return nil, err
+	}
+	box, err := s.Partition(v, reserved...)
+	if err != nil {
+		return nil, err
 	}
 	outs, err := mpi.Allgather(env.Comm, prev)
 	if err != nil {
-		return nil, stepErr(cfg, step, fmt.Errorf("fused exchange: %w", err))
+		return nil, fmt.Errorf("fused exchange: %w", err)
 	}
 	block, err := assembleBox(outs, box)
 	if err != nil {
-		return nil, stepErr(cfg, step, err)
+		return nil, err
 	}
 	return &StepInput{Info: info, Var: v, Box: box, Block: block, Env: env}, nil
 }

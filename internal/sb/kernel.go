@@ -1,12 +1,6 @@
 package sb
 
 import (
-	"context"
-	"errors"
-	"fmt"
-	"io"
-	"time"
-
 	"repro/internal/adios"
 	"repro/internal/ndarray"
 	"repro/internal/obs"
@@ -85,39 +79,34 @@ type MapConfig struct {
 	ForwardAttrs bool
 }
 
-// RunMap executes the shared per-rank loop of a map-style component:
-// attach to the input and output streams, and for every timestep read
-// this rank's partition, transform it, and republish — until the input
-// stream ends. It records one Metrics sample per timestep. It is
-// runChain over one part; a Fused stage runs the same loop over several.
+// RunMap runs a map-style component through the step loop: attach to
+// the input and output streams, and for every timestep read this rank's
+// partition, transform it, and republish — until the input stream ends.
+// It is runChain over one part; a Fused stage runs the same loop over
+// several.
 func RunMap(env *Env, cfg MapConfig, kernel MapKernel) error {
-	return runChain(env, cfg.Name, []fusedPart{{cfg, kernel}}, []*Metrics{env.Metrics})
+	return runChain(env, []fusedPart{{cfg, kernel}}, []*Metrics{env.Metrics})
 }
 
-// runChain is the one map step loop: one reader on the first part's
-// input stream, one writer on the last part's output stream, and for
-// every timestep the parts' kernels run back-to-back — each handing its
+// runChain runs a chain of map kernels through the step loop: one reader
+// on the first part's input stream, one writer on the last part's output
+// stream, and per step the parts' kernels back-to-back — each handing its
 // output block to the next through handoff, never through the broker.
 // metrics holds one collector per part; entries may be nil.
-func runChain(env *Env, name string, parts []fusedPart, metrics []*Metrics) error {
-	for _, m := range metrics {
-		if m != nil {
-			m.MarkStarted()
-			defer m.MarkFinished()
-		}
+func runChain(env *Env, parts []fusedPart, metrics []*Metrics) error {
+	lp := make([]loopPart, len(parts))
+	for k, p := range parts {
+		lp[k] = loopPart{name: p.cfg.Name, stream: p.cfg.InStream, metrics: metrics[k]}
 	}
-	first, last := parts[0].cfg, parts[len(parts)-1].cfg
-	r, err := env.OpenReader(first.InStream)
+	l := newLoop(env, lp)
+	defer l.Close()
+	if _, err := l.Reader(parts[0].cfg.InStream); err != nil {
+		return err
+	}
+	w, err := l.Writer(parts[len(parts)-1].cfg.OutStream)
 	if err != nil {
-		return fmt.Errorf("%s: attaching reader to %q: %w", name, first.InStream, err)
+		return err
 	}
-	defer r.Close()
-	w, err := env.OpenWriter(last.OutStream)
-	if err != nil {
-		return fmt.Errorf("%s: attaching writer to %q: %w", name, last.OutStream, err)
-	}
-	defer w.Close()
-
 	// Output storage per part. An interior output of a multi-rank chain
 	// is gathered by its peers, which may still hold a view of it after
 	// this rank has moved on, so those parts keep fresh storage.
@@ -127,159 +116,77 @@ func runChain(env *Env, name string, parts []fusedPart, metrics []*Metrics) erro
 			scratch[k] = &Scratch{}
 		}
 	}
-
-	for {
-		// Step boundary: the elastic-rescale supervisor interrupts here,
-		// after the previous step fully settled and before any work on the
-		// next, so a detach leaves nothing half-published.
-		if env.Interrupt != nil {
-			if err := env.Interrupt(); err != nil {
-				// The supervisor will detach the handles; keep the defer
-				// chain's graceful closes from ending the streams first.
-				env.Handles.Suspend()
-				return err
-			}
-		}
-		step := r.NextStep() // absolute: a re-attached reader resumes mid-stream
-		eof, err := runChainStep(env, parts, metrics, r, w, scratch, step)
-		if eof {
-			env.logf("%s rank %d: input stream %q ended after %d steps", name, env.Comm.Rank(), first.InStream, step)
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-	}
+	return l.Run(func(s *Step) error { return runChainStep(env, parts, s, w, scratch) })
 }
 
-// runChainStep executes one timestep through the whole chain: wait for
-// the step, read this rank's partition, run every kernel, republish
-// (unless the resumed writer already has), release. The input step
-// stays open until the final output is published, so a crash anywhere
-// mid-chain leaves the step unreleased and a supervised restart
-// recomputes it from the stream.
+// runChainStep is the chain's step body: read this rank's partition, run
+// every kernel, republish (unless the resumed writer already has). Each
+// part after the first settles the previous part's span and metrics and
+// opens its own. The input step stays open until the final output is
+// published, so a crash anywhere mid-chain leaves the step unreleased and
+// a supervised restart recomputes it from the stream.
 //
 // The block is read into the reader's step-scoped storage and kernels
 // write into scratch, so a steady one-part step makes one copy of the
 // data (the box assembly) and allocates no array.
-func runChainStep(env *Env, parts []fusedPart, metrics []*Metrics, r *adios.Reader, w *adios.Writer,
-	scratch []*Scratch, step int) (eof bool, err error) {
-	tr := env.Tracer
-	var info *adios.StepInfo // the current (real or virtual) step metadata
-	var out *StepOutput      // the previous kernel's output
+func runChainStep(env *Env, parts []fusedPart, s *Step, w *adios.Writer, scratch []*Scratch) error {
+	info := s.Info[0] // the current (real or virtual) step metadata
+	var out *StepOutput
 	for k := range parts {
 		part := &parts[k]
-		cfg := part.cfg
-		// Per-part stage.step span. Its ID is allocated up front and
-		// carried down into every transport call via the step context, so
-		// the fabric's publish/fetch spans nest under this part's step. The
-		// span itself is emitted once the part settles — successfully or
-		// not — so a trace never contains a child whose parent was lost to
-		// a failure.
-		ctx := env.Ctx()
-		var stepSpan obs.SpanID
-		var stepStart int64
-		if tr.Enabled() {
-			stepSpan = tr.NextID()
-			ctx = obs.WithParent(ctx, stepSpan)
-			stepStart = tr.Now()
-		}
-		begin := time.Now()
-
 		var in *StepInput
+		var err error
 		if k == 0 {
-			stepInfo, berr := r.BeginStep(ctx)
-			if errors.Is(berr, io.EOF) {
-				return true, nil
-			}
-			if berr != nil {
-				err = stepErr(cfg, step, berr)
-			} else {
-				info = stepInfo
-				begin = time.Now() // active time: excludes waiting for the producer
-				in, err = readInput(env, cfg, part.kernel, r, ctx, info, step)
-			}
+			in, err = readInput(env, s, part.cfg.InArray, part.kernel)
 		} else {
-			info = handoffInfo(&parts[k-1].cfg, info, out, step)
-			in, err = handoff(env, cfg, part.kernel, info, out, step)
-		}
-		var bytesIn, bytesOut int64
-		if err == nil {
-			in.Scratch = scratch[k]
-			bytesIn = int64(in.Block.Size() * 8)
-			if out, err = transformKernel(env, cfg.Name, cfg.InStream, part.kernel, stepSpan, step, in); err != nil {
-				err = stepErr(cfg, step, err)
+			s.nextPart()
+			info = handoffInfo(&parts[k-1].cfg, info, out, s.N)
+			in, err = handoff(s, part.kernel, info, out)
+			if err == nil {
+				s.BytesIn = int64(in.Block.Size() * 8)
 			}
-		}
-		if err == nil {
-			bytesOut = int64(len(out.Data) * 8)
-			if k == len(parts)-1 {
-				if err = publishOutput(env, cfg, w, ctx, step, info.Attrs, out); err == nil {
-					err = r.EndStep()
-				}
-				if err != nil {
-					err = stepErr(cfg, step, err)
-				}
-			}
-		}
-		if tr.Enabled() {
-			span := obs.Span{ID: stepSpan, Kind: obs.KindStageStep,
-				Stream: cfg.InStream, Step: step, Rank: env.Comm.Rank(), Peer: -1,
-				Bytes: bytesIn, Epoch: env.Epoch, Note: cfg.Name, Start: stepStart}
-			if err != nil {
-				span.Err = err.Error()
-			}
-			tr.Emit(span)
 		}
 		if err != nil {
-			return false, err
+			return err
 		}
-		if metrics[k] != nil {
-			metrics[k].RecordStep(step, time.Since(begin), bytesIn, bytesOut)
+		in.Scratch = scratch[k]
+		if out, err = transformKernel(env, part.cfg.Name, part.cfg.InStream, part.kernel, s.span, s.N, in); err != nil {
+			return err
 		}
+		s.BytesOut = int64(len(out.Data) * 8)
 	}
-	return false, nil
+	last := &parts[len(parts)-1].cfg
+	var forward map[string]string
+	if last.ForwardAttrs {
+		forward = info.Attrs
+	}
+	// The kernel's own attributes override forwarded upstream ones.
+	return s.Publish(w, s.N, last.OutArray, out.GlobalDims, out.Box, out.Data, forward, out.Attrs)
 }
 
-// readInput reads this rank's partition of the chain's first input from
-// the real stream into the reader's step-scoped storage.
-func readInput(env *Env, cfg MapConfig, kernel MapKernel, r *adios.Reader,
-	ctx context.Context, info *adios.StepInfo, step int) (*StepInput, error) {
-	v, ok := info.Var(cfg.InArray)
-	if !ok {
-		return nil, fmt.Errorf("%s: step %d of stream %q has no array %q", cfg.Name, step, cfg.InStream, cfg.InArray)
-	}
-	box, err := partitionFor(kernel, v, info, env.Comm.Size(), env.Comm.Rank())
-	if err != nil {
-		return nil, stepErr(cfg, step, err)
-	}
-	block, err := r.ReadBoxScoped(ctx, cfg.InArray, box)
-	if err != nil {
-		return nil, stepErr(cfg, step, err)
-	}
-	return &StepInput{Info: info, Var: v, Box: box, Block: block, Env: env, Reader: r}, nil
-}
-
-// stepErr prefixes a step's error with the part and step it failed in.
-func stepErr(cfg MapConfig, step int, err error) error {
-	return fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)
-}
-
-// partitionFor computes the box one rank reads of variable v for the
-// given kernel — map or reduce: the kernel reserves axes that must stay
-// whole, and the first of the rest is split.
-func partitionFor(kernel interface {
+// readInput reads this rank's partition of an array of the loop's first
+// input into the reader's step-scoped storage, split as the kernel (map
+// or reduce) reserves.
+func readInput(env *Env, s *Step, array string, kernel interface {
 	ReservedAxes(v *adios.GlobalVar, info *adios.StepInfo) ([]int, error)
-}, v *adios.GlobalVar, info *adios.StepInfo, size, rank int) (ndarray.Box, error) {
-	reserved, err := kernel.ReservedAxes(v, info)
+}) (*StepInput, error) {
+	v, err := s.Var(0, array)
 	if err != nil {
-		return ndarray.Box{}, err
+		return nil, err
 	}
-	axis, err := ChooseAxis(v.Shape(), reserved...)
+	reserved, err := kernel.ReservedAxes(v, s.Info[0])
 	if err != nil {
-		return ndarray.Box{}, err
+		return nil, err
 	}
-	return ndarray.PartitionAlong(v.Shape(), axis, size, rank), nil
+	box, err := s.Partition(v, reserved...)
+	if err != nil {
+		return nil, err
+	}
+	block, err := s.ReadBox(0, array, box)
+	if err != nil {
+		return nil, err
+	}
+	return &StepInput{Info: s.Info[0], Var: v, Box: box, Block: block, Env: env, Reader: s.l.ins[0]}, nil
 }
 
 // transformKernel runs one kernel Transform with its kernel.transform
@@ -301,36 +208,4 @@ func transformKernel(env *Env, name, stream string, kernel MapKernel, stepSpan o
 		tr.Emit(span)
 	}
 	return out, err
-}
-
-// publishOutput republishes one kernel output downstream with
-// exactly-once semantics: a restarted rank that crashed between
-// publishing step N and releasing its input re-reads step N but must
-// not publish it twice — the resumed writer is already past it.
-// upstreamAttrs are forwarded first when the config asks for it, then
-// the kernel's own attributes override.
-func publishOutput(env *Env, cfg MapConfig, w *adios.Writer, ctx context.Context, step int,
-	upstreamAttrs map[string]string, out *StepOutput) error {
-	if w.Steps() > step {
-		return nil
-	}
-	if err := w.BeginStep(); err != nil {
-		return err
-	}
-	if cfg.ForwardAttrs {
-		for k, val := range upstreamAttrs {
-			if err := w.SetAttribute(k, val); err != nil {
-				return err
-			}
-		}
-	}
-	for k, val := range out.Attrs {
-		if err := w.SetAttribute(k, val); err != nil {
-			return err
-		}
-	}
-	if err := w.Write(cfg.OutArray, out.GlobalDims, out.Box, out.Data); err != nil {
-		return err
-	}
-	return w.EndStep(ctx)
 }

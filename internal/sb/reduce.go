@@ -1,10 +1,7 @@
 package sb
 
 import (
-	"errors"
 	"fmt"
-	"io"
-	"time"
 
 	"repro/internal/adios"
 )
@@ -40,61 +37,32 @@ type ReduceConfig[T any] struct {
 	OnResult func(step int, result T) error
 }
 
-// RunReduce executes the shared per-rank loop of an endpoint component:
-// for every timestep, read this rank's partition, run the collective
-// reduction, deliver the result on rank 0 — until the input stream ends.
+// RunReduce runs an endpoint component through the step loop: for every
+// timestep, read this rank's partition, run the collective reduction,
+// deliver the result on rank 0 — until the input stream ends.
 func RunReduce[T any](env *Env, cfg ReduceConfig[T], kernel ReduceKernel[T]) error {
-	if env.Metrics != nil {
-		env.Metrics.MarkStarted()
-		defer env.Metrics.MarkFinished()
+	l := NewLoop(env, cfg.Name)
+	defer l.Close()
+	if _, err := l.Reader(cfg.InStream); err != nil {
+		return err
 	}
-	r, err := env.OpenReader(cfg.InStream)
-	if err != nil {
-		return fmt.Errorf("%s: attaching reader to %q: %w", cfg.Name, cfg.InStream, err)
-	}
-	defer r.Close()
-
-	rank, size := env.Comm.Rank(), env.Comm.Size()
-	for {
-		step := r.NextStep() // absolute: a re-attached reader resumes mid-stream
-		info, err := r.BeginStep(env.Ctx())
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
+	return l.Run(func(s *Step) error {
+		v, err := s.Var(0, cfg.InArray)
 		if err != nil {
-			return fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)
-		}
-		begin := time.Now() // active time: excludes waiting for the producer
-		v, ok := info.Var(cfg.InArray)
-		if !ok {
-			return fmt.Errorf("%s: step %d of stream %q has no array %q", cfg.Name, step, cfg.InStream, cfg.InArray)
+			return err
 		}
 		if cfg.RequireDims > 0 && len(v.Dims) != cfg.RequireDims {
-			return fmt.Errorf("%s: expects %d-dimensional data, got %d dimensions in %q",
-				cfg.Name, cfg.RequireDims, len(v.Dims), v.Name)
+			return fmt.Errorf("expects %d-dimensional data, got %d dimensions in %q", cfg.RequireDims, len(v.Dims), v.Name)
 		}
-		box, err := partitionFor(kernel, v, info, size, rank)
+		in, err := readInput(env, s, cfg.InArray, kernel)
 		if err != nil {
-			return fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)
+			return err
 		}
-		block, err := r.ReadBox(env.Ctx(), cfg.InArray, box)
-		if err != nil {
-			return fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)
+		s.BytesOut = cfg.OutBytes
+		result, err := kernel.Reduce(in)
+		if err != nil || env.Comm.Rank() != 0 || cfg.OnResult == nil {
+			return err
 		}
-		result, err := kernel.Reduce(&StepInput{Info: info, Var: v, Box: box, Block: block, Env: env, Reader: r})
-		if err != nil {
-			return fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)
-		}
-		if rank == 0 && cfg.OnResult != nil {
-			if err := cfg.OnResult(step, result); err != nil {
-				return fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)
-			}
-		}
-		if err := r.EndStep(); err != nil {
-			return fmt.Errorf("%s: step %d: %w", cfg.Name, step, err)
-		}
-		if env.Metrics != nil {
-			env.Metrics.RecordStep(step, time.Since(begin), int64(block.Size()*8), cfg.OutBytes)
-		}
-	}
+		return cfg.OnResult(s.N, result)
+	})
 }

@@ -14,15 +14,18 @@
 //     they receive, and partition it evenly across their ranks with
 //     bounding-box selections.
 //
-// There is one map step loop, in kernel.go. It captures the shared shape
-// of the paper's data-transformation components (Select, Magnitude,
-// Dim-Reduce): read a partitioned block, transform it locally,
-// republish. RunMap runs one kernel through it; a Fused stage (fuse.go)
-// runs a chain of kernels through it back-to-back, handing blocks
-// between them over the stage's communicator instead of a stream.
-// Endpoint reductions (Histogram, Stats) share RunReduce (reduce.go).
-// Components with other shapes (Fork, Concat, the all-in-one baseline)
-// implement Component directly.
+// There is one step loop, Loop (loop.go). It alone numbers steps,
+// resumes after a restart, publishes exactly once, releases inputs,
+// stops at the rescale boundary and records metrics and spans; a
+// component passes it only a per-step body. The map body (kernel.go)
+// captures the shared shape of the paper's data-transformation
+// components (Select, Magnitude, Dim-Reduce): read a partitioned block,
+// transform it locally, republish. RunMap runs one kernel through it; a
+// Fused stage (fuse.go) runs a chain of kernels back-to-back, handing
+// blocks between them over the stage's communicator instead of a
+// stream. Endpoint reductions (Histogram, Stats) share RunReduce
+// (reduce.go). Components with other shapes (Fork, Concat, storage
+// coupling) hand the loop their own bodies.
 package sb
 
 import (
@@ -116,11 +119,12 @@ type Env struct {
 	// (0 = first incarnation). Stamped onto emitted spans so a trace can
 	// distinguish pre- and post-restart work.
 	Epoch int
-	// Interrupt, when non-nil, is polled by step-loop components at each
-	// step boundary (after finishing a step, before starting the next).
-	// A non-nil return aborts the loop with that error — the elastic
-	// rescale path returns ErrRescale here so the supervisor can detach
-	// the stage cleanly between steps and relaunch it at a new size.
+	// Interrupt, when non-nil, is polled by the step loop (Loop) before
+	// every step: after the previous step settled, before any work on the
+	// next. A non-nil return suspends the rank's handles and ends the loop
+	// with that error — the elastic rescale path returns ErrRescale here
+	// so the supervisor can detach the stage cleanly between steps and
+	// relaunch it at a new size.
 	Interrupt func() error
 	// Logf, when non-nil, receives diagnostic messages.
 	Logf func(format string, args ...any)

@@ -20,6 +20,7 @@ import (
 type chaosProducer struct {
 	rows, cols, steps int
 	seed              int64
+	stream            string // the output stream; "" is chaos0.fp
 }
 
 func (p *chaosProducer) Name() string { return "chaos-producer" }
@@ -34,7 +35,11 @@ func (p *chaosProducer) global(step int) *ndarray.Array {
 }
 
 func (p *chaosProducer) Run(env *sb.Env) error {
-	w, err := env.OpenWriter("chaos0.fp")
+	stream := p.stream
+	if stream == "" {
+		stream = "chaos0.fp"
+	}
+	w, err := env.OpenWriter(stream)
 	if err != nil {
 		return err
 	}
