@@ -10,15 +10,14 @@ COVER_FLOOR_controlplane ?= 85.0
 # the default make the smoke about fifteen seconds of fuzzing.
 FUZZTIME ?= 1s
 
-.PHONY: check build test vet race chaos cover conformance plan recover replay corpus optimize benchmark
+.PHONY: check build test vet race chaos cover conformance plan recover replay corpus benchmark
 
 # The full pre-merge gate: static checks, build, the race-enabled test
 # suite, the backend conformance matrix, coverage floors, plan-output
 # snapshots, crash-recovery drills, the offline-replay self-diff, the
-# golden-corpus regression gate, the cost-model optimizer loop, a
-# short fuzz round of every fuzz target, and the repository benchmark's
-# own tests.
-check: vet build race conformance cover plan recover replay corpus optimize benchmark
+# golden-corpus regression gate, a short fuzz round of every fuzz
+# target, and the repository benchmark's own tests.
+check: vet build race conformance cover plan recover replay corpus benchmark
 
 # The repository benchmark is a module of its own, so the root test run
 # never sees it. Its tests run every workload at toy size through the
@@ -28,21 +27,11 @@ check: vet build race conformance cover plan recover replay corpus optimize benc
 benchmark:
 	$(GO) -C benchmark test -count=1 ./...
 
-# Golden snapshots of `sbrun -explain` (and `-explain -optimize`) for
-# the example workflows. The plan rendering is a user-facing contract;
-# refresh intentionally with:
-#   go test ./internal/workflow -run 'TestPlanGolden|TestPlanOptimizedGolden' -update
+# Golden snapshots of `sbrun -explain` for the example workflows. The
+# plan rendering is a user-facing contract; refresh intentionally with:
+#   go test ./internal/workflow -run TestPlanGolden -update
 plan:
-	$(GO) test ./internal/workflow -run 'TestPlanGolden|TestPlanOptimizedGolden' -count=1
-
-# The cost-model optimizer loop under the race detector: the planner's
-# knee/fusion/transport decisions, the elastic-rescale drill (lagging
-# stage re-scaled at a step boundary, exactly-once proven from spans),
-# the what-if predicted-vs-measured rank-order agreement, and the
-# record -> profile -> optimize -> byte-identical re-run end-to-end.
-optimize:
-	$(GO) test -race -count=1 ./internal/workflow -run 'TestPlanner|TestElasticRescale|TestRescale|TestStageCtl|TestExplainOptimized'
-	$(GO) test -race -count=1 ./internal/replay -run 'TestReplayProfile|TestWhatIf|TestOptimizeEndToEnd' -v
+	$(GO) test ./internal/workflow -run TestPlanGolden -count=1
 
 # The transport contract suite under the race detector, once per stream
 # fabric backend. A backend that silently skips is a gate failure —

@@ -4,10 +4,9 @@
 // component can be re-executed over, with no simulation and no live
 // workflow.
 //
-//	sbreplay [-v] [-stage SEL] [-args "…"] [-log-dir DIR] [-out DIR] [-trace out.jsonl] [-profile-out prof.json] workflow.sh
+//	sbreplay [-v] [-stage SEL] [-args "…"] [-log-dir DIR] [-out DIR] [-trace out.jsonl] workflow.sh
 //	sbreplay -diff [-tol EPS] -stage SEL [-args "…"] [-alt "…"] [-log-dir DIR] workflow.sh
 //	sbreplay -diff [-tol EPS] -against DIRB [-stage SEL [-args "…"]] [-log-dir DIRA] [workflow.sh]
-//	sbreplay -whatif 1,2,4 -stage SEL [-whatif-repeats N] [-profile prof.json] [-log-dir DIR] workflow.sh
 //	sbreplay -ls [-log-dir DIR] [workflow.sh]
 //
 // The script is the same aprun job script sbrun launches; the recording
@@ -38,15 +37,6 @@
 // a golden recording's outputs. The script may be omitted in the pure
 // recording-vs-recording form when -log-dir names recording A.
 //
-// -whatif validates the cost model's scaling predictions offline: the
-// selected stage replays at each candidate rank count (best of
-// -whatif-repeats runs kept) and the measured wall time per step is put
-// next to the model's prediction from -profile (or a profile distilled
-// from the recording on the spot). Exit status 1 flags a model whose
-// candidate ordering disagrees with the measurements — the property
-// `sbrun -optimize`'s knee choice depends on. -profile-out writes the
-// replay-derived profile for later sbrun -optimize runs.
-//
 // -ls lists what the recording holds and exits.
 package main
 
@@ -58,11 +48,8 @@ import (
 	"os"
 	"os/signal"
 	"sort"
-	"strconv"
-	"strings"
 	"syscall"
 
-	"repro/internal/cost"
 	"repro/internal/flexpath"
 	"repro/internal/launch"
 	"repro/internal/obs"
@@ -90,10 +77,6 @@ func main() {
 	outDir := flag.String("out", "", "re-record the replayed outputs as a fresh log directory here")
 	tracePath := flag.String("trace", "", "write per-step spans (replay serving, stage steps, diff comparisons) to this JSONL file")
 	traceRing := flag.Int("trace-ring", 0, "span ring capacity for -trace (0 = default 65536)")
-	whatif := flag.String("whatif", "", "validate the cost model's scaling predictions: replay the -stage at these comma-separated rank counts and compare measured wall/step to the model (exit 1 on ordering disagreement)")
-	whatifRepeats := flag.Int("whatif-repeats", 3, "measurement repeats per -whatif candidate (best run kept)")
-	profilePath := flag.String("profile", "", "cost profile JSON for -whatif predictions (default: profile the stage from the recording first)")
-	profileOut := flag.String("profile-out", "", "distill the replay into a cost profile JSON at the given path (feeds sbrun -optimize)")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: sbreplay [flags] workflow.sh\n\n")
 		flag.PrintDefaults()
@@ -173,12 +156,6 @@ func main() {
 	if *diffMode && *stageSel == "" && *against == "" {
 		fail("-diff needs -stage (pick the component to A/B) or -against (a recording to compare to)")
 	}
-	if *whatif != "" && *diffMode {
-		fail("-whatif and -diff are different modes; pick one")
-	}
-	if *whatif != "" && *stageSel == "" {
-		fail("-whatif needs -stage: it re-runs one stage at candidate rank counts")
-	}
 	if !*diffMode && *altArgs != "" {
 		fail("-alt only applies with -diff")
 	}
@@ -204,34 +181,6 @@ func main() {
 	defer stop()
 
 	status := 0
-	if *whatif != "" {
-		ranks, err := parseRanks(*whatif)
-		if err != nil {
-			fail("-whatif: %v", err)
-		}
-		var prof *cost.Profile
-		if *profilePath != "" {
-			if prof, err = cost.Load(*profilePath); err != nil {
-				fail("%v", err)
-			}
-		} else if prof, _, err = replay.Profile(ctx, cfg, stages[0]); err != nil {
-			fail("profiling stage from recording: %v", err)
-		}
-		if *profileOut != "" {
-			if err := prof.Save(*profileOut); err != nil {
-				fail("%v", err)
-			}
-		}
-		rep, err := replay.WhatIf(ctx, cfg, cost.DefaultModel(), prof, stages[0], ranks, *whatifRepeats)
-		if err != nil {
-			fail("%v", err)
-		}
-		fmt.Print(rep.String())
-		if !rep.Agreement {
-			os.Exit(1)
-		}
-		return
-	}
 	if *diffMode {
 		var rep *replay.DiffReport
 		var err error
@@ -286,22 +235,6 @@ func main() {
 		if rep.Divergent() {
 			status = 1
 		}
-	} else if *profileOut != "" {
-		// One replay serves both: the run's captures print as usual and
-		// its spans/counters distill into the profile.
-		prof, res, err := replay.Profile(ctx, cfg, stages...)
-		if res != nil {
-			printRun(res)
-		}
-		if err != nil {
-			writeTraceIfAsked(*tracePath, tracer)
-			fail("%v", err)
-		}
-		if err := prof.Save(*profileOut); err != nil {
-			fail("%v", err)
-		}
-		fmt.Printf("profile written to %s (%d stage(s), %d edge(s))\n",
-			*profileOut, len(prof.Stages), len(prof.Edges))
 	} else {
 		res, err := replay.Run(ctx, cfg, stages...)
 		if res != nil {
@@ -314,26 +247,6 @@ func main() {
 	}
 	writeTraceIfAsked(*tracePath, tracer)
 	os.Exit(status)
-}
-
-// parseRanks parses a comma-separated candidate rank-count list.
-func parseRanks(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		n, err := strconv.Atoi(f)
-		if err != nil {
-			return nil, fmt.Errorf("bad rank count %q", f)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no rank counts in %q", s)
-	}
-	return out, nil
 }
 
 // listRecording prints each recorded stream's shape: writer count,

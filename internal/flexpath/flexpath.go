@@ -101,14 +101,8 @@ type StreamStat struct {
 // (borrowed for the life of the step, or retained via the *Refs
 // accessors for uses that may outlive it, like a TCP response write).
 type stepState struct {
-	metas    []*pool.Buf
+	metas    []*pool.Buf // one slot per writer rank
 	payloads []*pool.Buf
-	// size is the writer group size this step was published under. It is
-	// the step's own completion denominator: after an elastic group
-	// resize (see resize.go) the stream's writerSize may change, but
-	// already-buffered complete steps keep their original block count and
-	// must stay readable as published.
-	size     int
 	pubCount int
 	released map[int]bool // reader ranks that released this step
 }
@@ -116,7 +110,7 @@ type stepState struct {
 // complete reports whether every writer rank of the step's group
 // published its block.
 func (st *stepState) complete() bool {
-	return st.size > 0 && st.pubCount == st.size
+	return len(st.metas) > 0 && st.pubCount == len(st.metas)
 }
 
 // free drops the broker's references on every stored block, recycling
@@ -138,11 +132,8 @@ type stream struct {
 	writerSize int // 0 until the writer group attaches
 	readerSize int // 0 until the reader group attaches
 
-	writerLive []bool // per writer rank: a handle is currently attached
-	writerDone []bool // per writer rank: closed gracefully
-
-	writersClosed  int   // count of writerDone
-	lastByRank     []int // per writer rank: next step it will publish
+	writers        []slotState // per writer rank
+	lastByRank     []int       // per writer rank: next step it will publish
 	ended          bool
 	lastStep       int   // valid once ended: highest common fully-published step
 	failed         error // non-nil once a writer was lost; wraps ErrWriterLost
@@ -150,9 +141,8 @@ type stream struct {
 	steps          map[int]*stepState
 	stepsPublished int
 
-	readerLive   []bool
-	readerClosed map[int]bool // reader ranks that departed gracefully
-	readerNext   []int        // per reader rank: next step it has not released
+	readers    []slotState // per reader rank
+	readerNext []int       // per reader rank: next step it has not released
 
 	// Durable-log state (zero and inert unless the broker has a log
 	// store attached; see log.go). logged is the durability watermark:
@@ -167,20 +157,29 @@ type stream struct {
 	logBroken bool
 }
 
-func (s *stream) liveWriters() int {
-	n := 0
-	for _, l := range s.writerLive {
-		if l {
-			n++
-		}
-	}
-	return n
-}
+// slotState is where one rank's slot in a stream's writer or reader
+// group stands. Handles are single-use, so a slot moves detached → live
+// on attach and live → detached (Detach, Crash) or live → done (Close);
+// a supervised restart's re-attach revives a done slot.
+type slotState uint8
 
-func (s *stream) liveReaders() int {
+const (
+	// slotDetached: no handle holds the slot (the zero value). A
+	// detached reader still gates retirement, so no buffered step
+	// retires out from under a restart.
+	slotDetached slotState = iota
+	// slotLive: a handle is attached.
+	slotLive
+	// slotDone: the handle closed gracefully. The group ends when every
+	// writer slot is done; a done reader no longer gates retirement.
+	slotDone
+)
+
+// countSlots returns how many of the slots are in state want.
+func countSlots(slots []slotState, want slotState) int {
 	n := 0
-	for _, l := range s.readerLive {
-		if l {
+	for _, st := range slots {
+		if st == want {
 			n++
 		}
 	}
@@ -266,8 +265,8 @@ func (b *Broker) StreamStats() []StreamStat {
 			Name:           s.name,
 			WriterSize:     s.writerSize,
 			ReaderSize:     s.readerSize,
-			WritersLive:    s.liveWriters(),
-			ReadersLive:    s.liveReaders(),
+			WritersLive:    countSlots(s.writers, slotLive),
+			ReadersLive:    countSlots(s.readers, slotLive),
 			QueuedSteps:    len(s.steps),
 			StepsPublished: s.stepsPublished,
 			MinStep:        s.minStep,
@@ -285,7 +284,7 @@ func (b *Broker) StreamStats() []StreamStat {
 func (b *Broker) getStream(name string) *stream {
 	s, ok := b.streams[name]
 	if !ok {
-		s = &stream{name: name, steps: make(map[int]*stepState), readerClosed: make(map[int]bool)}
+		s = &stream{name: name, steps: make(map[int]*stepState)}
 		b.streams[name] = s
 		if ts := b.tenantOf(name); ts != nil {
 			ts.streams++
@@ -356,14 +355,9 @@ func (b *Broker) AttachWriter(stream string, rank, size, depth int) (*Writer, er
 		s.writerSize = size
 		s.queueDepth = depth
 		s.lastByRank = make([]int, size)
-		s.writerLive = make([]bool, size)
-		s.writerDone = make([]bool, size)
+		s.writers = make([]slotState, size)
 	} else if s.writerSize != size {
 		return nil, fmt.Errorf("flexpath: stream %q writer group size conflict: %d vs %d", stream, size, s.writerSize)
-	} else if s.queueDepth == 0 {
-		// The group size was pre-declared by a resize before any writer
-		// attached; the first attach still picks the depth.
-		s.queueDepth = depth
 	} else if s.queueDepth != depth {
 		return nil, fmt.Errorf("flexpath: stream %q queue depth conflict: %d vs %d", stream, depth, s.queueDepth)
 	}
@@ -371,7 +365,7 @@ func (b *Broker) AttachWriter(stream string, rank, size, depth int) (*Writer, er
 		return nil, s.failed
 	}
 	if s.ended {
-		if s.writerDone[rank] && s.writerSize > 1 {
+		if s.writers[rank] == slotDone && s.writerSize > 1 {
 			// A rank that succeeded in one attempt of a supervised stage
 			// closed its slot, and its peers' closes in later attempts
 			// ended the group: every step the rank owes is published. Its
@@ -384,15 +378,11 @@ func (b *Broker) AttachWriter(stream string, rank, size, depth int) (*Writer, er
 		}
 		return nil, fmt.Errorf("flexpath: stream %q writer group already closed", stream)
 	}
-	if s.writerLive[rank] {
+	if s.writers[rank] == slotLive {
 		return nil, fmt.Errorf("flexpath: stream %q writer rank %d already attached", stream, rank)
 	}
-	if s.writerDone[rank] {
-		// Revive a gracefully closed slot for a supervised restart.
-		s.writerDone[rank] = false
-		s.writersClosed--
-	}
-	s.writerLive[rank] = true
+	// A done slot revives here for a supervised restart.
+	s.writers[rank] = slotLive
 	b.cond.Broadcast()
 	return &Writer{b: b, s: s, rank: rank}, nil
 }
@@ -473,7 +463,6 @@ func (w *Writer) publishRef(ctx context.Context, step int, meta, payload *pool.B
 		st = &stepState{
 			metas:    make([]*pool.Buf, s.writerSize),
 			payloads: make([]*pool.Buf, s.writerSize),
-			size:     s.writerSize,
 			released: make(map[int]bool),
 		}
 		s.steps[step] = st
@@ -531,12 +520,8 @@ func (w *Writer) Close() error {
 	}
 	w.closed = true
 	s := w.s
-	s.writerLive[w.rank] = false
-	if !s.writerDone[w.rank] {
-		s.writerDone[w.rank] = true
-		s.writersClosed++
-	}
-	if s.writersClosed == s.writerSize && !s.ended {
+	s.writers[w.rank] = slotDone
+	if countSlots(s.writers, slotDone) == s.writerSize && !s.ended {
 		last := s.lastByRank[0]
 		for _, n := range s.lastByRank[1:] {
 			if n < last {
@@ -565,7 +550,7 @@ func (w *Writer) Detach() error {
 		return nil
 	}
 	w.closed = true
-	w.s.writerLive[w.rank] = false
+	w.s.writers[w.rank] = slotDetached
 	b.cond.Broadcast()
 	return nil
 }
@@ -584,7 +569,7 @@ func (w *Writer) Crash(cause error) error {
 	}
 	w.closed = true
 	s := w.s
-	s.writerLive[w.rank] = false
+	s.writers[w.rank] = slotDetached
 	if s.failed == nil && !s.ended {
 		if cause == nil {
 			cause = errors.New("writer crashed")
@@ -622,16 +607,15 @@ func (b *Broker) AttachReader(stream string, rank, size int) (*Reader, error) {
 	s := b.getStream(stream)
 	if s.readerSize == 0 {
 		s.readerSize = size
-		s.readerLive = make([]bool, size)
+		s.readers = make([]slotState, size)
 		s.readerNext = make([]int, size)
 	} else if s.readerSize != size {
 		return nil, fmt.Errorf("flexpath: stream %q reader group size conflict: %d vs %d", stream, size, s.readerSize)
 	}
-	if s.readerLive[rank] {
+	if s.readers[rank] == slotLive {
 		return nil, fmt.Errorf("flexpath: stream %q reader rank %d already attached", stream, rank)
 	}
-	s.readerLive[rank] = true
-	delete(s.readerClosed, rank) // revive: this rank gates retirement again
+	s.readers[rank] = slotLive // a done slot revives: it gates retirement again
 	// The handle resumes at the group's common step (NextStep) and re-reads
 	// any step it released before detaching, so it gates those steps again:
 	// otherwise the first peer to release one retires it while this rank
@@ -824,8 +808,8 @@ func (r *Reader) fetchLocked(parent obs.SpanID, step, writerRank int) (*pool.Buf
 		}
 		return nil, fmt.Errorf("flexpath: stream %q step %d not yet published", s.name, step)
 	}
-	if writerRank < 0 || writerRank >= st.size {
-		return nil, fmt.Errorf("flexpath: writer rank %d out of range [0,%d)", writerRank, st.size)
+	if writerRank < 0 || writerRank >= len(st.payloads) {
+		return nil, fmt.Errorf("flexpath: writer rank %d out of range [0,%d)", writerRank, len(st.payloads))
 	}
 	buf := st.payloads[writerRank]
 	b.stats.BlocksFetched++
@@ -889,7 +873,7 @@ func (s *stream) retireHead(b *Broker) bool {
 	fullyReleased := true
 	for rank := 0; rank < s.readerSize; rank++ {
 		if !st.released[rank] {
-			if !s.readerClosed[rank] {
+			if s.readers[rank] != slotDone {
 				return false
 			}
 			// Retirement forced by a departed rank, not an actual release.
@@ -940,8 +924,7 @@ func (r *Reader) Close() error {
 		return nil
 	}
 	r.closed = true
-	r.s.readerLive[r.rank] = false
-	r.s.readerClosed[r.rank] = true
+	r.s.readers[r.rank] = slotDone
 	for r.s.retireHead(b) {
 	}
 	b.cond.Broadcast()
@@ -960,7 +943,7 @@ func (r *Reader) Detach() error {
 		return nil
 	}
 	r.closed = true
-	r.s.readerLive[r.rank] = false
+	r.s.readers[r.rank] = slotDetached
 	b.cond.Broadcast()
 	return nil
 }

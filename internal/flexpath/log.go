@@ -277,8 +277,7 @@ func (b *Broker) Recover() (int, error) {
 		}
 		s.writerSize = cfg.WriterSize
 		s.queueDepth = cfg.QueueDepth
-		s.writerLive = make([]bool, cfg.WriterSize)
-		s.writerDone = make([]bool, cfg.WriterSize)
+		s.writers = make([]slotState, cfg.WriterSize)
 		s.lastByRank = make([]int, cfg.WriterSize)
 		next := lg.NextStep()
 		for i := range s.lastByRank {
@@ -302,7 +301,6 @@ func (b *Broker) Recover() (int, error) {
 			st := &stepState{
 				metas:    make([]*pool.Buf, len(metas)),
 				payloads: make([]*pool.Buf, len(payloads)),
-				size:     len(metas),
 				pubCount: len(metas),
 				released: make(map[int]bool),
 			}

@@ -16,8 +16,8 @@ import (
 // statement of the per-rank contract: adios.BlockWriter/BlockReader
 // alias the two handle interfaces, sb.Transport is the attach subset of
 // Transport, and the supervisor and fault injector call every handle
-// method directly — only the transport-level capabilities below
-// (ReplayTransport, GroupResizer) are optional. Every backend implements it,
+// method directly — only the transport-level capability below,
+// ReplayTransport, is optional. Every backend implements the contract,
 // every backend is proven against the same conformance suite
 // (internal/flexpath/conformance), and a new backend inherits the full
 // protocol contract — visibility gating, backpressure, launch-order
@@ -97,27 +97,6 @@ func OpenReaderFrom(t Transport, stream string, from int) (ReaderHandle, error) 
 		return nil, fmt.Errorf("flexpath: transport %T does not support replay readers", t)
 	}
 	return rt.OpenReaderFrom(stream, from)
-}
-
-// GroupResizer is the optional elastic-rescale capability: backends
-// whose broker is reachable in-process can change a stream's writer or
-// reader group size at a step boundary while every handle of that side
-// is detached (see Broker.ResizeGroups for the exactly-once argument).
-// ResizeGroups is the capability-checked entry point.
-type GroupResizer interface {
-	// ResizeGroups changes the stream's writer and/or reader group size;
-	// a zero size leaves that side untouched.
-	ResizeGroups(stream string, writerSize, readerSize int) error
-}
-
-// ResizeGroups resizes a stream's groups over any Transport, failing
-// cleanly when the backend lacks the elastic-rescale capability.
-func ResizeGroups(t Transport, stream string, writerSize, readerSize int) error {
-	gr, ok := t.(GroupResizer)
-	if !ok {
-		return fmt.Errorf("flexpath: transport %T does not support group resizing", t)
-	}
-	return gr.ResizeGroups(stream, writerSize, readerSize)
 }
 
 // Transport is a stream-fabric backend: it attaches per-rank writer and
@@ -216,11 +195,6 @@ func (t InProc) OpenReaderFrom(stream string, from int) (ReaderHandle, error) {
 	return r, nil
 }
 
-// ResizeGroups implements GroupResizer.
-func (t InProc) ResizeGroups(stream string, writerSize, readerSize int) error {
-	return t.B.ResizeGroups(stream, writerSize, readerSize)
-}
-
 // Close implements Transport. The broker itself holds no resources
 // beyond its streams, which retire through handle settlement.
 func (t InProc) Close() error { return nil }
@@ -289,12 +263,6 @@ func (r Router) OpenReaderFrom(stream string, from int) (ReaderHandle, error) {
 	return OpenReaderFrom(r.route(stream), stream, from)
 }
 
-// ResizeGroups implements GroupResizer, failing cleanly when the routed
-// backend lacks the capability.
-func (r Router) ResizeGroups(stream string, writerSize, readerSize int) error {
-	return ResizeGroups(r.route(stream), stream, writerSize, readerSize)
-}
-
 // Close closes each distinct underlying transport exactly once.
 func (r Router) Close() error {
 	closed := map[Transport]bool{}
@@ -331,7 +299,4 @@ var (
 	_ ReplayTransport = InProc{}
 	_ ReplayTransport = (*Client)(nil)
 	_ ReplayTransport = Router{}
-
-	_ GroupResizer = InProc{}
-	_ GroupResizer = Router{}
 )

@@ -73,11 +73,6 @@ const (
 	// KindStageRestart marks the supervisor scheduling a restart; Epoch
 	// is the attempt about to launch.
 	KindStageRestart Kind = "stage.restart"
-	// KindStageRescale marks the supervisor re-scaling a stage's rank
-	// count at a step boundary: Rank carries the old rank count, Peer
-	// the new one, Note the component name, and Epoch the attempt that
-	// relaunches at the new size.
-	KindStageRescale Kind = "stage.rescale"
 	// KindLogAppend is one timestep framed onto the durable stream log
 	// by the broker's write-behind appender; Bytes counts the record.
 	KindLogAppend Kind = "log.append"

@@ -67,33 +67,15 @@ type managedEntry struct {
 	settled bool
 }
 
-func (hs *HandleSet) poison() {
-	hs.mu.Lock()
-	hs.poisoned = true
-	hs.mu.Unlock()
-}
-
-// Suspend defers all further component-side Close calls to the
-// supervisor's Finish, exactly as an operation failure would. The
-// rescale interrupt uses it: ErrRescale is a control signal, not an op
-// error, so nothing poisons the set organically — but the component's
-// defer chain must still not close handles the supervisor is about to
-// detach (a graceful writer close would end the stream for good).
-// Nil-safe.
-func (hs *HandleSet) Suspend() {
-	if hs == nil {
-		return
-	}
-	hs.poison()
-}
-
 // noteErr records an operation failure. io.EOF is the normal end of a
 // stream, not a failure.
 func (hs *HandleSet) noteErr(err error) {
 	if err == nil || errors.Is(err, io.EOF) {
 		return
 	}
-	hs.poison()
+	hs.mu.Lock()
+	hs.poisoned = true
+	hs.mu.Unlock()
 }
 
 // settleInline is the component-side Close path: on a clean set the

@@ -25,8 +25,6 @@ import (
 //     runs no body;
 //   - io.EOF on any input ends the loop, after releasing the steps the
 //     other inputs have open;
-//   - Env.Interrupt is polled before every step (the elastic-rescale
-//     boundary);
 //   - inputs are released only after the body returns, that is after
 //     every output of the step is published (Step.Publish skips an
 //     output the resumed writer already holds);
@@ -126,25 +124,12 @@ type Step struct {
 	begin time.Time
 }
 
-// Run drives the loop until an input ends (nil), the body or the fabric
-// fails, or Env.Interrupt stops the stage. The body runs once per step on
-// every rank; it returns errors without the stage and step, which the
-// loop prefixes.
+// Run drives the loop until an input ends (nil) or the body or the
+// fabric fails. The body runs once per step on every rank; it returns
+// errors without the stage and step, which the loop prefixes.
 func (l *Loop) Run(body func(s *Step) error) error {
-	env := l.env
 	s := &Step{l: l, Info: make([]*adios.StepInfo, len(l.ins))}
 	for {
-		// Step boundary: the elastic-rescale supervisor interrupts here,
-		// after the previous step fully settled and before any work on the
-		// next, so a detach leaves nothing half-published.
-		if env.Interrupt != nil {
-			if err := env.Interrupt(); err != nil {
-				// The supervisor will detach the handles; keep the deferred
-				// closes from ending the streams first.
-				env.Handles.Suspend()
-				return err
-			}
-		}
 		n := l.ins[0].NextStep() // absolute: a re-attached reader resumes mid-stream
 		for _, r := range l.ins[1:] {
 			n = min(n, r.NextStep())

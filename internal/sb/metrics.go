@@ -48,15 +48,6 @@ func (m *Metrics) Component() string { return m.component }
 // Ranks returns the size of the component's communicator.
 func (m *Metrics) Ranks() int { return m.ranks }
 
-// SetRanks records a new communicator size after an elastic rescale, so
-// per-rank normalization in reports reflects the size the remaining
-// steps actually ran at.
-func (m *Metrics) SetRanks(n int) {
-	m.mu.Lock()
-	m.ranks = n
-	m.mu.Unlock()
-}
-
 // BindRegistry makes the collector mirror every RecordStep into registry
 // instruments under the "comp.<name>." prefix: step_samples, bytes_in,
 // bytes_out, and a step_ns latency histogram. The per-step aggregation

@@ -15,12 +15,12 @@
 //     bounding-box selections.
 //
 // There is one step loop, Loop (loop.go). It alone numbers steps,
-// resumes after a restart, publishes exactly once, releases inputs,
-// stops at the rescale boundary and records metrics and spans; a
-// component passes it only a per-step body. The map body (kernel.go)
-// captures the shared shape of the paper's data-transformation
-// components (Select, Magnitude, Dim-Reduce): read a partitioned block,
-// transform it locally, republish. RunMap runs one kernel through it; a
+// resumes after a restart, publishes exactly once, releases inputs
+// and records metrics and spans; a component passes it only a per-step
+// body. The map body (kernel.go) captures the shared shape of the
+// paper's data-transformation components (Select, Magnitude,
+// Dim-Reduce): read a partitioned block, transform it locally,
+// republish. RunMap runs one kernel through it; a
 // Fused stage (fuse.go) runs a chain of kernels back-to-back, handing
 // blocks between them over the stage's communicator instead of a
 // stream. Endpoint reductions (Histogram, Stats) share RunReduce
@@ -30,7 +30,6 @@ package sb
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -39,13 +38,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/obs"
 )
-
-// ErrRescale is returned from a component's step loop when the
-// supervisor's Env.Interrupt hook requests an elastic rescale: the rank
-// stops at the current step boundary so its handles can be detached and
-// the stage relaunched with a different rank count. It is a control
-// signal, not a failure.
-var ErrRescale = errors.New("sb: stage rescale requested")
 
 // Transport is the stream fabric a component attaches to: the two
 // attach methods of flexpath.Transport, whose handles the adios layer
@@ -64,9 +56,9 @@ var _ Transport = flexpath.Transport(nil)
 // Fabric passes a flexpath.Transport through as a Transport. Every
 // flexpath.Transport already is one; Fabric exists only so the
 // benchmark's seam, which constructs it, keeps compiling. It hides the
-// wrapped transport's optional capabilities (flexpath.GroupResizer,
-// flexpath.ReplayTransport), so elastic rescale and catch-up replay are
-// off behind it: pass the flexpath.Transport itself instead.
+// wrapped transport's optional capability (flexpath.ReplayTransport),
+// so catch-up replay is off behind it: pass the flexpath.Transport
+// itself instead.
 type Fabric struct {
 	T flexpath.Transport
 }
@@ -119,13 +111,6 @@ type Env struct {
 	// (0 = first incarnation). Stamped onto emitted spans so a trace can
 	// distinguish pre- and post-restart work.
 	Epoch int
-	// Interrupt, when non-nil, is polled by the step loop (Loop) before
-	// every step: after the previous step settled, before any work on the
-	// next. A non-nil return suspends the rank's handles and ends the loop
-	// with that error — the elastic rescale path returns ErrRescale here
-	// so the supervisor can detach the stage cleanly between steps and
-	// relaunch it at a new size.
-	Interrupt func() error
 	// Logf, when non-nil, receives diagnostic messages.
 	Logf func(format string, args ...any)
 }

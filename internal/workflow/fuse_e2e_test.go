@@ -43,7 +43,7 @@ func newHistT(t *testing.T, args ...string) *components.Histogram {
 	return h.(*components.Histogram)
 }
 
-// TestFusionEquivalenceLAMMPS is the optimizer's correctness contract:
+// TestFusionEquivalenceLAMMPS is the fusion pass's correctness contract:
 // the Fig. 8 pipeline run componentized, run fused (select+magnitude
 // collapsed into one stage, sel.fp never touching the broker) and run
 // as the hand-fused all-in-one component (Table II's comparator) must

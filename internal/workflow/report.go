@@ -27,9 +27,6 @@ func Report(res *Result) string {
 		if st.Restarts > 0 {
 			fmt.Fprintf(&sb, " restarts=%-2d", st.Restarts)
 		}
-		if st.Rescales > 0 {
-			fmt.Fprintf(&sb, " rescales=%-2d", st.Rescales)
-		}
 		if st.Err != nil {
 			fmt.Fprintf(&sb, " FAILED: %v\n", st.Err)
 			continue

@@ -174,14 +174,7 @@ type StageResult struct {
 	// Restarts counts supervised restarts this stage consumed; a stage
 	// that succeeded after recovery reports Err == nil, Restarts > 0.
 	Restarts int
-	// Rescales counts elastic rank-count changes applied to this stage
-	// (see RescalePolicy); Stage.Procs reflects the final size.
-	Rescales int
 	Err      error
-
-	// ctl is the rescale channel when this stage is rescalable under the
-	// run's policy; nil otherwise.
-	ctl *stageCtl
 }
 
 // Result is the outcome of a workflow run.
@@ -274,9 +267,6 @@ type Options struct {
 	// bind to; it is also recorded on the Result so reports can render a
 	// fabric footer. Nil disables the mirroring.
 	Registry *obs.Registry
-	// Rescale is the elastic stage-rescaling policy (see rescale.go);
-	// the zero value disables it.
-	Rescale RescalePolicy
 }
 
 // Retryable classifies an error from a stage run: true if a supervised
@@ -351,29 +341,16 @@ func Run(ctx context.Context, transport sb.Transport, spec Spec, opts Options) (
 		}
 	}
 
-	// Elastic rescaling: a lag monitor plus per-stage control channels,
-	// active only when the policy, registry, and transport capability
-	// line up (newRescaler documents the conditions).
-	rs, resizer := newRescaler(transport, res, &opts)
-	var monitorStop chan struct{}
-	if rs != nil {
-		monitorStop = make(chan struct{})
-		go rs.run(monitorStop)
-	}
-
 	start := time.Now()
 	var wg sync.WaitGroup
 	for i := range res.Stages {
 		wg.Add(1)
 		go func(sr *StageResult) {
 			defer wg.Done()
-			superviseStage(runCtx, cancel, transport, sr, opts, resizer)
+			superviseStage(runCtx, cancel, transport, sr, opts)
 		}(&res.Stages[i])
 	}
 	wg.Wait()
-	if monitorStop != nil {
-		close(monitorStop)
-	}
 	res.Elapsed = time.Since(start)
 	return res, res.Err()
 }
@@ -389,7 +366,7 @@ const maxStageBackoff = 2 * time.Second
 // exhausted, or run already cancelled) crashes the surviving writer
 // handles — downstream readers get ErrWriterLost, not a truncated EOF —
 // records the stage error, and cancels the run.
-func superviseStage(runCtx context.Context, cancel context.CancelFunc, transport sb.Transport, sr *StageResult, opts Options, resizer flexpath.GroupResizer) {
+func superviseStage(runCtx context.Context, cancel context.CancelFunc, transport sb.Transport, sr *StageResult, opts Options) {
 	policy := opts.Restart
 	backoff := policy.Backoff
 	if backoff <= 0 {
@@ -401,10 +378,6 @@ func superviseStage(runCtx context.Context, cancel context.CancelFunc, transport
 	}
 	tr := opts.Tracer
 	restarts := opts.Registry.Counter("workflow.restarts")
-	var interrupt func() error
-	if sr.ctl != nil {
-		interrupt = sr.ctl.interrupt
-	}
 	for attempt := 0; ; attempt++ {
 		var attStart int64
 		if tr.Enabled() {
@@ -424,7 +397,6 @@ func superviseStage(runCtx context.Context, cancel context.CancelFunc, transport
 				Tracer:      opts.Tracer,
 				Registry:    opts.Registry,
 				Epoch:       attempt,
-				Interrupt:   interrupt,
 			}
 			runErr := sr.Component.Run(env)
 			// A succeeded rank's handles close immediately (its streams can
@@ -444,37 +416,6 @@ func superviseStage(runCtx context.Context, cancel context.CancelFunc, transport
 		if err == nil {
 			handles.Finish(sb.FinishClose, nil)
 			return
-		}
-		// Elastic rescale: ErrRescale is a control signal, not a failure —
-		// every rank stopped at a step boundary. Detach the handles (the
-		// restart resume path), resize the stage's stream groups, and
-		// relaunch at the new size without consuming restart budget.
-		if sr.ctl != nil && errors.Is(err, sb.ErrRescale) && runCtx.Err() == nil {
-			handles.Finish(sb.FinishDetach, err)
-			old := sr.Stage.Procs
-			target := sr.ctl.take()
-			if target > 0 && target != old && resizer != nil {
-				if rerr := resizeStageStreams(resizer, sr.Component, old, target); rerr != nil {
-					if opts.Logf != nil {
-						opts.Logf("workflow: stage %q rescale to %d ranks failed (%v); relaunching at %d",
-							name, target, rerr, old)
-					}
-					continue
-				}
-				sr.Stage.Procs = target
-				sr.Rescales++
-				sr.Metrics.SetRanks(target)
-				sr.ctl.setProcs(target)
-				opts.Registry.Counter("workflow.rescales").Inc()
-				if tr.Enabled() {
-					tr.Emit(obs.Span{Kind: obs.KindStageRescale, Note: name,
-						Rank: old, Peer: target, Epoch: attempt + 1})
-				}
-				if opts.Logf != nil {
-					opts.Logf("workflow: stage %q rescaled %d -> %d ranks at step boundary", name, old, target)
-				}
-			}
-			continue
 		}
 		if Retryable(err) && attempt < policy.MaxRestarts && runCtx.Err() == nil {
 			handles.Finish(sb.FinishDetach, err)
@@ -498,11 +439,6 @@ func superviseStage(runCtx context.Context, cancel context.CancelFunc, transport
 				}
 				continue
 			}
-		}
-		if errors.Is(err, sb.ErrRescale) && runCtx.Err() != nil {
-			// A rescale request overtaken by run cancellation: the control
-			// signal is not this stage's failure.
-			err = runCtx.Err()
 		}
 		handles.Finish(sb.FinishCrash, err)
 		sr.Err = err
