@@ -1,6 +1,6 @@
 // Command sbbroker serves a SmartBlock stream broker over TCP, the
 // rendezvous point for workflows whose components run as separate OS
-// processes (via sbrun -broker or sbcomp):
+// processes (via a script's transport directive under sbrun, or sbcomp):
 //
 //	sbbroker [-transport tcp|uds|shm] [-addr :7777] [-drain 10s] [-metrics-addr 127.0.0.1:7778]
 //	         [-admin-addr 127.0.0.1:7779]

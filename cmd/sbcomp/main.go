@@ -3,7 +3,11 @@
 // closest analogue of the paper's one-MPI-executable-per-component
 // deployment model:
 //
-//	sbcomp [-transport tcp|uds|shm|auto] -broker addr -n procs component arg...
+//	sbcomp -broker addr -n procs component arg...
+//
+// The broker's address says how to reach it: host:port dials a TCP
+// sbbroker, a socket path dials a uds or shm sbbroker (one client for
+// both; the broker decides whether payloads ride shared memory).
 //
 // For example, the Fig. 8 LAMMPS workflow as four separate processes
 // sharing one sbbroker:
@@ -35,8 +39,7 @@ import (
 )
 
 func main() {
-	transportKind := flag.String("transport", "tcp", "broker socket flavor: tcp, uds or shm (one client for a socket path; the broker decides whether payloads ride shared memory), or auto (resolve from -broker's shape)")
-	broker := flag.String("broker", "127.0.0.1:7777", "sbbroker address: host:port for tcp, socket path for uds/shm")
+	broker := flag.String("broker", "127.0.0.1:7777", "sbbroker address: host:port for tcp, socket path for uds or shm")
 	procs := flag.Int("n", 1, "number of ranks for this component")
 	queue := flag.Int("q", 0, "writer-side queue depth for published streams (0 = default)")
 	ports := flag.Bool("ports", false, "print the component's declared stream ports and exit without running")
@@ -74,17 +77,12 @@ func main() {
 		return
 	}
 
-	kind := *transportKind
-	if kind == flexpath.KindAuto {
-		kind = flexpath.ResolveAuto(*broker)
-	}
-	if kind == flexpath.KindInproc {
+	if *broker == "" {
 		// A private in-process broker has no peers to rendezvous with —
 		// the component would block forever on its streams.
-		log.Fatalf("sbcomp: -transport must name a shared broker (%s, %s, or %s)",
-			flexpath.KindTCP, flexpath.KindUDS, flexpath.KindShm)
+		log.Fatalf("sbcomp: -broker must name a shared sbbroker")
 	}
-	fabric, err := flexpath.Open(kind, *broker)
+	fabric, err := flexpath.Open(flexpath.KindAuto, *broker)
 	if err != nil {
 		log.Fatalf("sbcomp: %v", err)
 	}
@@ -93,7 +91,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	metrics := sb.NewMetrics(comp.Name(), *procs)
+	metrics := sb.NewMetrics(comp.Name())
 	err = mpi.RunCtx(ctx, *procs, func(comm *mpi.Comm) error {
 		env := &sb.Env{
 			Comm:       comm,

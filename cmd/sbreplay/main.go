@@ -10,12 +10,12 @@
 //	sbreplay -ls [-log-dir DIR] [workflow.sh]
 //
 // The script is the same aprun job script sbrun launches; the recording
-// comes from -log-dir, falling back to the script's `replay <dir>`
-// directive, then its `log <dir>` directive (replaying a run against
-// its own recording). Without -stage the whole workflow re-runs stage
-// by stage in dependency order; -stage selects one stage by component
-// name or index (sbrun -explain shows both), and -args replaces that
-// stage's arguments (tokenized with script quoting rules).
+// comes from -log-dir, falling back to the script's `log <dir>`
+// directive (replaying a run against its own recording). Without
+// -stage the whole workflow re-runs stage by stage in dependency order;
+// -stage selects one stage by component name or index (sbrun -explain
+// shows both), and -args replaces that stage's arguments (tokenized
+// with script quoting rules).
 //
 // -diff executes the selected stage twice over the same recorded input
 // — as scripted (or with -args) for variant A, with -alt arguments for
@@ -73,7 +73,7 @@ func main() {
 	altArgs := flag.String("alt", "", "variant B's arguments for -diff (default: same as variant A, a self-diff)")
 	against := flag.String("against", "", "variant B is this RECORDING for -diff: compare replayed captures (with -stage) or the whole primary recording (without) to its streams")
 	tol := flag.Float64("tol", 0, "value tolerance for -diff: 0 compares float64 bits exactly")
-	logDir := flag.String("log-dir", "", "recorded log directory to replay against (default: the script's replay directive, else its log directive)")
+	logDir := flag.String("log-dir", "", "recorded log directory to replay against (default: the script's log directive)")
 	outDir := flag.String("out", "", "re-record the replayed outputs as a fresh log directory here")
 	tracePath := flag.String("trace", "", "write per-step spans (replay serving, stage steps, diff comparisons) to this JSONL file")
 	traceRing := flag.Int("trace-ring", 0, "span ring capacity for -trace (0 = default 65536)")
@@ -108,13 +108,10 @@ func main() {
 
 	dir := *logDir
 	if dir == "" {
-		dir = spec.ReplayDir
-	}
-	if dir == "" {
 		dir = spec.LogDir
 	}
 	if dir == "" {
-		fail("no recording: pass -log-dir or add a `replay <dir>` (or `log <dir>`) directive to the script")
+		fail("no recording: pass -log-dir or add a `log <dir>` directive to the script")
 	}
 
 	src, err := flexpath.OpenLogSource(dir)

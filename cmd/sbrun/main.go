@@ -1,30 +1,36 @@
 // Command sbrun launches a complete SmartBlock workflow from an
 // aprun-style job script (the paper's Fig. 8 format):
 //
-//	sbrun [-v] [-explain] [-transport inproc|tcp|uds|shm|auto] [-broker addr] [-log-dir DIR] [-max-restarts N] [-step-timeout D] [-trace out.jsonl] workflow.sh
+//	sbrun [-v] [-explain] [-trace out.jsonl [-trace-ring N]] workflow.sh
 //
-// Every aprun line becomes a component stage; all stages launch
-// simultaneously and rendezvous on their stream names. -transport (or a
-// `transport` directive in the script) selects the stream fabric: the
-// default in-process broker, a remote TCP sbbroker at -broker host:port,
-// a Unix-socket sbbroker at -broker /path/to.sock, or the shared-memory
-// ring of an sbbroker -transport shm on the same node — letting several
-// sbrun/sbcomp processes form one workflow without recompiling any
-// component. `auto` resolves the kind from the address shape (no
-// address → inproc, path → shm, host:port → tcp); per-stream `transport
-// ... stream=<name>` directives route individual edges over other
-// backends, and `sbrun -explain` prints the per-edge resolution.
+// The script is the workflow's only configuration; the flags change
+// what sbrun reports, never what runs. Every aprun line becomes a
+// component stage; all stages launch simultaneously and rendezvous on
+// their stream names. A `transport` directive selects the stream
+// fabric: the default in-process broker, a remote TCP sbbroker
+// (`transport tcp host:port`), a Unix-socket sbbroker (`transport uds
+// /path/to.sock`), or the shared-memory ring of an sbbroker -transport
+// shm on the same node — letting several sbrun/sbcomp processes form
+// one workflow without recompiling any component. `auto` resolves the
+// kind from the address shape (no address → inproc, path → shm,
+// host:port → tcp); per-stream `transport ... stream=<name>` directives
+// route individual edges over other backends.
 //
-// -log-dir (or a `log` directive in the script) mounts a durable stream
-// log on the in-process broker: every step is journaled to disk, and a
-// relaunched sbrun pointed at the same directory recovers the streams a
-// crashed run left behind. With a remote transport sbrun ignores the
-// request and says so on stderr — durability belongs to the sbbroker
-// process, which takes its own -log-dir. A recording outlives the run:
-// sbreplay re-runs any component offline against it (a `replay <dir>`
-// script directive names the default recording for sbreplay without
-// affecting sbrun).
-// A `fuse` directive applies the stage-fusion pass before launching.
+// A `log <dir>` directive mounts a durable stream log on the
+// in-process broker: every step is journaled to disk, and a relaunched
+// sbrun on the same script recovers the streams a crashed run left
+// behind. With a remote transport sbrun ignores the request and says so
+// on stderr — durability belongs to the sbbroker process, which takes
+// its own -log-dir. A recording outlives the run: sbreplay re-runs any
+// component offline against it. A `supervise restarts=N backoff=D
+// step-timeout=D` directive restarts stages that fail with a retryable
+// error, and a `fuse` directive applies the stage-fusion pass before
+// launching.
+//
+// -explain prints the plan (stages, per-edge transports, fusion, lint)
+// and exits without running: 0 when the wiring is clean or only warns,
+// 1 when lint reports an error — the error sbrun would refuse to
+// launch on.
 //
 // Example script:
 //
@@ -42,6 +48,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
 	"strings"
 	"syscall"
@@ -60,14 +67,7 @@ import (
 
 func main() {
 	verbose := flag.Bool("v", false, "log component diagnostics")
-	lintOnly := flag.Bool("lint", false, "check the workflow's stream wiring and exit without running")
-	explain := flag.Bool("explain", false, "print the workflow plan (stages, dataflow edges, fusion analysis, lint) and exit without running")
-	transportKind := flag.String("transport", "", "stream fabric backend: inproc, tcp, uds or shm (one client for a socket path; the broker decides whether payloads ride shared memory), or auto (default: the script's transport directive, else inproc)")
-	broker := flag.String("broker", "", "backend address: sbbroker host:port for tcp, socket path for uds/shm (plain -broker implies -transport tcp)")
-	logDir := flag.String("log-dir", "", "journal streams to a durable segmented log under this directory (inproc transport; overrides the script's log directive)")
-	maxRestarts := flag.Int("max-restarts", 0, "supervised restarts per stage for retryable failures (0 disables)")
-	restartBackoff := flag.Duration("restart-backoff", 0, "delay before the first stage restart, doubling per retry (0 = 50ms default)")
-	stepTimeout := flag.Duration("step-timeout", 0, "bound on every blocking stream operation per stage (0 disables)")
+	explain := flag.Bool("explain", false, "print the workflow plan (stages, dataflow edges, fusion analysis, lint) and exit without running; exit 1 if lint reports an error")
 	tracePath := flag.String("trace", "", "write per-step spans from every layer to this JSONL file")
 	traceRing := flag.Int("trace-ring", 0, "span ring capacity for -trace (0 = default 65536; oldest spans drop beyond it)")
 	flag.Usage = func() {
@@ -85,20 +85,6 @@ func main() {
 		log.Fatalf("sbrun: %v", err)
 	}
 
-	// Backend selection happens before the plan is built so -explain
-	// shows the same per-edge transport resolution a run would open. The
-	// command line overrides the script's transport directive; a bare
-	// -broker keeps its historical meaning of "remote TCP broker".
-	if *transportKind != "" {
-		spec.Transport.Kind = *transportKind
-	}
-	if *broker != "" {
-		spec.Transport.Addr = *broker
-		if spec.Transport.Kind == "" || spec.Transport.Kind == flexpath.KindInproc {
-			spec.Transport.Kind = flexpath.KindTCP
-		}
-	}
-
 	// The plan IR underlies everything pre-launch: -explain prints it,
 	// lint checks it, and the fusion pass rewrites the spec from it.
 	plan, err := workflow.BuildPlan(spec)
@@ -106,29 +92,22 @@ func main() {
 		log.Fatalf("sbrun: %v", err)
 	}
 
-	if *explain {
-		fmt.Print(plan.Explain())
-		return
-	}
-
 	// Wiring check: a misnamed stream would otherwise wedge the whole job
 	// (readers block forever on a stream nobody publishes).
 	issues := plan.Issues()
-	fatal := false
+	fatal := slices.ContainsFunc(issues, func(i workflow.LintIssue) bool { return i.Severity == "error" })
+	if *explain {
+		fmt.Print(plan.Explain())
+		if fatal {
+			os.Exit(1)
+		}
+		return
+	}
 	for _, issue := range issues {
 		fmt.Fprintln(os.Stderr, "sbrun:", issue)
-		if issue.Severity == "error" {
-			fatal = true
-		}
 	}
 	if fatal {
 		log.Fatalf("sbrun: refusing to launch a mis-wired workflow (see errors above)")
-	}
-	if *lintOnly {
-		if len(issues) == 0 {
-			fmt.Println("workflow wiring OK")
-		}
-		return
 	}
 
 	// Stage fusion: collapse eligible adjacent stages into single fused
@@ -163,12 +142,9 @@ func main() {
 	}
 	defer fabric.Close()
 
-	// Durable stream log: the command line overrides the script's `log`
-	// directive. It mounts on the in-process broker only — with a remote
-	// transport, durability is the sbbroker process's job (-log-dir there).
-	if *logDir != "" {
-		spec.LogDir = *logDir
-	}
+	// Durable stream log: the script's `log` directive mounts it on the
+	// in-process broker only — with a remote transport, durability is
+	// the sbbroker process's job (-log-dir there).
 	if spec.LogDir != "" {
 		if ip, ok := base.(flexpath.InProc); ok {
 			store, err := streamlog.OpenStore(spec.LogDir, streamlog.Options{})
@@ -200,13 +176,7 @@ func main() {
 		}
 	}
 
-	opts := workflow.Options{
-		Restart: workflow.RestartPolicy{
-			MaxRestarts: *maxRestarts,
-			Backoff:     *restartBackoff,
-			StepTimeout: *stepTimeout,
-		},
-	}
+	var opts workflow.Options
 	if *verbose {
 		opts.Logf = log.Printf
 	}

@@ -47,7 +47,7 @@ func FuzzDecodeSubmitRequest(f *testing.F) {
 		if len(spec.Stages) == 0 {
 			t.Fatal("ValidateScript accepted a spec with no stages")
 		}
-		if spec.Transport.Kind != "" || spec.LogDir != "" || spec.ReplayDir != "" || len(spec.EdgeTransports) > 0 {
+		if spec.Transport.Kind != "" || spec.LogDir != "" || len(spec.EdgeTransports) > 0 {
 			t.Fatalf("ValidateScript let a fabric-owning directive through: %+v", spec)
 		}
 	})

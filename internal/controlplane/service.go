@@ -140,8 +140,6 @@ type Config struct {
 	Tracer *obs.Tracer
 	// Logf receives diagnostics; nil silences them.
 	Logf func(format string, args ...any)
-	// Restart is the supervision policy applied to every submission.
-	Restart workflow.RestartPolicy
 }
 
 type tenant struct {
@@ -270,8 +268,9 @@ func (s *Service) Tenants() []TenantInfo {
 }
 
 // Submit admits one workflow for a tenant. The script rides the wire in
-// the existing launch-script format; transport/log/replay directives
-// are refused — the service owns the fabric. Over-quota submissions
+// the existing launch-script format; transport and log directives are
+// refused — the service owns the fabric — while a supervise directive
+// sets the submission's restart policy. Over-quota submissions
 // fail fast with a retryable quota error (never queue silently);
 // resubmitting with the same idempotency key returns the original
 // submission.
@@ -375,7 +374,6 @@ func (s *Service) Submit(tenantName string, req SubmitRequest) (Status, error) {
 		defer cancel()
 		res, runErr := workflow.Run(ctx, nt, sub.spec, workflow.Options{
 			Logf:     s.cfg.Logf,
-			Restart:  s.cfg.Restart,
 			Tracer:   s.cfg.Tracer,
 			Registry: sub.registry,
 		})
@@ -591,8 +589,9 @@ func (s *Service) Close() error {
 // ValidateScript parses a submitted launch script and enforces the
 // control plane's wire rules: the script format is exactly the one
 // sbrun executes from disk, but fabric-owning directives (transport,
-// log, replay) are refused — the broker service decides where streams
-// live and what is journaled, not the tenant.
+// log) are refused — the broker service decides where streams live and
+// what is journaled, not the tenant. A supervise directive is the
+// tenant's to set: it rides in the spec to the submission's run.
 func ValidateScript(name, script string) (workflow.Spec, error) {
 	if name == "" {
 		name = "workflow"
@@ -608,10 +607,6 @@ func ValidateScript(name, script string) (workflow.Spec, error) {
 	if spec.LogDir != "" {
 		return workflow.Spec{}, fmt.Errorf(
 			"controlplane: script %q: the log directive is owned by the broker service", name)
-	}
-	if spec.ReplayDir != "" {
-		return workflow.Spec{}, fmt.Errorf(
-			"controlplane: script %q: the replay directive is owned by the broker service", name)
 	}
 	if err := spec.Validate(); err != nil {
 		return workflow.Spec{}, err

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -111,6 +112,78 @@ func TestSubmitRunsWorkflowToCompletion(t *testing.T) {
 	}
 }
 
+// flakyAttach fails the first writer attach to a stream whose name ends
+// in suffix with a transient error, then passes everything through.
+type flakyAttach struct {
+	flexpath.Transport
+	suffix string
+	mu     sync.Mutex
+	fired  bool
+}
+
+type transientAttachError struct{}
+
+func (transientAttachError) Error() string   { return "injected transient attach failure" }
+func (transientAttachError) Transient() bool { return true }
+
+func (f *flakyAttach) AttachWriter(stream string, rank, size, depth int) (flexpath.WriterHandle, error) {
+	f.mu.Lock()
+	fire := !f.fired && strings.HasSuffix(stream, f.suffix)
+	f.fired = f.fired || fire
+	f.mu.Unlock()
+	if fire {
+		return nil, transientAttachError{}
+	}
+	return f.Transport.AttachWriter(stream, rank, size, depth)
+}
+
+// TestSubmitSuperviseDirective: a submitted script's supervise directive
+// is the submission's restart policy. The same injected transient
+// fault fails the script without the directive and is survived, with
+// the restart counted in the status, with it.
+func TestSubmitSuperviseDirective(t *testing.T) {
+	run := func(t *testing.T, directive string) Status {
+		b := flexpath.NewBroker()
+		s, err := NewService(Config{
+			Transport: &flakyAttach{Transport: flexpath.InProc{B: b}, suffix: "/pos.fp"},
+			Broker:    b,
+			Logf:      t.Logf,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		mustRegister(t, s, "alice", TenantSpec{})
+		script := directive + demoScript(filepath.Join(t.TempDir(), "hist.txt"))
+		st, err := s.Submit("alice", SubmitRequest{Name: "flaky", Script: script})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		final, err := s.Wait(ctx, "alice", st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return final
+	}
+
+	if final := run(t, ""); final.State != StateFailed {
+		t.Fatalf("unsupervised submission survived the fault: state %q", final.State)
+	}
+	final := run(t, "supervise restarts=3 backoff=1ms step-timeout=10s\n")
+	if final.State != StateSucceeded {
+		t.Fatalf("supervised submission state = %q, err = %q", final.State, final.Err)
+	}
+	restarts := 0
+	for _, stage := range final.Stages {
+		restarts += stage.Restarts
+	}
+	if restarts == 0 {
+		t.Fatalf("status shows no restart after an injected fault: %+v", final.Stages)
+	}
+}
+
 func TestSubmitRejectsUnknownTenantAndBadScripts(t *testing.T) {
 	s, _ := newTestService(t)
 	if _, err := s.Submit("ghost", SubmitRequest{Script: "aprun -n 1 gromacs a.fp x 8 1 &"}); !errors.Is(err, ErrNotFound) {
@@ -122,7 +195,8 @@ func TestSubmitRejectsUnknownTenantAndBadScripts(t *testing.T) {
 		{"no stages", "# empty\n", "no aprun lines"},
 		{"transport directive", "transport tcp 127.0.0.1:9\naprun -n 1 gromacs a.fp x 8 1 &", "transport directives are owned"},
 		{"log directive", "log /tmp/x\naprun -n 1 gromacs a.fp x 8 1 &", "log directive is owned"},
-		{"replay directive", "replay /tmp/x\naprun -n 1 gromacs a.fp x 8 1 &", "replay directive is owned"},
+		{"replay directive", "replay /tmp/x\naprun -n 1 gromacs a.fp x 8 1 &", "expected a line starting with aprun"},
+		{"bad supervise directive", "supervise restarts=-2\naprun -n 1 gromacs a.fp x 8 1 &", "non-negative integer"},
 		{"per-stream transport", "transport tcp 127.0.0.1:9 stream=a.fp\naprun -n 1 gromacs a.fp x 8 1 &", "owned"},
 	}
 	for _, c := range cases {

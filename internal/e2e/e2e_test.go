@@ -6,6 +6,7 @@
 package e2e
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -125,16 +126,17 @@ func TestSbrunScriptAgainstRemoteBroker(t *testing.T) {
 	dir := t.TempDir()
 	histPath := filepath.Join(dir, "radii.txt")
 	script := fmt.Sprintf(`
+transport tcp %s
 aprun -n 2 gromacs pos.fp xyz 1000 2 &
 aprun -n 2 magnitude pos.fp xyz dist.fp radii &
 aprun -n 1 histogram dist.fp radii 6 %s &
 wait
-`, histPath)
+`, addr, histPath)
 	scriptPath := filepath.Join(dir, "wf.sh")
 	if err := os.WriteFile(scriptPath, []byte(script), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(runBin, "-broker", addr, scriptPath)
+	cmd := exec.Command(runBin, scriptPath)
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("sbrun failed: %v\n%s", err, out)
@@ -148,5 +150,52 @@ wait
 	}
 	if !strings.Contains(string(data), "n=1000") {
 		t.Fatalf("histogram output wrong:\n%s", data)
+	}
+}
+
+// TestSbrunExplainExitStatus: -explain prints the plan either way, and
+// its exit status says whether sbrun would launch it — 1 when lint
+// reports an error (a reader on a stream nobody writes), 0 when clean.
+func TestSbrunExplainExitStatus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process e2e skipped in -short mode")
+	}
+	_, _, runBin := buildBinaries(t)
+	dir := t.TempDir()
+	explain := func(name, script string) (string, int) {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(script), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, err := exec.Command(runBin, "-explain", path).CombinedOutput()
+		var exit *exec.ExitError
+		switch {
+		case err == nil:
+			return string(out), 0
+		case errors.As(err, &exit):
+			return string(out), exit.ExitCode()
+		default:
+			t.Fatalf("sbrun -explain %s: %v\n%s", name, err, out)
+			return "", -1
+		}
+	}
+
+	clean := `
+supervise restarts=2 step-timeout=5s
+aprun -n 1 gromacs pos.fp xyz 100 2 &
+aprun -n 1 magnitude pos.fp xyz dist.fp radii &
+aprun -n 1 histogram dist.fp radii 4 &
+wait
+`
+	out, code := explain("clean.sh", clean)
+	if code != 0 || !strings.Contains(out, "lint:\n  (clean)") ||
+		!strings.Contains(out, "supervise: restarts=2 backoff=50ms step-timeout=5s") {
+		t.Fatalf("clean script: exit %d\n%s", code, out)
+	}
+	miswired := strings.Replace(clean, "histogram dist.fp", "histogram dsit.fp", 1)
+	out, code = explain("miswired.sh", miswired)
+	if code != 1 || !strings.Contains(out, "error:") {
+		t.Fatalf("mis-wired script: exit %d, want 1\n%s", code, out)
 	}
 }

@@ -97,28 +97,23 @@ func TestReplayGoldenAcrossTransports(t *testing.T) {
 	brokerBin, _, runBin := buildBinaries(t)
 	replayBin := buildReplayBin(t)
 
-	// liveRun executes the workflow over the given sbrun args with its
-	// histogram written to histPath, recording to logDir when the
-	// in-process transport carries the log itself.
-	liveRun := func(t *testing.T, dir, histPath, logDir string, extraArgs ...string) {
+	// liveRun executes the workflow under the given script directives
+	// with its histogram written to histPath.
+	liveRun := func(t *testing.T, dir, histPath, directives string) {
 		t.Helper()
-		script := fmt.Sprintf(`
+		script := fmt.Sprintf(`%s
 aprun -n 1 histogram m.fp mag 8 %s &
 aprun -n 2 magnitude dump.fp atoms m.fp mag &
 aprun -n 2 lammps dump.fp atoms 64 3 &
 wait
-`, histPath)
+`, directives, histPath)
 		scriptPath := filepath.Join(dir, "wf.sh")
 		if err := os.WriteFile(scriptPath, []byte(script), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		args := extraArgs
-		if logDir != "" {
-			args = append(args, "-log-dir", logDir)
-		}
-		cmd := exec.Command(runBin, append(args, scriptPath)...)
+		cmd := exec.Command(runBin, scriptPath)
 		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("sbrun %v failed: %v\n%s", extraArgs, err, out)
+			t.Fatalf("sbrun under %q failed: %v\n%s", directives, err, out)
 		}
 	}
 
@@ -152,7 +147,7 @@ wait
 		dir := t.TempDir()
 		hist := filepath.Join(dir, "hist.txt")
 		logDir := filepath.Join(dir, "rec")
-		liveRun(t, dir, hist, logDir, "-transport", "inproc")
+		liveRun(t, dir, hist, "transport inproc\nlog "+logDir)
 		live, err := os.ReadFile(hist)
 		if err != nil {
 			t.Fatal(err)
@@ -164,7 +159,7 @@ wait
 		hist := filepath.Join(dir, "hist.txt")
 		logDir := filepath.Join(dir, "rec")
 		runBrokerRecording(t, brokerBin, logDir, []string{"-addr", "127.0.0.1:0"}, func(addr string) {
-			liveRun(t, dir, hist, "", "-transport", "tcp", "-broker", addr)
+			liveRun(t, dir, hist, "transport tcp "+addr)
 		})
 		live, err := os.ReadFile(hist)
 		if err != nil {
@@ -186,7 +181,7 @@ wait
 		t.Cleanup(func() { os.RemoveAll(sockDir) })
 		runBrokerRecording(t, brokerBin, logDir,
 			[]string{"-transport", "uds", "-addr", filepath.Join(sockDir, "b.sock")}, func(addr string) {
-				liveRun(t, dir, hist, "", "-transport", "uds", "-broker", addr)
+				liveRun(t, dir, hist, "transport uds "+addr)
 			})
 		live, err := os.ReadFile(hist)
 		if err != nil {
@@ -208,7 +203,7 @@ wait
 		t.Cleanup(func() { os.RemoveAll(sockDir) })
 		runBrokerRecording(t, brokerBin, logDir,
 			[]string{"-transport", "shm", "-addr", filepath.Join(sockDir, "b.sock")}, func(addr string) {
-				liveRun(t, dir, hist, "", "-transport", "shm", "-broker", addr)
+				liveRun(t, dir, hist, "transport shm "+addr)
 			})
 		live, err := os.ReadFile(hist)
 		if err != nil {

@@ -59,31 +59,32 @@ func haveUnixSockets(t *testing.T) bool {
 // TestTransportMatrixIdenticalHistogram runs the quickstart-shaped
 // workflow (deterministically seeded producer → magnitude → histogram)
 // once per stream fabric backend and demands a byte-identical final
-// histogram file: switching -transport must change where bytes travel,
-// never what arrives.
+// histogram file: switching the script's transport directive must
+// change where bytes travel, never what arrives.
 func TestTransportMatrixIdenticalHistogram(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process e2e skipped in -short mode")
 	}
 	brokerBin, _, runBin := buildBinaries(t)
 
-	run := func(t *testing.T, extraArgs ...string) []byte {
+	run := func(t *testing.T, transport string) []byte {
 		t.Helper()
 		dir := t.TempDir()
 		histPath := filepath.Join(dir, "radii.txt")
 		script := fmt.Sprintf(`
+transport %s
 aprun -n 2 gromacs pos.fp xyz 600 3 7 &
 aprun -n 2 magnitude pos.fp xyz dist.fp radii &
 aprun -n 1 histogram dist.fp radii 8 %s &
 wait
-`, histPath)
+`, transport, histPath)
 		scriptPath := filepath.Join(dir, "wf.sh")
 		if err := os.WriteFile(scriptPath, []byte(script), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		cmd := exec.Command(runBin, append(extraArgs, scriptPath)...)
+		cmd := exec.Command(runBin, scriptPath)
 		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("sbrun %v failed: %v\n%s", extraArgs, err, out)
+			t.Fatalf("sbrun over transport %s failed: %v\n%s", transport, err, out)
 		}
 		data, err := os.ReadFile(histPath)
 		if err != nil {
@@ -95,11 +96,11 @@ wait
 		return data
 	}
 
-	want := run(t, "-transport", "inproc")
+	want := run(t, "inproc")
 
 	t.Run("tcp", func(t *testing.T) {
 		addr := startBrokerOn(t, brokerBin, "-addr", "127.0.0.1:0")
-		got := run(t, "-transport", "tcp", "-broker", addr)
+		got := run(t, "tcp "+addr)
 		if string(got) != string(want) {
 			t.Fatalf("tcp histogram differs from inproc:\n--- tcp ---\n%s\n--- inproc ---\n%s", got, want)
 		}
@@ -114,7 +115,7 @@ wait
 		}
 		t.Cleanup(func() { os.RemoveAll(dir) })
 		sock := startBrokerOn(t, brokerBin, "-transport", "uds", "-addr", filepath.Join(dir, "b.sock"))
-		got := run(t, "-transport", "uds", "-broker", sock)
+		got := run(t, "uds "+sock)
 		if string(got) != string(want) {
 			t.Fatalf("uds histogram differs from inproc:\n--- uds ---\n%s\n--- inproc ---\n%s", got, want)
 		}
@@ -129,7 +130,7 @@ wait
 		}
 		t.Cleanup(func() { os.RemoveAll(dir) })
 		sock := startBrokerOn(t, brokerBin, "-transport", "shm", "-addr", filepath.Join(dir, "b.sock"))
-		got := run(t, "-transport", "shm", "-broker", sock)
+		got := run(t, "shm "+sock)
 		if string(got) != string(want) {
 			t.Fatalf("shm histogram differs from inproc:\n--- shm ---\n%s\n--- inproc ---\n%s", got, want)
 		}
@@ -147,7 +148,7 @@ wait
 		}
 		t.Cleanup(func() { os.RemoveAll(dir) })
 		sock := startBrokerOn(t, brokerBin, "-transport", "shm", "-addr", filepath.Join(dir, "b.sock"))
-		got := run(t, "-transport", "auto", "-broker", sock)
+		got := run(t, "auto "+sock)
 		if string(got) != string(want) {
 			t.Fatalf("auto histogram differs from inproc:\n--- auto ---\n%s\n--- inproc ---\n%s", got, want)
 		}

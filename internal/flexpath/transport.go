@@ -116,8 +116,8 @@ type Transport interface {
 	Close() error
 }
 
-// Backend kinds selectable at run time (sbrun/sbbroker/sbcomp
-// -transport, the launch-script `transport` directive, Open).
+// Backend kinds selectable at run time (sbbroker -transport, the
+// launch-script `transport` directive, Open).
 const (
 	// KindInproc is the in-process Broker: ranks are goroutines sharing
 	// one address space, blocks move by reference.

@@ -49,9 +49,17 @@ func Format(spec workflow.Spec) (string, error) {
 		sb.WriteString(quoteArg(spec.LogDir))
 		sb.WriteByte('\n')
 	}
-	if spec.ReplayDir != "" {
-		sb.WriteString("replay ")
-		sb.WriteString(quoteArg(spec.ReplayDir))
+	if r := spec.Restart; r != (workflow.RestartPolicy{}) {
+		sb.WriteString("supervise")
+		if r.MaxRestarts != 0 {
+			fmt.Fprintf(&sb, " restarts=%d", r.MaxRestarts)
+		}
+		if r.Backoff != 0 {
+			fmt.Fprintf(&sb, " backoff=%s", r.Backoff)
+		}
+		if r.StepTimeout != 0 {
+			fmt.Fprintf(&sb, " step-timeout=%s", r.StepTimeout)
+		}
 		sb.WriteByte('\n')
 	}
 	if spec.Fuse {

@@ -17,6 +17,7 @@ func FuzzParse(f *testing.F) {
 	f.Add("transport inproc\ntransport tcp 1.2.3.4:7\naprun -n 1 histogram a.fp x 4")
 	f.Add("fuse\nfuse\naprun -n 1 histogram a.fp x 4")
 	f.Add("fuse extra\naprun -n 1 histogram a.fp x 4")
+	f.Add("supervise restarts=3 backoff=20ms step-timeout=1m\naprun -n 1 histogram a.fp x 4 &\nwait")
 	f.Fuzz(func(t *testing.T, script string) {
 		spec, err := Parse("fuzz", script)
 		if err != nil {
@@ -39,6 +40,9 @@ func FuzzParse(f *testing.F) {
 		}
 		if again.Fuse != spec.Fuse {
 			t.Fatalf("round trip changed fuse: %v vs %v", again.Fuse, spec.Fuse)
+		}
+		if again.Restart != spec.Restart {
+			t.Fatalf("round trip changed the supervise policy: %+v vs %+v", again.Restart, spec.Restart)
 		}
 		for i := range spec.Stages {
 			a, b := spec.Stages[i], again.Stages[i]

@@ -19,14 +19,16 @@
 // streams over a different backend than the workflow default (at most
 // one per stream), an optional `log <dir>` directive mounting a durable
 // stream log on the workflow's broker (crash recovery and catch-up
-// replay; see flexpath.Broker.AttachLog), an optional `replay <dir>`
-// directive naming the recorded log directory sbreplay re-runs the
-// workflow's components against offline, and an optional `fuse`
-// directive asking the runner to apply the stage-fusion pass (see
-// workflow.Plan.Fuse) before launching. Apart from the per-stream
-// transport form, each directive may appear at most once. Components are
-// resolved by name at run time against the registry in package
-// components.
+// replay; see flexpath.Broker.AttachLog), an optional `supervise
+// [restarts=N] [backoff=D] [step-timeout=D]` directive setting the
+// restart policy every stage runs under (see workflow.RestartPolicy),
+// and an optional `fuse` directive asking the runner to apply the
+// stage-fusion pass (see workflow.Plan.Fuse) before launching. Apart
+// from the per-stream transport form, each directive may appear at
+// most once. The script is the workflow's whole configuration: sbrun
+// takes no flag that changes what runs, and the control plane's submit
+// carries nothing but the script. Components are resolved by name at
+// run time against the registry in package components.
 package launch
 
 import (
@@ -34,6 +36,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/workflow"
 )
@@ -52,7 +55,7 @@ func (e *ParseError) Error() string {
 // Parse converts a job script into a workflow spec named name.
 func Parse(name string, script string) (workflow.Spec, error) {
 	spec := workflow.Spec{Name: name}
-	sawWait := false
+	sawWait, sawSupervise := false, false
 	for lineNo, raw := range strings.Split(script, "\n") {
 		line := raw
 		if i := strings.Index(line, "#"); i >= 0 {
@@ -107,17 +110,17 @@ func Parse(name string, script string) (workflow.Spec, error) {
 			spec.LogDir = tokens[1]
 			continue
 		}
-		if line == "replay" || strings.HasPrefix(line, "replay ") || strings.HasPrefix(line, "replay\t") {
-			tokens, err := tokenize(line)
-			if err != nil || len(tokens) != 2 || tokens[1] == "" {
+		if line == "supervise" || strings.HasPrefix(line, "supervise ") || strings.HasPrefix(line, "supervise\t") {
+			if sawSupervise {
 				return workflow.Spec{}, &ParseError{Line: lineNo + 1, Text: raw,
-					Msg: "replay directive wants: replay <dir>"}
+					Msg: "duplicate supervise directive"}
 			}
-			if spec.ReplayDir != "" {
-				return workflow.Spec{}, &ParseError{Line: lineNo + 1, Text: raw,
-					Msg: "duplicate replay directive"}
+			policy, err := parseSupervise(lineNo+1, raw, line)
+			if err != nil {
+				return workflow.Spec{}, err
 			}
-			spec.ReplayDir = tokens[1]
+			spec.Restart = policy
+			sawSupervise = true
 			continue
 		}
 		if line == "fuse" || strings.HasPrefix(line, "fuse ") || strings.HasPrefix(line, "fuse\t") {
@@ -184,6 +187,57 @@ func parseTransport(lineNo int, raw, line string) (workflow.TransportSpec, strin
 	default:
 		return fail("transport directive wants: transport <inproc|tcp|uds|shm|auto> [addr] [stream=<name>]")
 	}
+}
+
+// parseSupervise handles the `supervise [restarts=N] [backoff=D]
+// [step-timeout=D]` directive. A key left out keeps the policy's zero
+// value: no restarts, the default backoff, no step deadline. At least
+// one key is required, so a bare `supervise` cannot pass for turning
+// supervision on while changing nothing.
+func parseSupervise(lineNo int, raw, line string) (workflow.RestartPolicy, error) {
+	fail := func(msg string) (workflow.RestartPolicy, error) {
+		return workflow.RestartPolicy{}, &ParseError{Line: lineNo, Text: raw, Msg: msg}
+	}
+	tokens, err := tokenize(line)
+	if err != nil {
+		return fail(err.Error())
+	}
+	if len(tokens) == 1 {
+		return fail("supervise directive wants: supervise [restarts=N] [backoff=D] [step-timeout=D]")
+	}
+	var policy workflow.RestartPolicy
+	seen := map[string]bool{}
+	for _, tok := range tokens[1:] {
+		key, val, ok := strings.Cut(tok, "=")
+		if !ok || val == "" {
+			return fail(fmt.Sprintf("supervise setting %q wants key=value", tok))
+		}
+		if seen[key] {
+			return fail(fmt.Sprintf("duplicate supervise setting %q", key))
+		}
+		seen[key] = true
+		switch key {
+		case "restarts":
+			n, err := strconv.Atoi(val)
+			if err != nil || n < 0 {
+				return fail(fmt.Sprintf("restart count %q is not a non-negative integer", val))
+			}
+			policy.MaxRestarts = n
+		case "backoff", "step-timeout":
+			d, err := time.ParseDuration(val)
+			if err != nil || d < 0 {
+				return fail(fmt.Sprintf("%s %q is not a non-negative duration", key, val))
+			}
+			if key == "backoff" {
+				policy.Backoff = d
+			} else {
+				policy.StepTimeout = d
+			}
+		default:
+			return fail(fmt.Sprintf("unknown supervise setting %q (want restarts, backoff or step-timeout)", key))
+		}
+	}
+	return policy, nil
 }
 
 func parseLine(lineNo int, raw, line string) (workflow.Stage, error) {

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/workflow"
 )
@@ -242,30 +243,62 @@ func TestParseLogDirective(t *testing.T) {
 	}
 }
 
-func TestParseReplayDirective(t *testing.T) {
-	spec, err := Parse("rp", "replay /mnt/scratch/rec\naprun -n 1 histogram a.fp x 4\nwait\n")
+func TestParseSuperviseDirective(t *testing.T) {
+	const stage = "\naprun -n 1 histogram a.fp x 4\nwait\n"
+	cases := []struct {
+		line string
+		want workflow.RestartPolicy
+	}{
+		{"supervise restarts=3", workflow.RestartPolicy{MaxRestarts: 3}},
+		{"supervise backoff=20ms", workflow.RestartPolicy{Backoff: 20 * time.Millisecond}},
+		{"supervise step-timeout=10s", workflow.RestartPolicy{StepTimeout: 10 * time.Second}},
+		{"supervise\tstep-timeout=1m restarts=5 backoff=1s",
+			workflow.RestartPolicy{MaxRestarts: 5, Backoff: time.Second, StepTimeout: time.Minute}},
+		// An explicit zero is the unsupervised policy.
+		{"supervise restarts=0", workflow.RestartPolicy{}},
+	}
+	for _, c := range cases {
+		spec, err := Parse("sv", c.line+stage)
+		if err != nil {
+			t.Fatalf("%q: %v", c.line, err)
+		}
+		if spec.Restart != c.want {
+			t.Fatalf("%q: policy = %+v, want %+v", c.line, spec.Restart, c.want)
+		}
+	}
+	// No directive: the zero policy, the unsupervised run.
+	spec, err := Parse("sv", "aprun -n 1 histogram a.fp x 4\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.ReplayDir != "/mnt/scratch/rec" {
-		t.Fatalf("replay dir = %q", spec.ReplayDir)
+	if spec.Restart != (workflow.RestartPolicy{}) {
+		t.Fatalf("policy set without directive: %+v", spec.Restart)
 	}
-	spec, err = Parse("rp", "aprun -n 1 histogram a.fp x 4\n")
-	if err != nil {
-		t.Fatal(err)
+}
+
+func TestParseSuperviseRejects(t *testing.T) {
+	cases := map[string]struct{ script, msg string }{
+		"bare":              {"supervise", "supervise directive wants"},
+		"duplicate":         {"supervise restarts=1\nsupervise restarts=2", "duplicate supervise directive"},
+		"duplicate key":     {"supervise restarts=1 restarts=2", "duplicate supervise setting"},
+		"unknown key":       {"supervise retries=3", "unknown supervise setting"},
+		"stage selector":    {"supervise restarts=3 stage=histogram", "unknown supervise setting"},
+		"no value":          {"supervise restarts=", "wants key=value"},
+		"no equals":         {"supervise restarts", "wants key=value"},
+		"negative count":    {"supervise restarts=-1", "non-negative integer"},
+		"non-numeric count": {"supervise restarts=many", "non-negative integer"},
+		"bad duration":      {"supervise backoff=soon", "non-negative duration"},
+		"unitless duration": {"supervise step-timeout=10", "non-negative duration"},
+		"negative duration": {"supervise step-timeout=-1s", "non-negative duration"},
+		// Not a directive: sbreplay names its recording with -log-dir.
+		"replay directive": {"replay /mnt/scratch/rec", "expected a line starting with aprun"},
 	}
-	if spec.ReplayDir != "" {
-		t.Fatalf("replay dir set without directive: %q", spec.ReplayDir)
-	}
-	spec, err = Parse("rp", "replay \"/mnt/scratch/old runs\"\naprun -n 1 histogram a.fp x 4\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.ReplayDir != "/mnt/scratch/old runs" {
-		t.Fatalf("quoted replay dir = %q", spec.ReplayDir)
-	}
-	if _, err := Parse("rp", "replay\naprun -n 1 histogram a.fp x 4\n"); err == nil {
-		t.Fatal("bare replay directive accepted")
+	for name, c := range cases {
+		_, err := Parse(name, c.script+"\naprun -n 1 histogram a.fp x 4\n")
+		var pe *ParseError
+		if !errors.As(err, &pe) || !strings.Contains(pe.Msg, c.msg) {
+			t.Errorf("%s: err = %v, want a parse error containing %q", name, err, c.msg)
+		}
 	}
 }
 
@@ -294,7 +327,7 @@ func TestParseDuplicateDirectivesReportLine(t *testing.T) {
 		"transport": {"transport inproc\ntransport inproc\naprun -n 1 histogram a.fp x 4", 2},
 		"fuse":      {"fuse\n# comment\nfuse\naprun -n 1 histogram a.fp x 4", 3},
 		"log":       {"log /var/a\n\nlog /var/b\naprun -n 1 histogram a.fp x 4", 3},
-		"replay":    {"replay /var/a\nreplay /var/b\naprun -n 1 histogram a.fp x 4", 2},
+		"supervise": {"supervise restarts=1\nsupervise backoff=1s\naprun -n 1 histogram a.fp x 4", 2},
 	}
 	for name, tc := range cases {
 		_, err := Parse(name, tc.script)
@@ -309,7 +342,7 @@ func TestParseDuplicateDirectivesReportLine(t *testing.T) {
 }
 
 func TestFormatRendersDirectives(t *testing.T) {
-	spec, err := Parse("rt", "transport uds /tmp/b.sock\nlog \"/mnt/scratch/sb logs\"\nreplay \"/mnt/scratch/rec\"\nfuse\naprun -n 2 -q 4 magnitude a.fp x b.fp y &\nwait\n")
+	spec, err := Parse("rt", "transport uds /tmp/b.sock\nlog \"/mnt/scratch/sb logs\"\nsupervise restarts=3 backoff=20ms step-timeout=1m30s\nfuse\naprun -n 2 -q 4 magnitude a.fp x b.fp y &\nwait\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,8 +366,12 @@ func TestFormatRendersDirectives(t *testing.T) {
 	if again.LogDir != spec.LogDir {
 		t.Fatalf("round trip lost log dir: %q vs %q", again.LogDir, spec.LogDir)
 	}
-	if again.ReplayDir != spec.ReplayDir || again.ReplayDir != "/mnt/scratch/rec" {
-		t.Fatalf("round trip lost replay dir: %q vs %q", again.ReplayDir, spec.ReplayDir)
+	if !strings.Contains(text, "supervise restarts=3 backoff=20ms step-timeout=1m30s\n") {
+		t.Fatalf("formatted script missing supervise directive:\n%s", text)
+	}
+	want := workflow.RestartPolicy{MaxRestarts: 3, Backoff: 20 * time.Millisecond, StepTimeout: 90 * time.Second}
+	if again.Restart != spec.Restart || again.Restart != want {
+		t.Fatalf("round trip lost the supervise policy: %+v vs %+v", again.Restart, spec.Restart)
 	}
 	if again.Stages[0].QueueDepth != 4 {
 		t.Fatalf("round trip lost queue depth: %+v", again.Stages[0])

@@ -113,70 +113,6 @@ func Allgather[T any](c *Comm, v T) ([]T, error) {
 	return Bcast(c, all, 0)
 }
 
-// Scatter distributes vals[i] from root to rank i. Only root's vals is
-// consulted; it must have exactly Size elements.
-func Scatter[T any](c *Comm, vals []T, root int) (T, error) {
-	var zero T
-	if root < 0 || root >= c.Size() {
-		return zero, fmt.Errorf("mpi: scatter root %d outside communicator of size %d", root, c.Size())
-	}
-	tag := c.nextCollTag()
-	if c.rank == root {
-		if len(vals) != c.Size() {
-			return zero, fmt.Errorf("mpi: scatter with %d values for %d ranks", len(vals), c.Size())
-		}
-		for i := 0; i < c.Size(); i++ {
-			if i == root {
-				continue
-			}
-			if err := c.send(i, tag, vals[i]); err != nil {
-				return zero, err
-			}
-		}
-		return vals[root], nil
-	}
-	payload, _, err := c.recvColl(root, tag)
-	if err != nil {
-		return zero, err
-	}
-	got, ok := payload.(T)
-	if !ok {
-		return zero, fmt.Errorf("mpi: scatter type mismatch: %T, want %T", payload, zero)
-	}
-	return got, nil
-}
-
-// Alltoall sends vals[i] to rank i and returns the values received from
-// every rank, indexed by source. vals must have exactly Size elements.
-func Alltoall[T any](c *Comm, vals []T) ([]T, error) {
-	if len(vals) != c.Size() {
-		return nil, fmt.Errorf("mpi: alltoall with %d values for %d ranks", len(vals), c.Size())
-	}
-	tag := c.nextCollTag()
-	for i := 0; i < c.Size(); i++ {
-		if i == c.rank {
-			continue
-		}
-		if err := c.send(i, tag, vals[i]); err != nil {
-			return nil, err
-		}
-	}
-	out := make([]T, c.Size())
-	out[c.rank] = vals[c.rank]
-	for i := 0; i < c.Size()-1; i++ {
-		payload, from, err := c.recvColl(AnySource, tag)
-		if err != nil {
-			return nil, err
-		}
-		got, ok := payload.(T)
-		if !ok {
-			return nil, fmt.Errorf("mpi: alltoall type mismatch from rank %d: %T", from, payload)
-		}
-		out[from] = got
-	}
-	return out, nil
-}
-
 // Reduce combines one value per rank with op at root. op must be
 // associative and commutative; values are folded in rank order so even
 // non-commutative ops behave deterministically.

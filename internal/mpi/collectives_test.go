@@ -122,72 +122,6 @@ func TestAllgather(t *testing.T) {
 	}
 }
 
-func TestScatter(t *testing.T) {
-	const n = 4
-	err := Run(n, func(c *Comm) error {
-		var vals []int
-		if c.Rank() == 0 {
-			vals = []int{100, 101, 102, 103}
-		}
-		got, err := Scatter(c, vals, 0)
-		if err != nil {
-			return err
-		}
-		if got != 100+c.Rank() {
-			return fmt.Errorf("rank %d got %d", c.Rank(), got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestScatterWrongLength(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		var vals []int
-		if c.Rank() == 0 {
-			vals = []int{1} // wrong: needs 2
-			if _, err := Scatter(c, vals, 0); err == nil {
-				return errors.New("scatter accepted short slice")
-			}
-			return errors.New("stop") // abort so rank 1 unblocks
-		}
-		_, err := Scatter[int](c, nil, 0)
-		if !errors.Is(err, ErrAborted) {
-			return fmt.Errorf("rank 1 got %v", err)
-		}
-		return nil
-	})
-	if err == nil || !errors.Is(errors.Unwrap(err), errors.Unwrap(err)) {
-		// Run surfaces rank 0's sentinel "stop" error; reaching here is success.
-		_ = err
-	}
-}
-
-func TestAlltoall(t *testing.T) {
-	const n = 5
-	err := Run(n, func(c *Comm) error {
-		vals := make([]int, n)
-		for i := range vals {
-			vals[i] = c.Rank()*100 + i // destined for rank i
-		}
-		got, err := Alltoall(c, vals)
-		if err != nil {
-			return err
-		}
-		for src, v := range got {
-			if v != src*100+c.Rank() {
-				return fmt.Errorf("rank %d got %v", c.Rank(), got)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestReduceSum(t *testing.T) {
 	const n = 9
 	err := Run(n, func(c *Comm) error {

@@ -7,7 +7,7 @@
 // The subset implemented is the subset in situ components need: SPMD
 // launch (Run), rank/size discovery, tagged point-to-point Send/Recv,
 // the synchronizing collectives (Barrier, Bcast, Gather, Allgather,
-// Scatter, Reduce, Allreduce, Alltoall), and communicator Split.
+// Reduce, Allreduce), and communicator Split.
 //
 // Semantics follow MPI where it matters to callers:
 //

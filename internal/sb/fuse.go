@@ -98,11 +98,11 @@ func (f *Fused) Ports() []Port {
 
 // ensureMetrics creates the per-component collectors once; reg may be
 // nil (no registry mirroring).
-func (f *Fused) ensureMetrics(ranks int, reg *obs.Registry) {
+func (f *Fused) ensureMetrics(reg *obs.Registry) {
 	f.metricsOnce.Do(func() {
 		f.metrics = make([]*Metrics, len(f.parts))
 		for i, p := range f.parts {
-			f.metrics[i] = NewMetrics(p.cfg.Name, ranks)
+			f.metrics[i] = NewMetrics(p.cfg.Name)
 			f.metrics[i].BindRegistry(reg)
 		}
 	})
@@ -112,8 +112,8 @@ func (f *Fused) ensureMetrics(ranks int, reg *obs.Registry) {
 // to the registry, and returns them in chain order. The workflow runner
 // calls this instead of creating a single stage-level collector, so a
 // fused run still reports comp.<name>.* for every original component.
-func (f *Fused) BindMetrics(ranks int, reg *obs.Registry) []*Metrics {
-	f.ensureMetrics(ranks, reg)
+func (f *Fused) BindMetrics(reg *obs.Registry) []*Metrics {
+	f.ensureMetrics(reg)
 	return f.metrics
 }
 
@@ -121,7 +121,7 @@ func (f *Fused) BindMetrics(ranks int, reg *obs.Registry) []*Metrics {
 // every rank, each handing its output block to the next without a
 // broker hop (see runChain).
 func (f *Fused) Run(env *Env) error {
-	f.ensureMetrics(env.Comm.Size(), env.Registry)
+	f.ensureMetrics(env.Registry)
 	return runChain(env, f.parts, f.metrics)
 }
 

@@ -96,7 +96,7 @@ func TestFusedBindMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := f.BindMetrics(3, nil)
+	ms := f.BindMetrics(nil)
 	if len(ms) != 2 {
 		t.Fatalf("BindMetrics returned %d metrics", len(ms))
 	}
@@ -104,7 +104,7 @@ func TestFusedBindMetrics(t *testing.T) {
 		t.Fatalf("metrics components = %q, %q", ms[0].Component(), ms[1].Component())
 	}
 	// Binding again must return the same instances (one identity per part).
-	again := f.BindMetrics(3, nil)
+	again := f.BindMetrics(nil)
 	if again[0] != ms[0] || again[1] != ms[1] {
 		t.Fatal("BindMetrics is not idempotent")
 	}
@@ -270,7 +270,7 @@ func TestFusedExchangeFailureUnblocksPeers(t *testing.T) {
 	if err := <-prodErr; err != nil {
 		t.Fatalf("producer: %v", err)
 	}
-	if st, ok := f.BindMetrics(2, nil)[0].Step(0); !ok || st.Samples != 2 {
+	if st, ok := f.BindMetrics(nil)[0].Step(0); !ok || st.Samples != 2 {
 		t.Fatalf("step 0 of the first part = %+v, %v; want both ranks recorded", st, ok)
 	}
 }

@@ -19,7 +19,6 @@ type Metrics struct {
 	steps     map[int]*stepAgg
 	started   time.Time
 	finished  time.Time
-	ranks     int
 
 	// Registry mirrors (see BindRegistry); nil instruments are no-ops,
 	// so an unbound collector pays nothing extra per RecordStep.
@@ -36,17 +35,13 @@ type stepAgg struct {
 	bytesOut int64
 }
 
-// NewMetrics creates a collector for a component with the given name and
-// rank count.
-func NewMetrics(component string, ranks int) *Metrics {
-	return &Metrics{component: component, steps: map[int]*stepAgg{}, ranks: ranks}
+// NewMetrics creates a collector for a component with the given name.
+func NewMetrics(component string) *Metrics {
+	return &Metrics{component: component, steps: map[int]*stepAgg{}}
 }
 
 // Component returns the component name the collector belongs to.
 func (m *Metrics) Component() string { return m.component }
-
-// Ranks returns the size of the component's communicator.
-func (m *Metrics) Ranks() int { return m.ranks }
 
 // BindRegistry makes the collector mirror every RecordStep into registry
 // instruments under the "comp.<name>." prefix: step_samples, bytes_in,

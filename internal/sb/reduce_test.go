@@ -67,7 +67,7 @@ func TestRunReduceEndToEnd(t *testing.T) {
 
 	var mu sync.Mutex
 	var got []float64
-	metrics := NewMetrics("summer", 3)
+	metrics := NewMetrics("summer")
 	err := mpi.Run(3, func(comm *mpi.Comm) error {
 		env := &Env{Comm: comm, Transport: transport, Metrics: metrics}
 		return RunReduce(env, ReduceConfig[float64]{

@@ -40,8 +40,8 @@ func TestChooseAxisFirstFree(t *testing.T) {
 }
 
 func TestMetricsAggregation(t *testing.T) {
-	m := NewMetrics("select", 4)
-	if m.Component() != "select" || m.Ranks() != 4 {
+	m := NewMetrics("select")
+	if m.Component() != "select" {
 		t.Fatal("identity lost")
 	}
 	for rank := 0; rank < 4; rank++ {
@@ -75,7 +75,7 @@ func TestMetricsAggregation(t *testing.T) {
 }
 
 func TestMetricsElapsed(t *testing.T) {
-	m := NewMetrics("x", 1)
+	m := NewMetrics("x")
 	if m.Elapsed() != 0 {
 		t.Fatal("elapsed before marks should be 0")
 	}
@@ -95,7 +95,7 @@ func TestMetricsElapsed(t *testing.T) {
 }
 
 func TestMetricsConcurrent(t *testing.T) {
-	m := NewMetrics("x", 8)
+	m := NewMetrics("x")
 	var wg sync.WaitGroup
 	for r := 0; r < 8; r++ {
 		wg.Add(1)
@@ -178,7 +178,7 @@ func TestRunMapEndToEnd(t *testing.T) {
 	}()
 
 	// Map stage: 3 ranks doubling.
-	metrics := NewMetrics("doubler", 3)
+	metrics := NewMetrics("doubler")
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

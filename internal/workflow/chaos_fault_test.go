@@ -80,9 +80,8 @@ func TestChaosPipelineRecoversToIdenticalResults(t *testing.T) {
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	res, err := Run(ctx, tr, spec, Options{
-		Restart: RestartPolicy{MaxRestarts: 50, Backoff: time.Millisecond, StepTimeout: 5 * time.Second},
-	})
+	spec.Restart = RestartPolicy{MaxRestarts: 50, Backoff: time.Millisecond, StepTimeout: 5 * time.Second}
+	res, err := Run(ctx, tr, spec, Options{})
 	if err != nil {
 		t.Fatalf("chaos run failed despite supervision: %v\n%s", err, Report(res))
 	}
@@ -113,9 +112,8 @@ func TestChaosWriterCrashFailsCleanly(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	start := time.Now()
-	res, err := Run(ctx, tr, spec, Options{
-		Restart: RestartPolicy{MaxRestarts: 3, Backoff: time.Millisecond, StepTimeout: 5 * time.Second},
-	})
+	spec.Restart = RestartPolicy{MaxRestarts: 3, Backoff: time.Millisecond, StepTimeout: 5 * time.Second}
+	res, err := Run(ctx, tr, spec, Options{})
 	if err == nil {
 		t.Fatal("workflow survived a scheduled writer crash")
 	}
@@ -174,9 +172,8 @@ func TestChaosLaunchOrderPermutationsOverTCP(t *testing.T) {
 			})
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
-			res, err := Run(ctx, tr, spec, Options{
-				Restart: RestartPolicy{MaxRestarts: 20, Backoff: time.Millisecond, StepTimeout: 5 * time.Second},
-			})
+			spec.Restart = RestartPolicy{MaxRestarts: 20, Backoff: time.Millisecond, StepTimeout: 5 * time.Second}
+			res, err := Run(ctx, tr, spec, Options{})
 			if err != nil {
 				t.Fatalf("permutation %v failed: %v\n%s", perm, err, Report(res))
 			}

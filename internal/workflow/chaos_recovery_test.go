@@ -105,9 +105,8 @@ func TestChaosBrokerCrashRecovery(t *testing.T) {
 	}
 	done := make(chan runOut, 1)
 	go func() {
-		res, err := Run(ctx, client, spec, Options{
-			Restart: RestartPolicy{MaxRestarts: 50, Backoff: time.Millisecond, StepTimeout: 10 * time.Second},
-		})
+		spec.Restart = RestartPolicy{MaxRestarts: 50, Backoff: time.Millisecond, StepTimeout: 10 * time.Second}
+		res, err := Run(ctx, client, spec, Options{})
 		done <- runOut{res, err}
 	}()
 

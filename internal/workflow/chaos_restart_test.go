@@ -377,10 +377,8 @@ func TestChaosComponentRestart(t *testing.T) {
 			tracer := obs.NewTracer(0)
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
-			res, err := Run(ctx, tr, spec, Options{
-				Tracer:  tracer,
-				Restart: RestartPolicy{MaxRestarts: 2, Backoff: time.Millisecond, StepTimeout: 5 * time.Second},
-			})
+			spec.Restart = RestartPolicy{MaxRestarts: 2, Backoff: time.Millisecond, StepTimeout: 5 * time.Second}
+			res, err := Run(ctx, tr, spec, Options{Tracer: tracer})
 			if err != nil {
 				t.Fatalf("run failed despite supervision: %v\n%s", err, Report(res))
 			}
@@ -421,9 +419,8 @@ func TestChaosFinishedRankRestartAfterGroupEnd(t *testing.T) {
 	)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	res, err := Run(ctx, tr, spec, Options{
-		Restart: RestartPolicy{MaxRestarts: 5, Backoff: time.Millisecond, StepTimeout: 5 * time.Second},
-	})
+	spec.Restart = RestartPolicy{MaxRestarts: 5, Backoff: time.Millisecond, StepTimeout: 5 * time.Second}
+	res, err := Run(ctx, tr, spec, Options{})
 	if err != nil {
 		t.Fatalf("run failed: %v\n%s", err, Report(res))
 	}

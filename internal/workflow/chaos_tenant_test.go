@@ -243,9 +243,8 @@ func TestChaosTenantIsolation(t *testing.T) {
 		}
 		spec, _, _ := chaosSpec(t, &prod.chaosProducer)
 		spec.Stages[0].Instance = prod
-		res, err := Run(ctx, stormy, spec, Options{
-			Restart: RestartPolicy{MaxRestarts: 50, Backoff: time.Millisecond, StepTimeout: 10 * time.Second},
-		})
+		spec.Restart = RestartPolicy{MaxRestarts: 50, Backoff: time.Millisecond, StepTimeout: 10 * time.Second}
+		res, err := Run(ctx, stormy, spec, Options{})
 		noisyDone <- runOut{res, err}
 	}()
 

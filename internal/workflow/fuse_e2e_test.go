@@ -210,9 +210,8 @@ func TestFusedStageRestart(t *testing.T) {
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	res, err := Run(ctx, ft, fused.Spec, Options{
-		Restart: RestartPolicy{MaxRestarts: 100, Backoff: time.Millisecond, StepTimeout: 5 * time.Second},
-	})
+	fused.Spec.Restart = RestartPolicy{MaxRestarts: 100, Backoff: time.Millisecond, StepTimeout: 5 * time.Second}
+	res, err := Run(ctx, ft, fused.Spec, Options{})
 	if err != nil {
 		t.Fatalf("fused run failed despite supervision: %v\n%s", err, Report(res))
 	}

@@ -527,8 +527,9 @@ func (p *Plan) StageSubset(sel string) (*StageSubset, error) {
 	}
 }
 
-// Explain renders the plan deterministically: stages with their ports,
-// the derived dataflow edges, what the fusion pass would collapse, and
+// Explain renders the plan deterministically: the transport, the
+// supervision policy when one is set, stages with their ports, the
+// derived dataflow edges, what the fusion pass would collapse, and
 // any lint findings. This is the output of `sbrun -explain`, golden-
 // tested per example workflow.
 func (p *Plan) Explain() string {
@@ -541,8 +542,13 @@ func (p *Plan) Explain() string {
 		kind = kind + " -> " + r.Kind // auto, shown with its resolution
 	}
 	fmt.Fprintf(&b, "plan %s: %d stages, transport %s\n", p.Spec.Name, len(p.Nodes), kind)
-	if p.Spec.ReplayDir != "" {
-		fmt.Fprintf(&b, "replay: recorded log %s\n", p.Spec.ReplayDir)
+	if r := p.Spec.Restart; r != (RestartPolicy{}) {
+		timeout := "none"
+		if r.StepTimeout > 0 {
+			timeout = r.StepTimeout.String()
+		}
+		fmt.Fprintf(&b, "supervise: restarts=%d backoff=%s step-timeout=%s\n",
+			r.MaxRestarts, r.firstBackoff(), timeout)
 	}
 	fmt.Fprintf(&b, "stages:\n")
 	for _, n := range p.Nodes {

@@ -3,6 +3,7 @@ package workflow
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/sb"
 )
@@ -282,14 +283,17 @@ func TestStageSubset(t *testing.T) {
 	}
 }
 
-func TestExplainShowsReplayDir(t *testing.T) {
+func TestExplainShowsSupervise(t *testing.T) {
 	spec := crackSpec()
-	spec.ReplayDir = "/mnt/scratch/rec"
-	plan := buildT(t, spec)
-	if !strings.Contains(plan.Explain(), "replay: recorded log /mnt/scratch/rec\n") {
-		t.Fatalf("Explain missing replay line:\n%s", plan.Explain())
+	spec.Restart = RestartPolicy{MaxRestarts: 3, StepTimeout: 10 * time.Second}
+	if got := buildT(t, spec).Explain(); !strings.Contains(got, "supervise: restarts=3 backoff=50ms step-timeout=10s\n") {
+		t.Fatalf("Explain missing the resolved supervise line:\n%s", got)
 	}
-	if strings.Contains(buildT(t, crackSpec()).Explain(), "replay:") {
-		t.Fatal("Explain shows a replay line without ReplayDir")
+	spec.Restart = RestartPolicy{Backoff: time.Second}
+	if got := buildT(t, spec).Explain(); !strings.Contains(got, "supervise: restarts=0 backoff=1s step-timeout=none\n") {
+		t.Fatalf("Explain supervise line for a backoff-only policy:\n%s", got)
+	}
+	if strings.Contains(buildT(t, crackSpec()).Explain(), "supervise:") {
+		t.Fatal("Explain shows a supervise line for an unsupervised workflow")
 	}
 }

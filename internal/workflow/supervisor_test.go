@@ -48,9 +48,8 @@ func TestSupervisorRecoversFlakyStage(t *testing.T) {
 	spec := Spec{Name: "flaky", Stages: []Stage{{Instance: flaky, Procs: 1}}}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	res, err := Run(ctx, transport(), spec, Options{
-		Restart: RestartPolicy{MaxRestarts: 5, Backoff: time.Millisecond},
-	})
+	spec.Restart = RestartPolicy{MaxRestarts: 5, Backoff: time.Millisecond}
+	res, err := Run(ctx, transport(), spec, Options{})
 	if err != nil {
 		t.Fatalf("supervised flaky stage failed: %v", err)
 	}
@@ -67,9 +66,8 @@ func TestSupervisorExhaustsRestartBudget(t *testing.T) {
 	spec := Spec{Name: "hopeless", Stages: []Stage{{Instance: flaky, Procs: 1}}}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	res, err := Run(ctx, transport(), spec, Options{
-		Restart: RestartPolicy{MaxRestarts: 4, Backoff: time.Millisecond},
-	})
+	spec.Restart = RestartPolicy{MaxRestarts: 4, Backoff: time.Millisecond}
+	res, err := Run(ctx, transport(), spec, Options{})
 	if err == nil {
 		t.Fatal("exhausted stage reported success")
 	}
@@ -113,9 +111,8 @@ func TestSupervisorStepTimeoutBoundsStalledRead(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	start := time.Now()
-	res, err := Run(ctx, transport(), spec, Options{
-		Restart: RestartPolicy{MaxRestarts: 2, Backoff: time.Millisecond, StepTimeout: 50 * time.Millisecond},
-	})
+	spec.Restart = RestartPolicy{MaxRestarts: 2, Backoff: time.Millisecond, StepTimeout: 50 * time.Millisecond}
+	res, err := Run(ctx, transport(), spec, Options{})
 	if err == nil {
 		t.Fatal("stalled workflow reported success")
 	}

@@ -65,10 +65,10 @@ func TestTraceProvesPipelineGuarantees(t *testing.T) {
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
+	spec.Restart = RestartPolicy{MaxRestarts: 100, Backoff: time.Millisecond, StepTimeout: 5 * time.Second}
 	res, err := Run(ctx, ft, spec, Options{
 		Tracer:   tr,
 		Registry: reg,
-		Restart:  RestartPolicy{MaxRestarts: 100, Backoff: time.Millisecond, StepTimeout: 5 * time.Second},
 	})
 	if err != nil {
 		t.Fatalf("traced run failed despite supervision: %v\n%s", err, Report(res))

@@ -49,7 +49,7 @@ type Stage struct {
 // over: one of the flexpath.Kind* constants plus the backend address
 // (host:port for tcp, socket path for uds, ignored for inproc). The
 // zero value means inproc. Launch scripts set it with a `transport`
-// directive; sbrun's -transport flag overrides it.
+// directive.
 type TransportSpec struct {
 	Kind string
 	Addr string
@@ -122,15 +122,12 @@ type Spec struct {
 	// replay history (flexpath.OpenReaderFrom). Only meaningful for
 	// backends whose broker this process owns (inproc; sbbroker has its
 	// own -log-dir for the remote backends). Launch scripts set it with
-	// a `log <dir>` directive; sbrun's -log-dir flag overrides it.
+	// a `log <dir>` directive.
 	LogDir string
-	// ReplayDir, when set, names a recorded log directory this workflow
-	// can be re-run against offline: sbreplay opens it read-only as the
-	// stream source instead of a live fabric and drives any stage (or
-	// stage subset) over the recording. Purely declarative for a live
-	// run — the runner ignores it. Launch scripts set it with a
-	// `replay <dir>` directive; sbreplay's -log-dir flag overrides it.
-	ReplayDir string
+	// Restart is the supervision policy every stage runs under. Launch
+	// scripts set it with a `supervise` directive; the zero value runs
+	// the workflow unsupervised.
+	Restart RestartPolicy
 }
 
 // Validate performs static checks on a spec.
@@ -254,12 +251,18 @@ type RestartPolicy struct {
 	StepTimeout time.Duration
 }
 
+// firstBackoff resolves the delay before a stage's first restart.
+func (p RestartPolicy) firstBackoff() time.Duration {
+	if p.Backoff <= 0 {
+		return defaultStageBackoff
+	}
+	return p.Backoff
+}
+
 // Options tune a workflow run.
 type Options struct {
 	// Logf receives diagnostic messages from components; nil silences them.
 	Logf func(format string, args ...any)
-	// Restart is the per-stage supervision policy.
-	Restart RestartPolicy
 	// Tracer, when non-nil, receives spans from every layer the run's
 	// timesteps cross (stage, kernel, fabric). Nil disables tracing.
 	Tracer *obs.Tracer
@@ -333,9 +336,9 @@ func Run(ctx context.Context, transport sb.Transport, spec Spec, opts Options) (
 			// A fused stage reports one collector per original component,
 			// not one for the composite — fusion must not change what
 			// comp.<name>.* series exist.
-			res.Stages[i].SubMetrics = f.BindMetrics(st.Procs, opts.Registry)
+			res.Stages[i].SubMetrics = f.BindMetrics(opts.Registry)
 		} else {
-			m := sb.NewMetrics(comp.Name(), st.Procs)
+			m := sb.NewMetrics(comp.Name())
 			m.BindRegistry(opts.Registry)
 			res.Stages[i].Metrics = m
 		}
@@ -347,7 +350,7 @@ func Run(ctx context.Context, transport sb.Transport, spec Spec, opts Options) (
 		wg.Add(1)
 		go func(sr *StageResult) {
 			defer wg.Done()
-			superviseStage(runCtx, cancel, transport, sr, opts)
+			superviseStage(runCtx, cancel, transport, sr, spec.Restart, opts)
 		}(&res.Stages[i])
 	}
 	wg.Wait()
@@ -355,8 +358,12 @@ func Run(ctx context.Context, transport sb.Transport, spec Spec, opts Options) (
 	return res, res.Err()
 }
 
-// maxStageBackoff caps the supervisor's doubling restart delay.
-const maxStageBackoff = 2 * time.Second
+// The supervisor's first restart delay when the policy names none, and
+// the cap on its doubling.
+const (
+	defaultStageBackoff = 50 * time.Millisecond
+	maxStageBackoff     = 2 * time.Second
+)
 
 // superviseStage runs one stage to completion under the restart policy:
 // launch, and on a retryable failure detach the stage's stream handles
@@ -366,12 +373,8 @@ const maxStageBackoff = 2 * time.Second
 // exhausted, or run already cancelled) crashes the surviving writer
 // handles — downstream readers get ErrWriterLost, not a truncated EOF —
 // records the stage error, and cancels the run.
-func superviseStage(runCtx context.Context, cancel context.CancelFunc, transport sb.Transport, sr *StageResult, opts Options) {
-	policy := opts.Restart
-	backoff := policy.Backoff
-	if backoff <= 0 {
-		backoff = 50 * time.Millisecond
-	}
+func superviseStage(runCtx context.Context, cancel context.CancelFunc, transport sb.Transport, sr *StageResult, policy RestartPolicy, opts Options) {
+	backoff := policy.firstBackoff()
 	name := sr.Stage.Component
 	if name == "" && sr.Component != nil {
 		name = sr.Component.Name()

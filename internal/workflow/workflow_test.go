@@ -275,10 +275,10 @@ func TestWorkflowContextCancel(t *testing.T) {
 
 func TestResultMetricsLookup(t *testing.T) {
 	res := &Result{Stages: []StageResult{
-		{Metrics: sb.NewMetrics("a", 1)},
-		{Metrics: sb.NewMetrics("b", 2)},
+		{Metrics: sb.NewMetrics("a")},
+		{Metrics: sb.NewMetrics("b")},
 	}}
-	if res.Metrics("b") == nil || res.Metrics("b").Ranks() != 2 {
+	if m := res.Metrics("b"); m == nil || m.Component() != "b" {
 		t.Fatal("lookup failed")
 	}
 	if res.Metrics("zz") != nil {
