@@ -124,6 +124,26 @@ func TestDecodeMetaRejectsCorruption(t *testing.T) {
 	}
 }
 
+// Checking a frame's magic formats nothing unless the check fails.
+func TestMagicCheckAllocatesNothing(t *testing.T) {
+	blob := EncodeMeta(sampleMeta())
+	allocs := testing.AllocsPerRun(100, func() {
+		r := wireReader{buf: blob}
+		r.magic(metaMagic)
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("magic check allocated %.1f times", allocs)
+	}
+	r := wireReader{buf: []byte("XBM1")}
+	r.magic(metaMagic)
+	if r.err == nil || !strings.Contains(r.err.Error(), `bad magic "XBM1", want "SBM1"`) {
+		t.Fatalf("bad magic error = %v", r.err)
+	}
+}
+
 func TestDecodePayloadRejectsCorruption(t *testing.T) {
 	good := EncodePayload([]string{"atoms"}, [][]float64{{1, 2, 3}})
 	cases := map[string][]byte{

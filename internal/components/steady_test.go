@@ -19,9 +19,15 @@ import (
 // size, so no allocation may scale with the data: one copy of the larger
 // block's data on any hop — a decode copy, a fresh read array, a fresh
 // kernel output — exceeds the byte bound.
+//
+// The allocation bound is the 53 a step measures at 64 Ki points, plus
+// 10 %. A step measures about 1.5 KB; the byte bound leaves room for the
+// buffer pool missing once in the measured window (a fresh 512 KiB
+// output frame adds about 10.5 KB per step), and one copy of the data
+// per step adds 512 KiB or more.
 const (
-	steadyAllocsBound = 300
-	steadyBytesBound  = 128 << 10
+	steadyAllocsBound = 59
+	steadyBytesBound  = 16 << 10
 )
 
 // A steady magnitude stage moves each step with one copy of the data

@@ -104,7 +104,7 @@ type stepState struct {
 	metas    []*pool.Buf // one slot per writer rank
 	payloads []*pool.Buf
 	pubCount int
-	released map[int]bool // reader ranks that released this step
+	released []bool // per reader rank: released this step; short until a rank releases
 }
 
 // complete reports whether every writer rank of the step's group
@@ -296,20 +296,24 @@ func (b *Broker) getStream(name string) *stream {
 // wait blocks on the broker condition until pred holds or ctx is done.
 // The caller must hold b.mu; wait returns holding it. A predicate that
 // already holds returns at once, without registering a wake-up on ctx.
-func (b *Broker) wait(ctx context.Context, pred func() bool) error {
+// A handle's waits pass its ctxWake, which keeps one wake-up on the
+// handle's context across waits; waits of no handle pass nil and
+// register one for the wait alone.
+func (b *Broker) wait(ctx context.Context, k *ctxWake, pred func() bool) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if pred() {
 		return ctx.Err()
 	}
-	if ctx.Done() != nil {
-		stop := context.AfterFunc(ctx, func() {
-			b.mu.Lock()
-			b.cond.Broadcast()
-			b.mu.Unlock()
-		})
-		defer stop()
+	if done := ctx.Done(); done != nil {
+		if k.keep(b, ctx, done) {
+			k.parked++
+			defer func() { k.parked-- }()
+		} else {
+			stop := context.AfterFunc(ctx, b.wakeAll)
+			defer stop()
+		}
 	}
 	for !pred() {
 		if ctx.Err() != nil {
@@ -320,12 +324,67 @@ func (b *Broker) wait(ctx context.Context, pred func() bool) error {
 	return ctx.Err()
 }
 
+// wakeAll broadcasts the broker condition, so that waits parked on a
+// context that just ended see it.
+func (b *Broker) wakeAll() {
+	b.mu.Lock()
+	b.cond.Broadcast()
+	b.mu.Unlock()
+}
+
+// ctxWake is a handle's standing wake-up on its caller's context: one
+// context.AfterFunc that broadcasts the broker condition when the
+// context ends, registered once and kept across the handle's blocking
+// waits instead of once per wait. It is keyed by the context's Done
+// channel and re-registered when that changes. A caller that passes a
+// fresh context per call (a per-operation timeout) would only churn a
+// standing registration, so a context is kept from its second blocking
+// wait on; its first gets a registration for that wait alone, as does a
+// wait on another context while one is parked under the kept one. The
+// handle's Close (Detach, Crash) stops it. Guarded by the broker lock.
+type ctxWake struct {
+	seen   <-chan struct{} // Done of the last blocking wait's context
+	kept   <-chan struct{} // Done of the context registered
+	stop   func() bool
+	parked int // waits blocked under the kept registration
+}
+
+// keep reports whether the standing registration covers ctx (whose
+// Done channel is done), registering it anew if that is due.
+func (k *ctxWake) keep(b *Broker, ctx context.Context, done <-chan struct{}) bool {
+	if k == nil {
+		return false
+	}
+	if done == k.kept {
+		return true
+	}
+	if done != k.seen || k.parked > 0 {
+		k.seen = done
+		return false
+	}
+	if k.stop != nil {
+		k.stop()
+	}
+	k.kept, k.stop = done, context.AfterFunc(ctx, b.wakeAll)
+	return true
+}
+
+// release stops the standing registration. Waits still parked under it
+// return on the broadcast that closing their handle makes.
+func (k *ctxWake) release() {
+	if k.stop != nil {
+		k.stop()
+	}
+	k.seen, k.kept, k.stop = nil, nil, nil
+}
+
 // Writer is one writer rank's handle on a stream.
 type Writer struct {
 	b      *Broker
 	s      *stream
 	rank   int
 	closed bool
+	wake   ctxWake
 }
 
 // AttachWriter joins the writer group of the named stream as the given
@@ -443,7 +502,7 @@ func (w *Writer) publishRef(ctx context.Context, step int, meta, payload *pool.B
 		return err
 	}
 	// Block while the queue window [minStep, minStep+depth) excludes step.
-	err := b.wait(ctx, func() bool {
+	err := b.wait(ctx, &w.wake, func() bool {
 		return w.closed || s.failed != nil || b.tenantEvicting(s.name) || step < s.minStep+s.queueDepth
 	})
 	if err != nil {
@@ -463,7 +522,7 @@ func (w *Writer) publishRef(ctx context.Context, step int, meta, payload *pool.B
 		st = &stepState{
 			metas:    make([]*pool.Buf, s.writerSize),
 			payloads: make([]*pool.Buf, s.writerSize),
-			released: make(map[int]bool),
+			released: make([]bool, s.readerSize),
 		}
 		s.steps[step] = st
 		b.obs.queuedSteps.Add(1)
@@ -519,6 +578,7 @@ func (w *Writer) Close() error {
 		return nil
 	}
 	w.closed = true
+	w.wake.release()
 	s := w.s
 	s.writers[w.rank] = slotDone
 	if countSlots(s.writers, slotDone) == s.writerSize && !s.ended {
@@ -550,6 +610,7 @@ func (w *Writer) Detach() error {
 		return nil
 	}
 	w.closed = true
+	w.wake.release()
 	w.s.writers[w.rank] = slotDetached
 	b.cond.Broadcast()
 	return nil
@@ -568,6 +629,7 @@ func (w *Writer) Crash(cause error) error {
 		return nil
 	}
 	w.closed = true
+	w.wake.release()
 	s := w.s
 	s.writers[w.rank] = slotDetached
 	if s.failed == nil && !s.ended {
@@ -586,6 +648,8 @@ type Reader struct {
 	s      *stream
 	rank   int
 	closed bool
+	wake   ctxWake
+	metas  [][]byte // StepMeta's result, reused from call to call
 }
 
 // AttachReader joins the reader group of the named stream as the given
@@ -623,8 +687,8 @@ func (b *Broker) AttachReader(stream string, rank, size int) (*Reader, error) {
 	resume := s.resumeStep()
 	s.readerNext[rank] = resume
 	for step, st := range s.steps {
-		if step >= resume {
-			delete(st.released, rank)
+		if step >= resume && rank < len(st.released) {
+			st.released[rank] = false
 		}
 	}
 	b.cond.Broadcast()
@@ -666,7 +730,7 @@ func (r *Reader) WriterSize(ctx context.Context) (int, error) {
 	b := r.b
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if err := b.wait(ctx, func() bool { return r.closed || r.s.writerSize > 0 || r.s.failed != nil }); err != nil {
+	if err := b.wait(ctx, &r.wake, func() bool { return r.closed || r.s.writerSize > 0 || r.s.failed != nil }); err != nil {
 		return 0, err
 	}
 	if r.closed {
@@ -684,9 +748,10 @@ func (r *Reader) WriterSize(ctx context.Context) (int, error) {
 // if a writer crashed before completing it; steps fully published before
 // a crash remain readable.
 //
-// The returned slices are views of broker-held (possibly pooled)
+// The returned blobs are views of broker-held (possibly pooled)
 // storage: they are valid until this rank releases or closes — after
-// that the step may retire and the storage recycle.
+// that the step may retire and the storage recycle. The slice holding
+// them is the handle's own, overwritten by its next StepMeta.
 func (r *Reader) StepMeta(ctx context.Context, step int) ([][]byte, error) {
 	b := r.b
 	b.mu.Lock()
@@ -695,10 +760,11 @@ func (r *Reader) StepMeta(ctx context.Context, step int) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]byte, len(st.metas))
-	for i, m := range st.metas {
-		out[i] = m.Bytes()
+	out := r.metas[:0]
+	for _, m := range st.metas {
+		out = append(out, m.Bytes())
 	}
+	r.metas = out
 	if tr := b.obs.tracer; tr.Enabled() {
 		tr.Emit(obs.Span{Kind: obs.KindReaderMeta, Parent: obs.ParentFrom(ctx),
 			Stream: r.s.name, Step: step, Rank: r.rank, Peer: -1})
@@ -737,7 +803,7 @@ func (r *Reader) stepMetaLocked(ctx context.Context, step int) (*stepState, erro
 	if step < s.minStep {
 		return nil, fmt.Errorf("%w: step %d below window start %d", ErrStepRetired, step, s.minStep)
 	}
-	err := b.wait(ctx, func() bool {
+	err := b.wait(ctx, &r.wake, func() bool {
 		if r.closed || s.failed != nil {
 			return true
 		}
@@ -845,6 +911,9 @@ func (r *Reader) ReleaseStep(step int) error {
 	if !ok {
 		return fmt.Errorf("flexpath: release of unpublished step %d on stream %q", step, s.name)
 	}
+	if len(st.released) < s.readerSize {
+		st.released = append(st.released, make([]bool, s.readerSize-len(st.released))...)
+	}
 	st.released[r.rank] = true
 	if tr := b.obs.tracer; tr.Enabled() {
 		tr.Emit(obs.Span{Kind: obs.KindReaderRelease, Stream: s.name, Step: step,
@@ -872,7 +941,7 @@ func (s *stream) retireHead(b *Broker) bool {
 	}
 	fullyReleased := true
 	for rank := 0; rank < s.readerSize; rank++ {
-		if !st.released[rank] {
+		if rank >= len(st.released) || !st.released[rank] {
 			if s.readers[rank] != slotDone {
 				return false
 			}
@@ -924,6 +993,8 @@ func (r *Reader) Close() error {
 		return nil
 	}
 	r.closed = true
+	r.wake.release()
+	r.metas = nil
 	r.s.readers[r.rank] = slotDone
 	for r.s.retireHead(b) {
 	}
@@ -943,6 +1014,8 @@ func (r *Reader) Detach() error {
 		return nil
 	}
 	r.closed = true
+	r.wake.release()
+	r.metas = nil
 	r.s.readers[r.rank] = slotDetached
 	b.cond.Broadcast()
 	return nil

@@ -94,7 +94,7 @@ func (b *Broker) FlushLog(ctx context.Context) error {
 	if b.logStore == nil {
 		return nil
 	}
-	return b.wait(ctx, func() bool {
+	return b.wait(ctx, nil, func() bool {
 		for _, s := range b.streams {
 			if len(s.logQueue) > 0 || s.logBusy {
 				return false
@@ -302,7 +302,6 @@ func (b *Broker) Recover() (int, error) {
 				metas:    make([]*pool.Buf, len(metas)),
 				payloads: make([]*pool.Buf, len(payloads)),
 				pubCount: len(metas),
-				released: make(map[int]bool),
 			}
 			for i := range metas {
 				st.metas[i] = pool.Wrap(metas[i])
