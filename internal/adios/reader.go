@@ -454,7 +454,6 @@ func (r *Reader) Close() error {
 	}
 	r.closed = true
 	r.writers = nil
-	r.merged, r.vars, r.attrs = false, nil, nil
 	r.arena, r.headers = nil, nil
 	r.info = nil
 	return r.br.Close()
