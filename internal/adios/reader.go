@@ -397,15 +397,9 @@ func (r *Reader) blockValues(ctx context.Context, blk blockRef, varName string) 
 		}
 		ws.fetched = true
 	}
-	// A payload lists its variables in the order of the rank's metadata;
-	// the search covers a frame written otherwise.
+	// A payload lists its variables in the order of the rank's metadata.
 	if i := blk.index; i < len(ws.payload) && string(ws.payload[i].name) == varName {
 		return ws.payload[i].vals, nil
-	}
-	for _, b := range ws.payload {
-		if string(b.name) == varName {
-			return b.vals, nil
-		}
 	}
 	return nil, fmt.Errorf("adios: writer rank %d payload lacks variable %q", blk.writerRank, varName)
 }

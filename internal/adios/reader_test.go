@@ -343,6 +343,33 @@ func TestReaderInterningRejects(t *testing.T) {
 	}
 }
 
+// A payload lists its variables in the order of its rank's metadata,
+// as Writer.EndStep writes them; a frame that does not is rejected by
+// the read, not searched.
+func TestReaderRejectsPayloadOutOfMetaOrder(t *testing.T) {
+	good := steadyLayout().encode(0)
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"other name", EncodePayload([]string{"w"}, [][]float64{make([]float64, 6)})},
+		{"extra variable first", EncodePayload([]string{"u", "v"}, [][]float64{{1}, make([]float64, 6)})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			payloads := append([][]byte(nil), good.payloads...)
+			payloads[1] = tc.payload
+			r := NewReader(&scriptedReader{metas: good.metas, payloads: payloads})
+			if _, err := r.BeginStep(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			_, err := r.ReadAll(context.Background(), "v")
+			if err == nil || !strings.Contains(err.Error(), `writer rank 1 payload lacks variable "v"`) {
+				t.Fatalf("ReadAll error %v, want writer rank 1 lacking \"v\"", err)
+			}
+		})
+	}
+}
+
 // FuzzReaderInterning drives a stream whose layout, attributes and
 // blobs change at the fuzzer's choosing, byte by byte of the input: an
 // interned reader must always agree with a fresh decode.

@@ -10,6 +10,7 @@ import (
 	"repro/internal/flexpath"
 	"repro/internal/mpi"
 	"repro/internal/ndarray"
+	"repro/internal/pool"
 	"repro/internal/sb"
 )
 
@@ -20,14 +21,12 @@ import (
 // block's data on any hop — a decode copy, a fresh read array, a fresh
 // kernel output — exceeds the byte bound.
 //
-// The allocation bound is the 53 a step measures at 64 Ki points, plus
-// 10 %. A step measures about 1.5 KB; the byte bound leaves room for the
-// buffer pool missing once in the measured window (a fresh 512 KiB
-// output frame adds about 10.5 KB per step), and one copy of the data
-// per step adds 512 KiB or more.
+// Both bounds are what a step measures at 64 Ki points, plus 10 %: 62
+// allocations and about 1.9 KB. One copy of the data per step adds
+// 512 KiB or more.
 const (
-	steadyAllocsBound = 59
-	steadyBytesBound  = 16 << 10
+	steadyAllocsBound = 68
+	steadyBytesBound  = 2100
 )
 
 // A steady magnitude stage moves each step with one copy of the data
@@ -38,22 +37,23 @@ const (
 // block sizes.
 func TestMagnitudeSteadyStepAllocs(t *testing.T) {
 	for _, points := range []int{64, 1 << 16} {
-		allocs, bytes := steadyMagnitudeStep(t, points)
-		t.Logf("%d points: %.1f allocs, %.0f bytes per step", points, allocs, bytes)
+		allocs, bytes, misses := steadyMagnitudeStep(t, points)
+		t.Logf("%d points: %.1f allocs, %.0f bytes per step, %d pool misses", points, allocs, bytes, misses)
 		if allocs > steadyAllocsBound {
 			t.Errorf("%d points: %.1f allocations per step, bound %d", points, allocs, steadyAllocsBound)
 		}
 		// The race detector makes sync.Pool drop buffers at random, so
 		// encode buffers are reallocated and the bytes say nothing there.
 		if !raceEnabled && bytes > steadyBytesBound {
-			t.Errorf("%d points: %.0f bytes allocated per step, bound %d", points, bytes, steadyBytesBound)
+			t.Errorf("%d points: %.0f bytes allocated per step (%d pool misses), bound %d", points, bytes, misses, steadyBytesBound)
 		}
 	}
 }
 
 // steadyMagnitudeStep runs the pipeline and returns the allocations and
-// bytes allocated per step, after warm-up.
-func steadyMagnitudeStep(t *testing.T, points int) (allocs, bytes float64) {
+// bytes allocated per step, after warm-up, and the buffer pool's fresh
+// allocations in the window the bytes were measured over.
+func steadyMagnitudeStep(t *testing.T, points int) (allocs, bytes float64, misses int64) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -116,13 +116,24 @@ func steadyMagnitudeStep(t *testing.T, points int) (allocs, bytes float64) {
 		step()
 	}
 	const runs = 50
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		step()
+	// A window in which the buffer pool allocated — a frame released on
+	// one processor and asked for on another can miss sync.Pool's
+	// per-processor cache — measures that fresh frame, not the step, so
+	// it is measured again, a few times at most.
+	for try := 0; ; try++ {
+		var before, after runtime.MemStats
+		_, news0, _ := pool.StatsSnapshot()
+		runtime.ReadMemStats(&before)
+		for range runs {
+			step()
+		}
+		runtime.ReadMemStats(&after)
+		_, news1, _ := pool.StatsSnapshot()
+		bytes, misses = float64(after.TotalAlloc-before.TotalAlloc)/runs, news1-news0
+		if misses == 0 || try == 4 {
+			break
+		}
 	}
-	runtime.ReadMemStats(&after)
-	bytes = float64(after.TotalAlloc-before.TotalAlloc) / runs
 	// Counted separately: AllocsPerRun runs at GOMAXPROCS 1, which strands
 	// buffers pooled on the other processors and so adds refills.
 	allocs = testing.AllocsPerRun(runs, step)
@@ -137,5 +148,5 @@ func steadyMagnitudeStep(t *testing.T, points int) (allocs, bytes float64) {
 		t.Fatal(err)
 	}
 	r.Close()
-	return allocs, bytes
+	return allocs, bytes, misses
 }

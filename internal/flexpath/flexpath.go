@@ -296,24 +296,20 @@ func (b *Broker) getStream(name string) *stream {
 // wait blocks on the broker condition until pred holds or ctx is done.
 // The caller must hold b.mu; wait returns holding it. A predicate that
 // already holds returns at once, without registering a wake-up on ctx.
-// A handle's waits pass its ctxWake, which keeps one wake-up on the
-// handle's context across waits; waits of no handle pass nil and
-// register one for the wait alone.
-func (b *Broker) wait(ctx context.Context, k *ctxWake, pred func() bool) error {
+func (b *Broker) wait(ctx context.Context, pred func() bool) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if pred() {
 		return ctx.Err()
 	}
-	if done := ctx.Done(); done != nil {
-		if k.keep(b, ctx, done) {
-			k.parked++
-			defer func() { k.parked-- }()
-		} else {
-			stop := context.AfterFunc(ctx, b.wakeAll)
-			defer stop()
-		}
+	if ctx.Done() != nil {
+		stop := context.AfterFunc(ctx, func() {
+			b.mu.Lock()
+			b.cond.Broadcast()
+			b.mu.Unlock()
+		})
+		defer stop()
 	}
 	for !pred() {
 		if ctx.Err() != nil {
@@ -324,67 +320,12 @@ func (b *Broker) wait(ctx context.Context, k *ctxWake, pred func() bool) error {
 	return ctx.Err()
 }
 
-// wakeAll broadcasts the broker condition, so that waits parked on a
-// context that just ended see it.
-func (b *Broker) wakeAll() {
-	b.mu.Lock()
-	b.cond.Broadcast()
-	b.mu.Unlock()
-}
-
-// ctxWake is a handle's standing wake-up on its caller's context: one
-// context.AfterFunc that broadcasts the broker condition when the
-// context ends, registered once and kept across the handle's blocking
-// waits instead of once per wait. It is keyed by the context's Done
-// channel and re-registered when that changes. A caller that passes a
-// fresh context per call (a per-operation timeout) would only churn a
-// standing registration, so a context is kept from its second blocking
-// wait on; its first gets a registration for that wait alone, as does a
-// wait on another context while one is parked under the kept one. The
-// handle's Close (Detach, Crash) stops it. Guarded by the broker lock.
-type ctxWake struct {
-	seen   <-chan struct{} // Done of the last blocking wait's context
-	kept   <-chan struct{} // Done of the context registered
-	stop   func() bool
-	parked int // waits blocked under the kept registration
-}
-
-// keep reports whether the standing registration covers ctx (whose
-// Done channel is done), registering it anew if that is due.
-func (k *ctxWake) keep(b *Broker, ctx context.Context, done <-chan struct{}) bool {
-	if k == nil {
-		return false
-	}
-	if done == k.kept {
-		return true
-	}
-	if done != k.seen || k.parked > 0 {
-		k.seen = done
-		return false
-	}
-	if k.stop != nil {
-		k.stop()
-	}
-	k.kept, k.stop = done, context.AfterFunc(ctx, b.wakeAll)
-	return true
-}
-
-// release stops the standing registration. Waits still parked under it
-// return on the broadcast that closing their handle makes.
-func (k *ctxWake) release() {
-	if k.stop != nil {
-		k.stop()
-	}
-	k.seen, k.kept, k.stop = nil, nil, nil
-}
-
 // Writer is one writer rank's handle on a stream.
 type Writer struct {
 	b      *Broker
 	s      *stream
 	rank   int
 	closed bool
-	wake   ctxWake
 }
 
 // AttachWriter joins the writer group of the named stream as the given
@@ -502,7 +443,7 @@ func (w *Writer) publishRef(ctx context.Context, step int, meta, payload *pool.B
 		return err
 	}
 	// Block while the queue window [minStep, minStep+depth) excludes step.
-	err := b.wait(ctx, &w.wake, func() bool {
+	err := b.wait(ctx, func() bool {
 		return w.closed || s.failed != nil || b.tenantEvicting(s.name) || step < s.minStep+s.queueDepth
 	})
 	if err != nil {
@@ -578,7 +519,6 @@ func (w *Writer) Close() error {
 		return nil
 	}
 	w.closed = true
-	w.wake.release()
 	s := w.s
 	s.writers[w.rank] = slotDone
 	if countSlots(s.writers, slotDone) == s.writerSize && !s.ended {
@@ -610,7 +550,6 @@ func (w *Writer) Detach() error {
 		return nil
 	}
 	w.closed = true
-	w.wake.release()
 	w.s.writers[w.rank] = slotDetached
 	b.cond.Broadcast()
 	return nil
@@ -629,7 +568,6 @@ func (w *Writer) Crash(cause error) error {
 		return nil
 	}
 	w.closed = true
-	w.wake.release()
 	s := w.s
 	s.writers[w.rank] = slotDetached
 	if s.failed == nil && !s.ended {
@@ -648,7 +586,6 @@ type Reader struct {
 	s      *stream
 	rank   int
 	closed bool
-	wake   ctxWake
 	metas  [][]byte // StepMeta's result, reused from call to call
 }
 
@@ -730,7 +667,7 @@ func (r *Reader) WriterSize(ctx context.Context) (int, error) {
 	b := r.b
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if err := b.wait(ctx, &r.wake, func() bool { return r.closed || r.s.writerSize > 0 || r.s.failed != nil }); err != nil {
+	if err := b.wait(ctx, func() bool { return r.closed || r.s.writerSize > 0 || r.s.failed != nil }); err != nil {
 		return 0, err
 	}
 	if r.closed {
@@ -803,7 +740,7 @@ func (r *Reader) stepMetaLocked(ctx context.Context, step int) (*stepState, erro
 	if step < s.minStep {
 		return nil, fmt.Errorf("%w: step %d below window start %d", ErrStepRetired, step, s.minStep)
 	}
-	err := b.wait(ctx, &r.wake, func() bool {
+	err := b.wait(ctx, func() bool {
 		if r.closed || s.failed != nil {
 			return true
 		}
@@ -993,7 +930,6 @@ func (r *Reader) Close() error {
 		return nil
 	}
 	r.closed = true
-	r.wake.release()
 	r.metas = nil
 	r.s.readers[r.rank] = slotDone
 	for r.s.retireHead(b) {
@@ -1014,7 +950,6 @@ func (r *Reader) Detach() error {
 		return nil
 	}
 	r.closed = true
-	r.wake.release()
 	r.metas = nil
 	r.s.readers[r.rank] = slotDetached
 	b.cond.Broadcast()

@@ -94,7 +94,7 @@ func (b *Broker) FlushLog(ctx context.Context) error {
 	if b.logStore == nil {
 		return nil
 	}
-	return b.wait(ctx, nil, func() bool {
+	return b.wait(ctx, func() bool {
 		for _, s := range b.streams {
 			if len(s.logQueue) > 0 || s.logBusy {
 				return false

@@ -32,7 +32,6 @@ type ReplayReader struct {
 	lg *streamlog.Log
 
 	cache serveCache // guarded by b.mu
-	wake  ctxWake
 }
 
 // OpenReaderFrom opens a catch-up reader on a stream, positioned at
@@ -69,7 +68,7 @@ func (r *ReplayReader) WriterSize(ctx context.Context) (int, error) {
 	b := r.b
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if err := b.wait(ctx, &r.wake, func() bool { return r.cache.closed || r.s.writerSize > 0 || r.s.failed != nil }); err != nil {
+	if err := b.wait(ctx, func() bool { return r.cache.closed || r.s.writerSize > 0 || r.s.failed != nil }); err != nil {
 		return 0, err
 	}
 	if r.cache.closed {
@@ -102,7 +101,7 @@ func (r *ReplayReader) ensure(ctx context.Context, step int) error {
 		st, ok := s.steps[step]
 		return ok && st.complete()
 	}
-	err := b.wait(ctx, &r.wake, func() bool {
+	err := b.wait(ctx, func() bool {
 		if r.cache.closed || s.failed != nil || memComplete() || step < s.logged {
 			return true
 		}
@@ -332,7 +331,6 @@ func (r *ReplayReader) Close() error {
 	r.b.mu.Lock()
 	defer r.b.mu.Unlock()
 	if r.cache.close() {
-		r.wake.release()
 		r.b.cond.Broadcast()
 	}
 	return nil

@@ -342,7 +342,7 @@ func (b *Broker) EvictTenant(ctx context.Context, tenant string) error {
 	}
 	ts.evicting = true
 	b.cond.Broadcast() // unblock the tenant's parked publishers
-	if err := b.wait(ctx, nil, func() bool { return b.tenantDrained(tenant) }); err != nil {
+	if err := b.wait(ctx, func() bool { return b.tenantDrained(tenant) }); err != nil {
 		return err
 	}
 	// Drained: end and remove the namespace's streams.
