@@ -19,7 +19,6 @@ type GlobalVar struct {
 
 type blockRef struct {
 	writerRank int
-	index      int // the variable's position in that rank's metadata and payload
 	box        ndarray.Box
 }
 
@@ -47,9 +46,6 @@ func (v *GlobalVar) FindDim(name string) int {
 // attributes. It is what lets a component "discover the dimensions and
 // their sizes of the data it receives from its upstream component"
 // (§III-B) before reading any bulk data.
-//
-// Vars (with the GlobalVars they point to) and Attrs are read-only:
-// while a stream's layout holds still, consecutive steps share them.
 type StepInfo struct {
 	Step  int
 	Vars  []*GlobalVar
@@ -80,46 +76,19 @@ func (si *StepInfo) ListAttr(name string) []string {
 //	box := ndarray.PartitionAlong(v.Shape(), 0, size, rank)
 //	block, err := r.ReadBox(ctx, "atoms", box)
 //	r.EndStep()                      // releases the step
-//
-// A step whose layout is the previous step's decodes only its payloads:
-// the reader keeps each writer rank's last metadata blob with its decode
-// and, while every rank's blob repeats, reuses the merged and validated
-// variables and attributes.
 type Reader struct {
 	br BlockReader
 
 	step    int
 	inStep  bool
 	info    *StepInfo
-	writers []writerState // per writer rank
+	decoded map[int]map[string][]float64 // writerRank → var → values
 	closed  bool
-
-	// merged reports that vars and attrs are the merge of every writer
-	// rank's current meta, validated: the shared StepInfo parts.
-	merged bool
-	vars   []*GlobalVar
-	attrs  map[string]string
 
 	// arena is the step-scoped assembly storage ReadBoxScoped hands out,
 	// reused from step to step; used is how much the open step has taken.
-	// headers are the scoped arrays handed out, recycled the same way;
-	// the open step has used the first nheaders.
-	arena    []float64
-	used     int
-	headers  []*ndarray.Array
-	nheaders int
-}
-
-// writerState is what a reader keeps of one writer rank.
-type writerState struct {
-	// blob is the reader's own copy of the rank's last metadata blob (a
-	// transport's view of it ends at release) and meta its decode.
-	blob []byte
-	meta *BlockMeta
-	// payload is the open step's decoded payload, once fetched: views of
-	// the transport's frame, cleared before the step is released.
-	payload []payloadBlock
-	fetched bool
+	arena []float64
+	used  int
 }
 
 // NewReader wraps a transport reader rank.
@@ -156,18 +125,9 @@ func (r *Reader) BeginStep(ctx context.Context) (*StepInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(r.writers) != len(metas) {
-		r.writers = make([]writerState, len(metas))
-		r.merged = false
-	}
+	info := &StepInfo{Step: r.step, Attrs: map[string]string{}}
+	byName := map[string]*GlobalVar{}
 	for rank, blob := range metas {
-		ws := &r.writers[rank]
-		if ws.meta != nil && sameMetaLayout(ws.blob, blob) {
-			if step := metaStep(blob); step != r.step {
-				return nil, fmt.Errorf("adios: writer rank %d metadata is for step %d, want %d", rank, step, r.step)
-			}
-			continue
-		}
 		bm, err := DecodeMeta(blob)
 		if err != nil {
 			return nil, fmt.Errorf("adios: writer rank %d: %w", rank, err)
@@ -175,55 +135,35 @@ func (r *Reader) BeginStep(ctx context.Context) (*StepInfo, error) {
 		if bm.Step != r.step {
 			return nil, fmt.Errorf("adios: writer rank %d metadata is for step %d, want %d", rank, bm.Step, r.step)
 		}
-		ws.blob = append(ws.blob[:0], blob...)
-		ws.meta = bm
-		r.merged = false
-	}
-	if !r.merged {
-		if r.vars, r.attrs, err = mergeMetas(r.writers); err != nil {
-			return nil, err
-		}
-		r.merged = true
-	}
-	r.inStep = true
-	r.info = &StepInfo{Step: r.step, Vars: r.vars, Attrs: r.attrs}
-	return r.info, nil
-}
-
-// mergeMetas merges and validates the writer ranks' metas into a step's
-// global variables and attributes.
-func mergeMetas(writers []writerState) ([]*GlobalVar, map[string]string, error) {
-	var vars []*GlobalVar
-	attrs := map[string]string{}
-	byName := map[string]*GlobalVar{}
-	for rank := range writers {
-		bm := writers[rank].meta
-		for i, vm := range bm.Vars {
+		for _, vm := range bm.Vars {
 			gv, ok := byName[vm.Name]
 			if !ok {
 				gv = &GlobalVar{Name: vm.Name, Dims: append([]ndarray.Dim(nil), vm.GlobalDims...)}
 				byName[vm.Name] = gv
-				vars = append(vars, gv)
+				info.Vars = append(info.Vars, gv)
 			} else if !dimsEqual(gv.Dims, vm.GlobalDims) {
-				return nil, nil, fmt.Errorf("adios: variable %q: writer rank %d declares global dims %v, others %v",
+				return nil, fmt.Errorf("adios: variable %q: writer rank %d declares global dims %v, others %v",
 					vm.Name, rank, vm.GlobalDims, gv.Dims)
 			}
 			if err := vm.Box.ValidIn(vm.GlobalShape()); err != nil {
-				return nil, nil, fmt.Errorf("adios: variable %q block from rank %d: %w", vm.Name, rank, err)
+				return nil, fmt.Errorf("adios: variable %q block from rank %d: %w", vm.Name, rank, err)
 			}
-			gv.blocks = append(gv.blocks, blockRef{writerRank: rank, index: i, box: vm.Box})
+			gv.blocks = append(gv.blocks, blockRef{writerRank: rank, box: vm.Box})
 		}
 		// Attributes must agree where they overlap; rank order wins ties
 		// deterministically (first writer to declare).
 		for k, v := range bm.Attrs {
-			if prev, ok := attrs[k]; ok && prev != v {
-				return nil, nil, fmt.Errorf("adios: attribute %q disagrees across writer ranks: %q vs %q", k, prev, v)
+			if prev, ok := info.Attrs[k]; ok && prev != v {
+				return nil, fmt.Errorf("adios: attribute %q disagrees across writer ranks: %q vs %q", k, prev, v)
 			} else if !ok {
-				attrs[k] = v
+				info.Attrs[k] = v
 			}
 		}
 	}
-	return vars, attrs, nil
+	r.inStep = true
+	r.info = info
+	r.decoded = map[int]map[string][]float64{}
+	return info, nil
 }
 
 func dimsEqual(a, b []ndarray.Dim) bool {
@@ -268,27 +208,6 @@ func (r *Reader) stepFloats(n int) []float64 {
 	return out
 }
 
-// scopedArray returns a step-scoped array over n values of the arena,
-// in a header recycled from an earlier step when there is one.
-func (r *Reader) scopedArray(n int, dims []ndarray.Dim) (*ndarray.Array, error) {
-	data := r.stepFloats(n)
-	if r.nheaders == len(r.headers) {
-		a, err := ndarray.FromData(data, dims...)
-		if err != nil {
-			return nil, err
-		}
-		r.headers = append(r.headers, a)
-	} else if err := r.headers[r.nheaders].Reset(data, dims...); err != nil {
-		return nil, err
-	}
-	r.nheaders++
-	return r.headers[r.nheaders-1], nil
-}
-
-// planRank is the array rank readBox plans on the stack; a read of a
-// higher-rank variable allocates its plan.
-const planRank = 8
-
 func (r *Reader) readBox(ctx context.Context, varName string, box ndarray.Box, scoped bool) (*ndarray.Array, error) {
 	if !r.inStep {
 		return nil, fmt.Errorf("adios: ReadBox outside a step")
@@ -297,33 +216,20 @@ func (r *Reader) readBox(ctx context.Context, varName string, box ndarray.Box, s
 	if !ok {
 		return nil, fmt.Errorf("adios: step %d has no variable %q", r.info.Step, varName)
 	}
-	// The plan: the variable's (then each block's) shape, the offsets of
-	// an intersection in the box and in the block, and its counts.
-	n := len(gv.Dims)
-	var planBuf [4 * planRank]int
-	var dimBuf [planRank]ndarray.Dim
-	plan, dims := planBuf[:], dimBuf[:]
-	if n > planRank {
-		plan, dims = make([]int, 4*n), make([]ndarray.Dim, n)
-	}
-	shape, dstOff, srcOff, counts := plan[:n], plan[n:2*n], plan[2*n:3*n], plan[3*n:4*n]
-	dims = dims[:n]
-	for i, d := range gv.Dims {
-		shape[i] = d.Size
-	}
-	if err := box.ValidIn(shape); err != nil {
+	if err := box.ValidIn(gv.Shape()); err != nil {
 		return nil, fmt.Errorf("adios: variable %q: %w", varName, err)
 	}
+	dims := make([]ndarray.Dim, len(gv.Dims))
 	for i, d := range gv.Dims {
 		dims[i] = ndarray.Dim{Name: d.Name, Size: box.Counts[i]}
 	}
-	var out *ndarray.Array
-	var err error
+	var data []float64
 	if scoped {
-		out, err = r.scopedArray(box.Volume(), dims)
+		data = r.stepFloats(box.Volume())
 	} else {
-		out, err = ndarray.FromData(make([]float64, box.Volume()), dims...)
+		data = make([]float64, box.Volume())
 	}
+	out, err := ndarray.FromData(data, dims...)
 	if err != nil {
 		return nil, err
 	}
@@ -332,39 +238,39 @@ func (r *Reader) readBox(ctx context.Context, varName string, box ndarray.Box, s
 	}
 	covered := 0
 	for _, blk := range gv.blocks {
-		if !intersect(box, blk.box, dstOff, srcOff, counts) {
+		inter, ok := box.Intersect(blk.box)
+		if !ok {
 			continue
 		}
-		vals, err := r.blockValues(ctx, blk, varName)
+		vals, err := r.blockValues(ctx, blk.writerRank, varName)
 		if err != nil {
 			return nil, err
 		}
-		copy(shape, blk.box.Counts)
-		if err := ndarray.CopyRegionFrom(out, dstOff, vals, shape, srcOff, counts); err != nil {
+		blockDims := make([]ndarray.Dim, len(gv.Dims))
+		for i := range blockDims {
+			blockDims[i] = ndarray.Dim{Name: gv.Dims[i].Name, Size: blk.box.Counts[i]}
+		}
+		src, err := ndarray.FromData(vals, blockDims...)
+		if err != nil {
 			return nil, fmt.Errorf("adios: variable %q block from rank %d: %w", varName, blk.writerRank, err)
 		}
-		covered += ndarray.Volume(counts)
+		n := len(gv.Dims)
+		dstOff := make([]int, n)
+		srcOff := make([]int, n)
+		for i := 0; i < n; i++ {
+			dstOff[i] = inter.Offsets[i] - box.Offsets[i]
+			srcOff[i] = inter.Offsets[i] - blk.box.Offsets[i]
+		}
+		if err := ndarray.CopyRegion(out, dstOff, src, srcOff, inter.Counts); err != nil {
+			return nil, err
+		}
+		covered += inter.Volume()
 	}
 	if covered < box.Volume() {
 		return nil, fmt.Errorf("adios: variable %q: writer blocks cover only %d of %d requested elements",
 			varName, covered, box.Volume())
 	}
 	return out, nil
-}
-
-// intersect plans the overlap of the read box and a block of the same
-// rank: its offsets within each (dstOff, srcOff) and its extents
-// (counts). It reports false when they do not overlap.
-func intersect(box, block ndarray.Box, dstOff, srcOff, counts []int) bool {
-	for i := range counts {
-		lo := max(box.Offsets[i], block.Offsets[i])
-		hi := min(box.Offsets[i]+box.Counts[i], block.Offsets[i]+block.Counts[i])
-		if hi <= lo {
-			return false
-		}
-		dstOff[i], srcOff[i], counts[i] = lo-box.Offsets[i], lo-block.Offsets[i], hi-lo
-	}
-	return true
 }
 
 // ReadAll reads the entire global array of a variable.
@@ -379,57 +285,48 @@ func (r *Reader) ReadAll(ctx context.Context, varName string) (*ndarray.Array, e
 	return r.ReadBox(ctx, varName, ndarray.WholeBox(gv.Shape()))
 }
 
-// blockValues fetches and decodes one writer rank's payload, keeping
-// the decoded form for the remainder of the step so several ReadBox
-// calls (or several variables) fetch each block at most once. The
-// decoded slices may alias the transport's frame (see DecodePayload),
-// which is why EndStep clears them before releasing the step.
-func (r *Reader) blockValues(ctx context.Context, blk blockRef, varName string) ([]float64, error) {
-	ws := &r.writers[blk.writerRank]
-	if !ws.fetched {
-		blob, err := r.br.FetchBlock(ctx, r.info.Step, blk.writerRank)
+// blockValues fetches and decodes one writer rank's payload, caching the
+// decoded form for the remainder of the step so several ReadBox calls
+// (or several variables) fetch each block at most once. The decoded
+// slices may alias the transport's frame (see DecodePayload), which is
+// why EndStep drops this cache before releasing the step.
+func (r *Reader) blockValues(ctx context.Context, writerRank int, varName string) ([]float64, error) {
+	if r.decoded == nil {
+		r.decoded = map[int]map[string][]float64{}
+	}
+	byVar, ok := r.decoded[writerRank]
+	if !ok {
+		blob, err := r.br.FetchBlock(ctx, r.info.Step, writerRank)
 		if err != nil {
 			return nil, err
 		}
-		ws.payload, err = decodePayload(ws.payload, blob)
+		byVar, err = DecodePayload(blob)
 		if err != nil {
-			return nil, fmt.Errorf("adios: payload from writer rank %d: %w", blk.writerRank, err)
+			return nil, fmt.Errorf("adios: payload from writer rank %d: %w", writerRank, err)
 		}
-		ws.fetched = true
+		r.decoded[writerRank] = byVar
 	}
-	// A payload lists its variables in the order of the rank's metadata.
-	if i := blk.index; i < len(ws.payload) && string(ws.payload[i].name) == varName {
-		return ws.payload[i].vals, nil
+	vals, ok := byVar[varName]
+	if !ok {
+		return nil, fmt.Errorf("adios: writer rank %d payload lacks variable %q", writerRank, varName)
 	}
-	return nil, fmt.Errorf("adios: writer rank %d payload lacks variable %q", blk.writerRank, varName)
-}
-
-// dropPayloads clears every decoded payload view, including those a
-// failed decode left past the slices' length.
-func (r *Reader) dropPayloads() {
-	for i := range r.writers {
-		ws := &r.writers[i]
-		clear(ws.payload[:cap(ws.payload)])
-		ws.payload = ws.payload[:0]
-		ws.fetched = false
-	}
+	return vals, nil
 }
 
 // EndStep releases the current timestep back to the transport, allowing
 // the writer-side queue to advance, and arms the reader for the next one.
 //
-// The decoded payloads are cleared BEFORE the release: their value
+// The decoded-payload cache is dropped BEFORE the release: its value
 // slices may alias transport-owned frames (zero-copy decode), and on a
 // pooled transport the step's buffers may be recycled the moment this
 // rank's release retires the step. Arrays from ReadBoxScoped end here
-// too: the next step reuses their storage and headers.
+// too: the next step reuses their storage.
 func (r *Reader) EndStep() error {
 	if !r.inStep {
 		return fmt.Errorf("adios: EndStep without BeginStep")
 	}
-	r.dropPayloads()
+	r.decoded = nil
 	r.used = 0
-	r.nheaders = 0
 	if err := r.br.ReleaseStep(r.step); err != nil {
 		return err
 	}
@@ -447,8 +344,8 @@ func (r *Reader) Close() error {
 		return nil
 	}
 	r.closed = true
-	r.writers = nil
-	r.arena, r.headers = nil, nil
+	r.decoded = nil
+	r.arena = nil
 	r.info = nil
 	return r.br.Close()
 }

@@ -1,11 +1,9 @@
 package adios
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"unsafe"
 
@@ -145,20 +143,16 @@ func (r *wireReader) u64() uint64 {
 	return v
 }
 
-func (r *wireReader) str() string { return string(r.strView()) }
-
-// strView decodes a string as a view of r.buf, for callers that only
-// compare it or that convert it themselves.
-func (r *wireReader) strView() []byte {
+func (r *wireReader) str() string {
 	n := int(r.u32())
 	if n > len(r.buf)-r.pos {
 		r.fail("truncated string of length %d", n)
-		return nil
+		return ""
 	}
 	if r.err != nil {
-		return nil
+		return ""
 	}
-	s := r.buf[r.pos : r.pos+n]
+	s := string(r.buf[r.pos : r.pos+n])
 	r.pos += n
 	return s
 }
@@ -322,24 +316,6 @@ func DecodeMeta(buf []byte) (*BlockMeta, error) {
 	return m, nil
 }
 
-// metaStepEnd is where a metadata blob's step field ends: the magic,
-// then the u32 step.
-const metaStepEnd = len(metaMagic) + 4
-
-// sameMetaLayout reports whether blob is prev outside the step field:
-// the same variables, boxes and attributes, declared for another step.
-// prev must be a blob that decoded.
-func sameMetaLayout(prev, blob []byte) bool {
-	return len(blob) == len(prev) &&
-		bytes.Equal(blob[:len(metaMagic)], prev[:len(metaMagic)]) &&
-		bytes.Equal(blob[metaStepEnd:], prev[metaStepEnd:])
-}
-
-// metaStep reads the step field of a blob sameMetaLayout accepted.
-func metaStep(blob []byte) int {
-	return int(binary.LittleEndian.Uint32(blob[len(metaMagic):metaStepEnd]))
-}
-
 // PayloadSize returns the exact encoded size of a payload blob. names
 // and data must be parallel slices.
 func PayloadSize(names []string, data [][]float64) int {
@@ -372,46 +348,6 @@ func EncodePayload(names []string, data [][]float64) []byte {
 	return AppendPayload(make([]byte, 0, PayloadSize(names, data)), names, data)
 }
 
-// payloadBlock is one variable of a decoded payload. Both fields are
-// views of the frame where they can be (see DecodePayload), so a block
-// is valid only as long as the frame is.
-type payloadBlock struct {
-	name []byte
-	vals []float64
-}
-
-// decodePayload parses a payload blob, v2 or v1, into dst[:0], one
-// block per variable in frame order — the order of the variables in the
-// writer's metadata — and returns the extended slice. It is the one
-// payload decoder: DecodePayload is a map-building wrapper over it, and
-// the reader decodes into a slice it keeps from step to step. On error
-// the blocks already decoded are left in dst's backing array.
-func decodePayload(dst []payloadBlock, buf []byte) ([]payloadBlock, error) {
-	r := &wireReader{buf: buf}
-	v1 := len(buf) >= len(payloadMagicV1) && string(buf[:len(payloadMagicV1)]) == payloadMagicV1
-	if v1 {
-		r.magic(payloadMagicV1)
-	} else {
-		r.magic(payloadMagic)
-	}
-	n := int(r.u32())
-	// Cap the pre-allocation: n is attacker-controllable in a corrupt
-	// frame, and each declared variable needs at least 12 bytes of body,
-	// so anything larger than len(buf)/12 is certainly truncated anyway.
-	dst = slices.Grow(dst[:0], min(n, len(buf)/12+1))
-	for i := 0; i < n && r.err == nil; i++ {
-		name := r.strView()
-		dst = append(dst, payloadBlock{name: name, vals: r.f64s(!v1)})
-	}
-	if r.err != nil {
-		return dst, r.err
-	}
-	if r.pos != len(buf) {
-		return dst, fmt.Errorf("adios: decode: %d trailing bytes in payload", len(buf)-r.pos)
-	}
-	return dst, nil
-}
-
 // DecodePayload parses a payload blob, v2 or v1, into a name → values
 // map.
 //
@@ -423,13 +359,27 @@ func decodePayload(dst []payloadBlock, buf []byte) ([]payloadBlock, error) {
 // every decoded view before releasing the step that owns the frame.
 // Callers that need the values to outlive buf must copy them out.
 func DecodePayload(buf []byte) (map[string][]float64, error) {
-	blocks, err := decodePayload(nil, buf)
-	if err != nil {
-		return nil, err
+	r := &wireReader{buf: buf}
+	v1 := len(buf) >= len(payloadMagicV1) && string(buf[:len(payloadMagicV1)]) == payloadMagicV1
+	if v1 {
+		r.magic(payloadMagicV1)
+	} else {
+		r.magic(payloadMagic)
 	}
-	out := make(map[string][]float64, len(blocks))
-	for _, b := range blocks {
-		out[string(b.name)] = b.vals
+	n := int(r.u32())
+	// Cap the pre-allocation: n is attacker-controllable in a corrupt
+	// frame, and each declared variable needs at least 12 bytes of body,
+	// so anything larger than len(buf)/12 is certainly truncated anyway.
+	out := make(map[string][]float64, min(n, len(buf)/12+1))
+	for i := 0; i < n && r.err == nil; i++ {
+		name := r.str()
+		out[name] = r.f64s(!v1)
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	if r.pos != len(buf) {
+		return nil, fmt.Errorf("adios: decode: %d trailing bytes in payload", len(buf)-r.pos)
 	}
 	return out, nil
 }

@@ -21,12 +21,12 @@ import (
 // block's data on any hop — a decode copy, a fresh read array, a fresh
 // kernel output — exceeds the byte bound.
 //
-// Both bounds are what a step measures at 64 Ki points, plus 10 %: 62
-// allocations and about 1.9 KB. One copy of the data per step adds
+// Both bounds are what a step measures at 64 Ki points, plus 10 %: 174
+// allocations and about 7.1 KB. One copy of the data per step adds
 // 512 KiB or more.
 const (
-	steadyAllocsBound = 68
-	steadyBytesBound  = 2100
+	steadyAllocsBound = 191
+	steadyBytesBound  = 7800
 )
 
 // A steady magnitude stage moves each step with one copy of the data
@@ -119,7 +119,8 @@ func steadyMagnitudeStep(t *testing.T, points int) (allocs, bytes float64, misse
 	// A window in which the buffer pool allocated — a frame released on
 	// one processor and asked for on another can miss sync.Pool's
 	// per-processor cache — measures that fresh frame, not the step, so
-	// it is measured again, a few times at most.
+	// it is measured again. About half the first windows see a miss; few
+	// need a third.
 	for try := 0; ; try++ {
 		var before, after runtime.MemStats
 		_, news0, _ := pool.StatsSnapshot()
@@ -130,7 +131,7 @@ func steadyMagnitudeStep(t *testing.T, points int) (allocs, bytes float64, misse
 		runtime.ReadMemStats(&after)
 		_, news1, _ := pool.StatsSnapshot()
 		bytes, misses = float64(after.TotalAlloc-before.TotalAlloc)/runs, news1-news0
-		if misses == 0 || try == 4 {
+		if misses == 0 || try == 9 {
 			break
 		}
 	}

@@ -48,39 +48,17 @@ func New(dims ...Dim) *Array {
 // dimensions. The slice is used directly (not copied); its length must
 // equal the product of the dimension sizes.
 func FromData(data []float64, dims ...Dim) (*Array, error) {
-	if err := checkData(data, dims); err != nil {
-		return nil, err
-	}
-	return &Array{dims: cloneDims(dims), data: data}, nil
-}
-
-// Reset re-points a at data with the given dimensions, as FromData
-// would build it, reusing a's dimension storage. It is for an owner that
-// recycles array headers, such as a reader's step-scoped reads; every
-// holder of a sees the change. On error a is unchanged.
-func (a *Array) Reset(data []float64, dims ...Dim) error {
-	if err := checkData(data, dims); err != nil {
-		return err
-	}
-	a.dims = append(a.dims[:0], dims...)
-	a.data = data
-	return nil
-}
-
-// checkData reports an error unless data is exactly the row-major
-// storage of an array with the given dimensions.
-func checkData(data []float64, dims []Dim) error {
 	n := 1
 	for _, d := range dims {
 		if d.Size < 0 {
-			return fmt.Errorf("ndarray: negative dimension size %d for %q", d.Size, d.Name)
+			return nil, fmt.Errorf("ndarray: negative dimension size %d for %q", d.Size, d.Name)
 		}
 		n *= d.Size
 	}
 	if len(data) != n {
-		return fmt.Errorf("ndarray: data length %d does not match shape volume %d", len(data), n)
+		return nil, fmt.Errorf("ndarray: data length %d does not match shape volume %d", len(data), n)
 	}
-	return nil
+	return &Array{dims: cloneDims(dims), data: data}, nil
 }
 
 // MustFromData is FromData that panics on error; intended for tests and

@@ -12,44 +12,15 @@ import (
 // Trailing axes the region spans whole in both arrays fold into one run,
 // so a block of whole rows is a single copy.
 func CopyRegion(dst *Array, dstOff []int, src *Array, srcOff []int, counts []int) error {
-	if src.NDim() != dst.NDim() {
-		return fmt.Errorf("ndarray: CopyRegion rank mismatch (dst %d, src %d)", dst.NDim(), src.NDim())
-	}
-	return copyRegion(dst, dstOff, src.data, func(i int) int { return src.dims[i].Size }, srcOff, counts)
-}
-
-// CopyRegionFrom is CopyRegion from a flat row-major block of the given
-// shape, so a caller assembling from raw blocks (a reader's decoded
-// payloads) wraps none of them in an Array.
-func CopyRegionFrom(dst *Array, dstOff []int, src []float64, srcShape []int, srcOff []int, counts []int) error {
-	if len(srcShape) != dst.NDim() {
-		return fmt.Errorf("ndarray: CopyRegion rank mismatch (dst %d, src %d)", dst.NDim(), len(srcShape))
-	}
-	n := 1
-	for _, s := range srcShape {
-		if s < 0 {
-			return fmt.Errorf("ndarray: CopyRegion source has negative extent %d", s)
-		}
-		n *= s
-	}
-	if len(src) != n {
-		return fmt.Errorf("ndarray: CopyRegion source length %d does not match shape volume %d", len(src), n)
-	}
-	return copyRegion(dst, dstOff, src, func(i int) int { return srcShape[i] }, srcOff, counts)
-}
-
-// copyRegion is the copy behind CopyRegion and CopyRegionFrom; srcExt
-// gives the source's extent along each of dst's axes.
-func copyRegion(dst *Array, dstOff []int, src []float64, srcExt func(int) int, srcOff []int, counts []int) error {
 	n := dst.NDim()
-	if len(dstOff) != n || len(srcOff) != n || len(counts) != n {
-		return fmt.Errorf("ndarray: CopyRegion rank mismatch (rank %d, offsets %d/%d, counts %d)",
-			n, len(dstOff), len(srcOff), len(counts))
+	if src.NDim() != n || len(dstOff) != n || len(srcOff) != n || len(counts) != n {
+		return fmt.Errorf("ndarray: CopyRegion rank mismatch (dst %d, src %d, offsets %d/%d, counts %d)",
+			n, src.NDim(), len(dstOff), len(srcOff), len(counts))
 	}
 	if err := (Box{Offsets: dstOff, Counts: counts}).validIn(dst.dims); err != nil {
 		return fmt.Errorf("ndarray: CopyRegion destination: %w", err)
 	}
-	if err := (Box{Offsets: srcOff, Counts: counts}).check(n, srcExt); err != nil {
+	if err := (Box{Offsets: srcOff, Counts: counts}).validIn(src.dims); err != nil {
 		return fmt.Errorf("ndarray: CopyRegion source: %w", err)
 	}
 	if Volume(counts) == 0 {
@@ -63,8 +34,8 @@ func copyRegion(dst *Array, dstOff []int, src []float64, srcExt func(int) int, s
 		w.sOff += srcOff[i] * sStride
 		w.add(counts[i], dStride, sStride)
 		dStride *= dst.dims[i].Size
-		sStride *= srcExt(i)
+		sStride *= src.dims[i].Size
 	}
-	w.exec(nil, dst.data, src)
+	w.exec(nil, dst.data, src.data)
 	return nil
 }

@@ -40,49 +40,6 @@ func TestCopyRegionErrors(t *testing.T) {
 	}
 }
 
-// CopyRegionFrom copies from a flat block as CopyRegion does from the
-// same block wrapped in an Array, and checks the block against its shape.
-func TestCopyRegionFrom(t *testing.T) {
-	want := New(Dim{"r", 5}, Dim{"c", 5}).Fill(-1)
-	if err := CopyRegion(want, []int{1, 0}, MustFromData(seq(12), Dim{"r", 3}, Dim{"c", 4}), []int{1, 1}, []int{2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	got := New(Dim{"r", 5}, Dim{"c", 5}).Fill(-1)
-	if err := CopyRegionFrom(got, []int{1, 0}, seq(12), []int{3, 4}, []int{1, 1}, []int{2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatalf("CopyRegionFrom gave %v, CopyRegion %v", got.Data(), want.Data())
-	}
-	if err := CopyRegionFrom(got, []int{0, 0}, seq(11), []int{3, 4}, []int{0, 0}, []int{1, 1}); err == nil {
-		t.Error("block shorter than its shape accepted")
-	}
-	if err := CopyRegionFrom(got, []int{0, 0}, seq(12), []int{-3, -4}, []int{0, 0}, []int{1, 1}); err == nil {
-		t.Error("negative block shape accepted")
-	}
-	if err := CopyRegionFrom(got, []int{0}, seq(12), []int{12}, []int{0}, []int{1}); err == nil {
-		t.Error("rank mismatch accepted")
-	}
-}
-
-// Reset re-points an array as FromData would build it, and leaves it
-// alone on error.
-func TestReset(t *testing.T) {
-	a := MustFromData(seq(6), Dim{"r", 2}, Dim{"c", 3})
-	if err := a.Reset(seq(4), Dim{"x", 4}); err != nil {
-		t.Fatal(err)
-	}
-	if !a.Equal(MustFromData(seq(4), Dim{"x", 4})) {
-		t.Fatalf("after Reset: dims %v data %v", a.Dims(), a.Data())
-	}
-	if err := a.Reset(seq(3), Dim{"x", 4}); err == nil {
-		t.Fatal("Reset accepted data of the wrong length")
-	}
-	if a.Size() != 4 || a.Dim(0).Size != 4 {
-		t.Fatalf("failed Reset changed the array: dims %v", a.Dims())
-	}
-}
-
 func TestCopyRegionEmpty(t *testing.T) {
 	src := MustFromData(seq(4), Dim{"x", 4})
 	dst := New(Dim{"x", 4}).Fill(7)

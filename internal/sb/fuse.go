@@ -182,13 +182,21 @@ func assembleBox(outs []*StepOutput, box ndarray.Box) (*ndarray.Array, error) {
 		if !ok {
 			continue
 		}
+		srcDims := make([]ndarray.Dim, len(inter.Counts))
+		for i := range inter.Counts {
+			srcDims[i] = ndarray.Dim{Size: o.Box.Counts[i]}
+		}
+		src, err := ndarray.FromData(o.Data, srcDims...)
+		if err != nil {
+			return nil, fmt.Errorf("sb: assemble: %w", err)
+		}
 		srcOff := make([]int, len(inter.Offsets))
 		dstOff := make([]int, len(inter.Offsets))
 		for i := range inter.Offsets {
 			srcOff[i] = inter.Offsets[i] - o.Box.Offsets[i]
 			dstOff[i] = inter.Offsets[i] - box.Offsets[i]
 		}
-		if err := ndarray.CopyRegionFrom(dst, dstOff, o.Data, o.Box.Counts, srcOff, inter.Counts); err != nil {
+		if err := ndarray.CopyRegion(dst, dstOff, src, srcOff, inter.Counts); err != nil {
 			return nil, fmt.Errorf("sb: assemble: %w", err)
 		}
 		covered += inter.Volume()
