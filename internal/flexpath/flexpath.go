@@ -463,7 +463,6 @@ func (w *Writer) publishRef(ctx context.Context, step int, meta, payload *pool.B
 		st = &stepState{
 			metas:    make([]*pool.Buf, s.writerSize),
 			payloads: make([]*pool.Buf, s.writerSize),
-			released: make([]bool, s.readerSize),
 		}
 		s.steps[step] = st
 		b.obs.queuedSteps.Add(1)
