@@ -116,10 +116,10 @@ func globalExtremes(comm *mpi.Comm, localMin, localMax float64) (lo, hi float64,
 
 // localExtremes scans one rank's values for their least and greatest,
 // or +Inf and -Inf when there are none. NaN fails both comparisons, so
-// it never wins. The scan, like the binning loop, shards across the
-// kernel worker pool: each shard scans (or bins into) private state,
-// and the shard results merge in shard order, keeping the outcome
-// identical to the serial loop.
+// it never wins. The scan, like the binning loop, shards across
+// goroutines (sb.RunShards): each shard scans (or bins into) private
+// state, and the shard results merge in shard order, keeping the
+// outcome identical to the serial loop.
 func localExtremes(local []float64) (localMin, localMax float64) {
 	shards := sb.ShardCount(len(local))
 	localMin, localMax = math.Inf(1), math.Inf(-1)

@@ -3,6 +3,7 @@ package components
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -321,10 +322,10 @@ func TestComputeHistogramNonFinite(t *testing.T) {
 	inf, nan := math.Inf(1), math.NaN()
 	inputs := [][]float64{{1, inf}, {-inf, 2}, {-inf, inf}, {nan, 1, 2}, {inf}}
 	const bins = 8
-	defer sb.SetKernelWorkers(sb.KernelWorkers())
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(5))
 	for _, workers := range []int{1, 4} {
-		sb.SetKernelWorkers(workers)
+		runtime.GOMAXPROCS(workers)
 		for _, in := range inputs {
 			values := in
 			if workers > 1 { // enough finite values around them for every rank to shard

@@ -64,8 +64,8 @@ func (m *Magnitude) Transform(in *StepIn) (*StepOut, error) {
 	}
 	data := in.Block.Data()
 	out := in.Scratch.Floats(points)
-	// Each point is independent, so the loop shards across the kernel
-	// worker pool (serial on a single-core host).
+	// Each point is independent, so the loop shards across GOMAXPROCS
+	// goroutines (serial on a single-core host).
 	sb.ParallelFor(points, func(lo, hi int) {
 		for p := lo; p < hi; p++ {
 			sum := 0.0

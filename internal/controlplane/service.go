@@ -213,7 +213,7 @@ func (s *Service) logf(format string, args ...any) {
 }
 
 // RegisterTenant registers (or re-registers, updating quotas for) a
-// tenant. Broker-level quotas take effect immediately, adopting any
+// tenant. Broker-level quotas take effect immediately, counting any
 // streams the tenant already owns.
 func (s *Service) RegisterTenant(name string, spec TenantSpec) error {
 	if err := flexpath.ValidTenant(name); err != nil {

@@ -72,14 +72,6 @@ var (
 	ErrWriterLost = errors.New("flexpath: writer lost mid-stream")
 )
 
-// Stats summarizes transport activity, for benchmarks and tests.
-type Stats struct {
-	StepsPublished int   // fully published timesteps across all streams
-	BlocksFetched  int   // FetchBlock calls served
-	BytesPublished int64 // payload + metadata bytes accepted
-	BytesFetched   int64 // payload bytes served to readers
-}
-
 // StreamStat is a post-mortem snapshot of one stream's broker-side
 // state, logged by sbbroker on shutdown.
 type StreamStat struct {
@@ -132,14 +124,13 @@ type stream struct {
 	writerSize int // 0 until the writer group attaches
 	readerSize int // 0 until the reader group attaches
 
-	writers        []slotState // per writer rank
-	lastByRank     []int       // per writer rank: next step it will publish
-	ended          bool
-	lastStep       int   // valid once ended: highest common fully-published step
-	failed         error // non-nil once a writer was lost; wraps ErrWriterLost
-	minStep        int   // lowest unretired step
-	steps          map[int]*stepState
-	stepsPublished int
+	writers    []slotState // per writer rank
+	lastByRank []int       // per writer rank: next step it will publish
+	ended      bool
+	lastStep   int   // valid once ended: highest common fully-published step
+	failed     error // non-nil once a writer was lost; wraps ErrWriterLost
+	minStep    int   // lowest unretired step
+	steps      map[int]*stepState
 
 	readers    []slotState // per reader rank
 	readerNext []int       // per reader rank: next step it has not released
@@ -193,7 +184,6 @@ type Broker struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	streams  map[string]*stream
-	stats    Stats
 	obs      brokerObs
 	logStore *streamlog.Store // nil = no durability (see AttachLog)
 	// tenants holds the registered tenant namespaces (quotas, byte
@@ -208,16 +198,15 @@ type Broker struct {
 // op (metrics on) per event — never a map lookup.
 type brokerObs struct {
 	tracer      *obs.Tracer
-	reg         *obs.Registry         // kept for log metrics registered at AttachLog
-	steps       *obs.Counter          // timesteps fully published
-	retired     *obs.Counter          // timesteps retired (storage recycled)
-	blocks      *obs.Counter          // FetchBlock calls served
-	bytesPub    *obs.Counter          // meta+payload bytes accepted
-	bytesFetch  *obs.Counter          // payload bytes served
-	hbMisses    *obs.Counter          // writer lease expiries (TCP server only)
-	logReplayed *obs.Counter          // historical steps served from the log
-	queuedSteps *obs.Gauge            // buffered, unretired timesteps, all streams
-	tenant      map[string]*tenantObs // tenant-tagged counters, lazily cached
+	reg         *obs.Registry // kept for log metrics registered at AttachLog
+	steps       *obs.Counter  // timesteps fully published
+	retired     *obs.Counter  // timesteps retired (storage recycled)
+	blocks      *obs.Counter  // FetchBlock calls served
+	bytesPub    *obs.Counter  // meta+payload bytes accepted
+	bytesFetch  *obs.Counter  // payload bytes served
+	hbMisses    *obs.Counter  // writer lease expiries (TCP server only)
+	logReplayed *obs.Counter  // historical steps served from the log
+	queuedSteps *obs.Gauge    // buffered, unretired timesteps, all streams
 }
 
 // NewBroker returns an empty broker.
@@ -248,13 +237,6 @@ func (b *Broker) SetObserver(tr *obs.Tracer, reg *obs.Registry) {
 	b.registerLogMetricsLocked()
 }
 
-// Stats returns a snapshot of transport counters.
-func (b *Broker) Stats() Stats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.stats
-}
-
 // StreamStats returns a per-stream snapshot, sorted by stream name.
 func (b *Broker) StreamStats() []StreamStat {
 	b.mu.Lock()
@@ -268,7 +250,7 @@ func (b *Broker) StreamStats() []StreamStat {
 			WritersLive:    countSlots(s.writers, slotLive),
 			ReadersLive:    countSlots(s.readers, slotLive),
 			QueuedSteps:    len(s.steps),
-			StepsPublished: s.stepsPublished,
+			StepsPublished: lastFullyPublished(s) + 1,
 			MinStep:        s.minStep,
 			Ended:          s.ended,
 		}
@@ -286,9 +268,6 @@ func (b *Broker) getStream(name string) *stream {
 	if !ok {
 		s = &stream{name: name, steps: make(map[int]*stepState)}
 		b.streams[name] = s
-		if ts := b.tenantOf(name); ts != nil {
-			ts.streams++
-		}
 	}
 	return s
 }
@@ -471,8 +450,6 @@ func (w *Writer) publishRef(ctx context.Context, step int, meta, payload *pool.B
 	st.payloads[w.rank] = payload
 	st.pubCount++
 	s.lastByRank[w.rank] = step + 1
-	b.tenantAccountPublish(s, nbytes, st.complete())
-	b.stats.BytesPublished += nbytes
 	b.obs.bytesPub.Add(nbytes)
 	if tr := b.obs.tracer; tr.Enabled() {
 		tr.Emit(obs.Span{Kind: obs.KindWriterPublish, Parent: obs.ParentFrom(ctx),
@@ -480,8 +457,6 @@ func (w *Writer) publishRef(ctx context.Context, step int, meta, payload *pool.B
 			Bytes: nbytes, Gen: payload.Gen()})
 	}
 	if st.complete() {
-		s.stepsPublished++
-		b.stats.StepsPublished++
 		b.obs.steps.Inc()
 		if tr := b.obs.tracer; tr.Enabled() {
 			var tot int64
@@ -521,14 +496,8 @@ func (w *Writer) Close() error {
 	s := w.s
 	s.writers[w.rank] = slotDone
 	if countSlots(s.writers, slotDone) == s.writerSize && !s.ended {
-		last := s.lastByRank[0]
-		for _, n := range s.lastByRank[1:] {
-			if n < last {
-				last = n
-			}
-		}
 		s.ended = true
-		s.lastStep = last - 1
+		s.lastStep = lastFullyPublished(s)
 		b.logEnqueueEnd(s, s.lastStep)
 	}
 	b.cond.Broadcast()
@@ -814,8 +783,6 @@ func (r *Reader) fetchLocked(parent obs.SpanID, step, writerRank int) (*pool.Buf
 		return nil, fmt.Errorf("flexpath: writer rank %d out of range [0,%d)", writerRank, len(st.payloads))
 	}
 	buf := st.payloads[writerRank]
-	b.stats.BlocksFetched++
-	b.stats.BytesFetched += int64(buf.Len())
 	b.obs.blocks.Inc()
 	b.obs.bytesFetch.Add(int64(buf.Len()))
 	if tr := b.obs.tracer; tr.Enabled() {
@@ -888,7 +855,6 @@ func (s *stream) retireHead(b *Broker) bool {
 	retired := s.minStep
 	delete(s.steps, s.minStep)
 	s.minStep++
-	b.tenantAccountFree(s, st)
 	b.obs.retired.Inc()
 	b.obs.queuedSteps.Add(-1)
 	if tr := b.obs.tracer; tr.Enabled() {

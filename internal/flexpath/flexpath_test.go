@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func ctxT(t *testing.T) context.Context {
@@ -526,9 +528,13 @@ func TestAttachWriterSpentAfterPeersEndedGroup(t *testing.T) {
 	ctx := ctxT(t)
 	w0, _ := b.AttachWriter("sp.fp", 0, 2, 0)
 	w1, _ := b.AttachWriter("sp.fp", 1, 2, 0)
-	for _, w := range []*Writer{w0, w1} {
+	for i, w := range []*Writer{w0, w1} {
 		if err := w.PublishBlock(ctx, 0, nil, nil); err != nil {
 			t.Fatal(err)
+		}
+		// A step counts as published once its slowest rank publishes it.
+		if n := b.StreamStats()[0].StepsPublished; n != i {
+			t.Fatalf("StepsPublished after %d of 2 ranks = %d, want %d", i+1, n, i)
 		}
 	}
 	w0.Close()
@@ -564,6 +570,8 @@ func TestAttachWriterSpentAfterPeersEndedGroup(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	b := NewBroker()
+	reg := obs.NewRegistry()
+	b.SetObserver(nil, reg)
 	ctx := ctxT(t)
 	w, _ := b.AttachWriter("st.fp", 0, 1, 0)
 	r, _ := b.AttachReader("st.fp", 0, 1)
@@ -576,9 +584,10 @@ func TestStats(t *testing.T) {
 	if _, err := r.FetchBlock(ctx, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	s := b.Stats()
-	if s.StepsPublished != 1 || s.BlocksFetched != 1 || s.BytesPublished != 5 || s.BytesFetched != 3 {
-		t.Fatalf("stats = %+v", s)
+	s := reg.Snapshot()
+	if s["fabric.steps_published"] != 1 || s["fabric.blocks_fetched"] != 1 ||
+		s["fabric.bytes_published"] != 5 || s["fabric.bytes_fetched"] != 3 {
+		t.Fatalf("registry = %v", s)
 	}
 }
 

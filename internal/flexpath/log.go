@@ -311,7 +311,6 @@ func (b *Broker) Recover() (int, error) {
 			s.steps[step] = st
 			b.obs.queuedSteps.Add(1)
 		}
-		s.stepsPublished = next
 		s.logged = next
 		if last, ended := lg.Ended(); ended {
 			s.ended = true

@@ -37,10 +37,24 @@ func waitLogged(t *testing.T, store *streamlog.Store, stream string, next int) {
 	}
 }
 
+// stepsPublished reads one stream's fully published step count from
+// the broker's post-mortem snapshot.
+func stepsPublished(t *testing.T, b *flexpath.Broker, stream string) int {
+	t.Helper()
+	for _, st := range b.StreamStats() {
+		if st.Name == stream {
+			return st.StepsPublished
+		}
+	}
+	t.Fatalf("broker has no stream %q", stream)
+	return 0
+}
+
 // The core crash-recovery loop at broker granularity: publish through a
 // logged broker, drop the broker entirely, rebuild a fresh one from the
 // same directory, and resume — readers see every step, a re-attaching
-// writer resumes exactly after the durable head.
+// writer resumes exactly after the durable head, and the stream's
+// published-step count carries across the detach and the recovery.
 func TestBrokerRecoverFromLog(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -61,6 +75,9 @@ func TestBrokerRecoverFromLog(t *testing.T) {
 	if err := w.Detach(); err != nil {
 		t.Fatal(err)
 	}
+	if n := stepsPublished(t, b1, "rec"); n != 3 {
+		t.Fatalf("StepsPublished after detach = %d, want 3", n)
+	}
 	waitLogged(t, store1, "rec", 3)
 	// "Crash": abandon b1, release the directory.
 	if err := store1.Close(); err != nil {
@@ -78,6 +95,9 @@ func TestBrokerRecoverFromLog(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("recovered %d streams, want 1", n)
 	}
+	if n := stepsPublished(t, b2, "rec"); n != 3 {
+		t.Fatalf("StepsPublished after Recover = %d, want 3", n)
+	}
 	// A re-attaching writer resumes after the durable head.
 	w2, err := b2.AttachWriter("rec", 0, 1, 8)
 	if err != nil {
@@ -88,6 +108,9 @@ func TestBrokerRecoverFromLog(t *testing.T) {
 	}
 	if err := w2.PublishBlock(ctx, 3, []byte("m3"), []byte("p3")); err != nil {
 		t.Fatal(err)
+	}
+	if n := stepsPublished(t, b2, "rec"); n != 4 {
+		t.Fatalf("StepsPublished after the re-attached writer's step = %d, want 4", n)
 	}
 	if err := w2.Close(); err != nil {
 		t.Fatal(err)

@@ -19,8 +19,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"repro/internal/obs"
 )
 
 // Tenant admission errors.
@@ -125,14 +123,14 @@ type TenantStat struct {
 	Evicting  bool
 }
 
-// tenantState is the broker-side accounting of one registered tenant.
-// Only registered tenants (SetTenantQuota / EvictTenant) are tracked;
-// anonymous and unregistered namespaces pay one nil map lookup.
+// tenantState is the broker-side state of one registered tenant
+// (SetTenantQuota / EvictTenant); anonymous and unregistered namespaces
+// pay one nil map lookup. Its footprint is not kept here but summed
+// from the broker's streams when a quota or a snapshot needs it (see
+// tenantFootprint), so it cannot drift from what the broker holds.
 type tenantState struct {
-	quota     TenantQuota
-	streams   int   // live streams in the namespace
-	bytesLive int64 // queued (published, unretired) bytes
-	evicting  bool
+	quota    TenantQuota
+	evicting bool
 }
 
 // tenantOf resolves the registered tenant state a stream belongs to,
@@ -152,15 +150,9 @@ func (b *Broker) tenantEvicting(stream string) bool {
 	return ts != nil && ts.evicting
 }
 
-// SetTenantQuota registers (or re-quotas) a tenant. Streams already
-// live in the namespace are adopted into the accounting, so a quota
-// applied late still sees the tenant's existing footprint.
-func (b *Broker) SetTenantQuota(tenant string, q TenantQuota) error {
-	if err := ValidTenant(tenant); err != nil {
-		return err
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
+// registerTenant returns the tenant's state, registering it first if
+// needed. Caller holds b.mu.
+func (b *Broker) registerTenant(tenant string) *tenantState {
 	ts := b.tenants[tenant]
 	if ts == nil {
 		ts = &tenantState{}
@@ -168,17 +160,33 @@ func (b *Broker) SetTenantQuota(tenant string, q TenantQuota) error {
 			b.tenants = make(map[string]*tenantState)
 		}
 		b.tenants[tenant] = ts
-		// Adopt pre-existing streams of the namespace.
-		for name, s := range b.streams {
-			if owner, _ := SplitTenant(name); owner == tenant {
-				ts.streams++
-				for _, st := range s.steps {
-					ts.bytesLive += stepBytes(st)
-				}
+	}
+	return ts
+}
+
+// tenantFootprint sums the namespace's live streams and their queued
+// (published, unretired) bytes. Caller holds b.mu.
+func (b *Broker) tenantFootprint(tenant string) (streams int, bytesLive int64) {
+	for name, s := range b.streams {
+		if owner, _ := SplitTenant(name); owner == tenant {
+			streams++
+			for _, st := range s.steps {
+				bytesLive += stepBytes(st)
 			}
 		}
 	}
-	ts.quota = q
+	return streams, bytesLive
+}
+
+// SetTenantQuota registers (or re-quotas) a tenant. Streams already
+// live in the namespace count toward the quota like any other.
+func (b *Broker) SetTenantQuota(tenant string, q TenantQuota) error {
+	if err := ValidTenant(tenant); err != nil {
+		return err
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.registerTenant(tenant).quota = q
 	b.cond.Broadcast()
 	return nil
 }
@@ -189,8 +197,8 @@ func (b *Broker) TenantStats() []TenantStat {
 	defer b.mu.Unlock()
 	out := make([]TenantStat, 0, len(b.tenants))
 	for name, ts := range b.tenants {
-		stat := TenantStat{Tenant: name, Quota: ts.quota, Streams: ts.streams,
-			BytesLive: ts.bytesLive, Evicting: ts.evicting}
+		stat := TenantStat{Tenant: name, Quota: ts.quota, Evicting: ts.evicting}
+		stat.Streams, stat.BytesLive = b.tenantFootprint(name)
 		if b.logStore != nil {
 			stat.BytesLog = b.logStore.PrefixBytes(name + "/")
 		}
@@ -212,8 +220,10 @@ func (b *Broker) admitAttach(stream string, depth int, creating, writer bool) er
 	if ts.evicting {
 		return evictedErrf("tenant %q: attach to stream %q refused", tenant, stream)
 	}
-	if creating && ts.quota.MaxStreams > 0 && ts.streams >= ts.quota.MaxStreams {
-		return quotaErrf("tenant %q at its stream cap (%d)", tenant, ts.quota.MaxStreams)
+	if creating && ts.quota.MaxStreams > 0 {
+		if streams, _ := b.tenantFootprint(tenant); streams >= ts.quota.MaxStreams {
+			return quotaErrf("tenant %q at its stream cap (%d)", tenant, ts.quota.MaxStreams)
+		}
 	}
 	if writer && ts.quota.MaxQueueDepth > 0 && depth > ts.quota.MaxQueueDepth {
 		return quotaErrf("tenant %q queue depth %d exceeds cap %d", tenant, depth, ts.quota.MaxQueueDepth)
@@ -233,7 +243,8 @@ func (b *Broker) admitPublish(s *stream, nbytes int64) error {
 		return evictedErrf("tenant %q: publish on stream %q refused", tenant, s.name)
 	}
 	if q := ts.quota.MaxBytes; q > 0 {
-		total := ts.bytesLive + nbytes
+		_, total := b.tenantFootprint(tenant)
+		total += nbytes
 		if b.logStore != nil && !s.logBroken {
 			total += b.logStore.PrefixBytes(tenant + "/")
 		}
@@ -243,55 +254,6 @@ func (b *Broker) admitPublish(s *stream, nbytes int64) error {
 		}
 	}
 	return nil
-}
-
-// tenantAccountPublish charges an accepted block to its tenant's
-// accounting and tenant-tagged registry counters. Caller holds b.mu.
-func (b *Broker) tenantAccountPublish(s *stream, nbytes int64, stepDone bool) {
-	ts := b.tenantOf(s.name)
-	if ts == nil {
-		return
-	}
-	ts.bytesLive += nbytes
-	if b.obs.reg != nil {
-		tenant, _ := SplitTenant(s.name)
-		tc := b.tenantCounters(tenant)
-		tc.bytes.Add(nbytes)
-		if stepDone {
-			tc.steps.Inc()
-		}
-	}
-}
-
-// tenantAccountFree returns a freed step's bytes to its tenant's
-// budget. Caller holds b.mu.
-func (b *Broker) tenantAccountFree(s *stream, st *stepState) {
-	if ts := b.tenantOf(s.name); ts != nil {
-		ts.bytesLive -= stepBytes(st)
-	}
-}
-
-// tenantCounters resolves (and caches) the tenant-tagged registry
-// instruments. Caller holds b.mu; only called with a registry present.
-func (b *Broker) tenantCounters(tenant string) *tenantObs {
-	tc, ok := b.obs.tenant[tenant]
-	if !ok {
-		tc = &tenantObs{
-			steps: b.obs.reg.Counter("tenant." + tenant + ".steps_published"),
-			bytes: b.obs.reg.Counter("tenant." + tenant + ".bytes_published"),
-		}
-		if b.obs.tenant == nil {
-			b.obs.tenant = make(map[string]*tenantObs)
-		}
-		b.obs.tenant[tenant] = tc
-	}
-	return tc
-}
-
-// tenantObs is one tenant's cached registry instruments.
-type tenantObs struct {
-	steps *obs.Counter
-	bytes *obs.Counter
 }
 
 // stepBytes sums a buffered step's meta and payload bytes.
@@ -332,15 +294,7 @@ func (b *Broker) EvictTenant(ctx context.Context, tenant string) error {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	ts := b.tenants[tenant]
-	if ts == nil {
-		ts = &tenantState{}
-		if b.tenants == nil {
-			b.tenants = make(map[string]*tenantState)
-		}
-		b.tenants[tenant] = ts
-	}
-	ts.evicting = true
+	b.registerTenant(tenant).evicting = true
 	b.cond.Broadcast() // unblock the tenant's parked publishers
 	if err := b.wait(ctx, func() bool { return b.tenantDrained(tenant) }); err != nil {
 		return err

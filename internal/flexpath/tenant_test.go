@@ -229,6 +229,48 @@ func TestEvictTenantDrainsBeforeClose(t *testing.T) {
 	}
 }
 
+// A tenant registered by EvictTenant alone, after its streams exist,
+// reports the footprint those streams hold while the drain runs.
+func TestEvictTenantStatsDuringDrain(t *testing.T) {
+	b := NewBroker()
+	ctx := ctxT(t)
+	w, err := b.AttachWriter("ghost/s", 0, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := b.AttachReader("ghost/s", 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 3; step++ {
+		if err := w.PublishBlock(ctx, step, []byte("meta"), []byte("data")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	evicted := make(chan error, 1)
+	go func() { evicted <- b.EvictTenant(ctx, "ghost") }()
+	for len(b.TenantStats()) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	for step := 0; step < 2; step++ {
+		if _, err := r.StepMeta(ctx, step); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.ReleaseStep(step); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := b.TenantStats()[0]; st.Streams != 1 || st.BytesLive != 8 || !st.Evicting {
+		t.Fatalf("stats during the drain = %+v, want 1 stream / 8 bytes, evicting", st)
+	}
+	if err := r.ReleaseStep(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-evicted; err != nil {
+		t.Fatalf("eviction: %v", err)
+	}
+}
+
 func TestEvictTenantUnblocksParkedWriter(t *testing.T) {
 	b := NewBroker()
 	ctx := context.Background()

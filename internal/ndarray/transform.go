@@ -6,8 +6,8 @@ import (
 
 // ShardRunner runs fn over contiguous sub-ranges covering [0,n); the
 // sub-ranges may execute concurrently. It is how this package's
-// data-movement kernels shard across a worker pool without importing
-// one: callers pass sb.ParallelFor (or nil for serial execution).
+// data-movement kernels shard across goroutines without importing the
+// scheduler: callers pass sb.ParallelFor (or nil for serial execution).
 type ShardRunner func(n int, fn func(lo, hi int))
 
 // Transpose returns a new array whose dimension i is the input's dimension

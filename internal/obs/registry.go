@@ -189,8 +189,7 @@ func NewRegistry() *Registry {
 var defaultRegistry = NewRegistry()
 
 // Default returns the process-wide registry. Process-scoped producers
-// (the buffer pool, the kernel worker pool) publish here; sbrun and
-// sbbroker snapshot it.
+// (the buffer pool) publish here; sbrun and sbbroker snapshot it.
 func Default() *Registry { return defaultRegistry }
 
 // Counter returns the named counter, creating it on first use. Nil-safe:

@@ -7,20 +7,18 @@ import (
 
 	"repro/internal/replay"
 	"repro/internal/replay/replaytest"
-	"repro/internal/sb"
 )
 
 // TestReplayDeterminismQuick is the determinism property from the
-// issue: replaying the same component over the same recording under
-// any kernel-worker count and GOMAXPROCS produces bit-identical
-// output. The recording is made once; the property re-replays under
-// randomized parallelism knobs and bit-compares every capture against
-// the first.
+// replaying the same component over the same recording under any
+// GOMAXPROCS, which sets how many shards a kernel splits into, produces
+// bit-identical output. The recording is made once; the property
+// re-replays under randomized GOMAXPROCS and bit-compares every capture
+// against the first.
 func TestReplayDeterminismQuick(t *testing.T) {
 	dir := recordCrack(t)
 	mag := crackStages()[1]
 
-	defer sb.SetKernelWorkers(sb.KernelWorkers())
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
 	baseline := replaytest.Replay(t, dir, mag).Captures["m.fp"]
@@ -28,13 +26,12 @@ func TestReplayDeterminismQuick(t *testing.T) {
 		t.Fatal("baseline capture missing")
 	}
 
-	property := func(workers, procs uint8) bool {
-		sb.SetKernelWorkers(int(workers%8) + 1)
-		runtime.GOMAXPROCS(int(procs%4) + 1)
+	property := func(procs uint8) bool {
+		runtime.GOMAXPROCS(int(procs%8) + 1)
 		got := replaytest.Replay(t, dir, mag).Captures["m.fp"]
 		detail, ok := replay.BitCompare(baseline, got)
 		if !ok {
-			t.Logf("workers=%d procs=%d: %s", workers%8+1, procs%4+1, detail)
+			t.Logf("procs=%d: %s", procs%8+1, detail)
 		}
 		return ok
 	}

@@ -1,135 +1,32 @@
 package sb
 
 import (
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
-
-	"repro/internal/obs"
 )
 
 // Kernel parallelism. Component Transform inner loops (magnitude,
 // dimension reduction, histogram binning) are embarrassingly parallel
-// over array elements, so they shard across a bounded pool of worker
-// goroutines shared by the whole process. The pool is sized by
-// GOMAXPROCS (override with SB_KERNEL_WORKERS or SetKernelWorkers); on
-// a single-core host everything degrades to the plain serial loop with
-// no goroutines and no allocation.
+// over array elements, so each call shards its range across goroutines
+// it starts itself and joins before it returns: no goroutine outlives
+// the call, and no state is shared between calls. The width is
+// GOMAXPROCS; at GOMAXPROCS 1 everything degrades to the plain serial
+// loop with no goroutines and no allocation.
 //
 // Shards are contiguous index ranges, so results are bit-identical to
 // the serial loop for element-wise kernels, and reductions (histogram)
 // merge per-shard partials in shard order to stay deterministic.
 
 // minShardWork is the smallest number of elements worth handing to a
-// worker goroutine; below roughly two shards of this, sharding overhead
+// goroutine; below roughly two shards of this, sharding overhead
 // outweighs the loop.
 const minShardWork = 2048
 
-type parTask struct {
-	lo, hi int
-	fn     func(lo, hi int)
-	wg     *sync.WaitGroup
-}
-
-type kernelPool struct {
-	workers int
-	tasks   chan parTask // nil when workers == 1 (serial)
-}
-
-func newKernelPool(workers int) *kernelPool {
-	p := &kernelPool{workers: workers}
-	if workers > 1 {
-		p.tasks = make(chan parTask)
-		// The submitting goroutine runs shard 0 itself, so workers-1
-		// helpers give `workers` shards executing concurrently.
-		for i := 0; i < workers-1; i++ {
-			go func() {
-				for t := range p.tasks {
-					t.fn(t.lo, t.hi)
-					t.wg.Done()
-				}
-			}()
-		}
-	}
-	return p
-}
-
-var (
-	kpMu   sync.RWMutex
-	kp     *kernelPool
-	kpOnce sync.Once
-)
-
-// The kernel pool publishes its occupancy to the process-wide registry:
-// kernel.runs counts sharded kernel invocations, kernel.shards_active
-// gauges how many shards are executing right now. Instruments resolve
-// once; per-RunShards cost is two atomic ops.
-var (
-	kernelObsOnce sync.Once
-	kernelRuns    *obs.Counter
-	kernelShards  *obs.Gauge
-)
-
-func kernelObs() (*obs.Counter, *obs.Gauge) {
-	kernelObsOnce.Do(func() {
-		reg := obs.Default()
-		kernelRuns = reg.Counter("kernel.runs")
-		kernelShards = reg.Gauge("kernel.shards_active")
-	})
-	return kernelRuns, kernelShards
-}
-
-func ensurePool() {
-	kpOnce.Do(func() {
-		w := runtime.GOMAXPROCS(0)
-		if s := os.Getenv("SB_KERNEL_WORKERS"); s != "" {
-			if v, err := strconv.Atoi(s); err == nil && v > 0 {
-				w = v
-			}
-		}
-		kpMu.Lock()
-		if kp == nil {
-			kp = newKernelPool(w)
-		}
-		kpMu.Unlock()
-	})
-}
-
-// KernelWorkers reports the current kernel pool width.
-func KernelWorkers() int {
-	ensurePool()
-	kpMu.RLock()
-	defer kpMu.RUnlock()
-	return kp.workers
-}
-
-// SetKernelWorkers resizes the kernel pool (n < 1 is clamped to 1,
-// meaning serial). In-flight kernels finish on the old pool before it
-// is torn down; the swap is safe against concurrent RunShards calls,
-// which hold the read lock for their full duration.
-func SetKernelWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	ensurePool()
-	kpMu.Lock()
-	old := kp
-	kp = newKernelPool(n)
-	kpMu.Unlock()
-	if old != nil && old.tasks != nil {
-		close(old.tasks) // idle helpers exit; no submitter can hold old (they re-read kp under the lock)
-	}
-}
-
 // ShardCount returns how many shards RunShards should split n elements
-// into under the current pool: at most the pool width, and never so
-// many that a shard drops below minShardWork elements.
+// into: at most GOMAXPROCS, and never so many that a shard drops below
+// minShardWork elements.
 func ShardCount(n int) int {
-	ensurePool()
-	kpMu.RLock()
-	w := kp.workers
-	kpMu.RUnlock()
+	w := runtime.GOMAXPROCS(0)
 	if m := n / minShardWork; w > m {
 		w = m
 	}
@@ -141,43 +38,34 @@ func ShardCount(n int) int {
 
 // RunShards partitions [0,n) into `shards` contiguous ranges and runs
 // fn(shard, lo, hi) for each, returning when all are done. Shard 0 runs
-// on the calling goroutine; the rest go to pool helpers (or run inline
-// serially when the pool is serial — the shard *count* is honoured
-// either way, so callers can allocate per-shard state from ShardCount
-// and trust every shard index appears exactly once).
+// on the calling goroutine and the rest on goroutines of this call, so
+// callers can allocate per-shard state from ShardCount and trust every
+// shard index appears exactly once. A single shard runs inline.
 func RunShards(n, shards int, fn func(shard, lo, hi int)) {
 	if n <= 0 || shards <= 0 {
 		return
 	}
-	runs, active := kernelObs()
-	runs.Inc()
-	active.Add(int64(shards))
-	defer active.Add(-int64(shards))
-	chunk := (n + shards - 1) / shards
-	ensurePool()
-	kpMu.RLock()
-	defer kpMu.RUnlock()
-	if kp.tasks == nil || shards == 1 {
-		for s := 0; s < shards; s++ {
-			lo, hi := min(s*chunk, n), min((s+1)*chunk, n)
-			fn(s, lo, hi)
-		}
+	if shards == 1 {
+		fn(0, 0, n)
 		return
 	}
+	chunk := (n + shards - 1) / shards
 	var wg sync.WaitGroup
 	wg.Add(shards - 1)
 	for s := 1; s < shards; s++ {
-		s := s
-		lo, hi := min(s*chunk, n), min((s+1)*chunk, n)
-		kp.tasks <- parTask{lo: lo, hi: hi, wg: &wg, fn: func(lo, hi int) { fn(s, lo, hi) }}
+		go func(s int) {
+			defer wg.Done()
+			fn(s, min(s*chunk, n), min((s+1)*chunk, n))
+		}(s)
 	}
 	fn(0, 0, min(chunk, n))
 	wg.Wait()
 }
 
 // ParallelFor runs fn over contiguous sub-ranges covering [0,n),
-// sharded across the kernel pool. For n below the sharding threshold
-// (or a serial pool) this is exactly fn(0, n) on the caller.
+// sharded across GOMAXPROCS goroutines. For n below the sharding
+// threshold (or at GOMAXPROCS 1) this is exactly fn(0, n) on the
+// caller.
 func ParallelFor(n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return

@@ -1,18 +1,18 @@
 package sb
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
-// withWorkers runs the body with the kernel pool at the given width,
-// restoring the previous width afterward.
+// withWorkers runs the body with GOMAXPROCS, and so the kernel shard
+// width, at n, restoring the previous value afterward.
 func withWorkers(t *testing.T, n int, body func()) {
 	t.Helper()
-	prev := KernelWorkers()
-	SetKernelWorkers(n)
-	defer SetKernelWorkers(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
 	body()
 }
 
@@ -98,26 +98,25 @@ func TestConcurrentKernelsShareThePool(t *testing.T) {
 	})
 }
 
-func TestSetKernelWorkersDuringKernels(t *testing.T) {
+// A sharded kernel's goroutines end with its call: once RunShards and
+// ParallelFor return, the goroutine count is back where it was.
+func TestShardedKernelsLeaveNoGoroutines(t *testing.T) {
 	withWorkers(t, 4, func() {
-		var wg sync.WaitGroup
-		stop := make(chan struct{})
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				ParallelFor(8192, func(lo, hi int) {})
-			}
-		}()
-		for i := 0; i < 20; i++ {
-			SetKernelWorkers(1 + i%5)
+		before := runtime.NumGoroutine()
+		const n = 50_000
+		shards := ShardCount(n)
+		if shards < 2 {
+			t.Fatalf("%d elements at width 4 gave %d shards", n, shards)
 		}
-		close(stop)
-		wg.Wait()
+		RunShards(n, shards, func(_, _, _ int) {})
+		ParallelFor(n, func(_, _ int) {})
+		// A goroutine that has called wg.Done may not have exited yet.
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() != before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if got := runtime.NumGoroutine(); got != before {
+			t.Fatalf("%d goroutines after the kernels, %d before", got, before)
+		}
 	})
 }
