@@ -25,14 +25,15 @@
 // component offline against it. A `supervise restarts=N backoff=D
 // step-timeout=D` directive restarts stages that fail with a retryable
 // error, and a `fuse` directive applies the stage-fusion pass before
-// launching.
+// launching (with -v, each fused chain is logged).
 //
 // -explain prints the plan (stages, per-edge transports, fusion, lint)
 // and exits without running: 0 when the wiring is clean or only warns,
 // 1 when lint reports an error — the error sbrun would refuse to
 // launch on.
 //
-// Example script:
+// Example script (the paper's workflows ship as scripts like this one
+// under examples/):
 //
 //	aprun -n 4 lammps dump.fp atoms 20000 5 &
 //	aprun -n 2 select dump.fp atoms 1 sel.fp lmpsel vx vy vz &
@@ -48,9 +49,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"slices"
 	"sort"
-	"strings"
 	"syscall"
 	"time"
 
@@ -94,8 +93,7 @@ func main() {
 
 	// Wiring check: a misnamed stream would otherwise wedge the whole job
 	// (readers block forever on a stream nobody publishes).
-	issues := plan.Issues()
-	fatal := slices.ContainsFunc(issues, func(i workflow.LintIssue) bool { return i.Severity == "error" })
+	fatal := len(plan.Errors()) > 0
 	if *explain {
 		fmt.Print(plan.Explain())
 		if fatal {
@@ -103,28 +101,18 @@ func main() {
 		}
 		return
 	}
-	for _, issue := range issues {
+	for _, issue := range plan.Issues() {
 		fmt.Fprintln(os.Stderr, "sbrun:", issue)
 	}
 	if fatal {
 		log.Fatalf("sbrun: refusing to launch a mis-wired workflow (see errors above)")
 	}
-
-	// Stage fusion: collapse eligible adjacent stages into single fused
-	// stages before launching.
-	if spec.Fuse {
-		fused, err := plan.Fuse()
-		if err != nil {
-			log.Fatalf("sbrun: %v", err)
-		}
-		for _, g := range fused.Groups {
-			fmt.Fprintf(os.Stderr, "sbrun: fused stages %v as %s (streams elided: %v)\n",
-				g.Stages, strings.Join(g.Parts, "+"), g.Elided)
-		}
-		if len(fused.Groups) == 0 && *verbose {
-			log.Printf("sbrun: fuse requested but no stage chain is eligible")
-		}
-		spec = fused.Spec
+	var opts workflow.Options
+	if *verbose {
+		opts.Logf = log.Printf
+	}
+	if spec, err = plan.LaunchSpec(opts.Logf); err != nil {
+		log.Fatalf("sbrun: %v", err)
 	}
 
 	// Open the fabric: the workflow default backend, plus — when the
@@ -176,10 +164,6 @@ func main() {
 		}
 	}
 
-	var opts workflow.Options
-	if *verbose {
-		opts.Logf = log.Printf
-	}
 	var tracer *obs.Tracer
 	if *tracePath != "" {
 		tracer = obs.NewTracer(*traceRing)

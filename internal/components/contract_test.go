@@ -38,7 +38,7 @@ var componentContract = map[string]struct {
 // TestEveryRegisteredComponentHonorsTheContract walks the registry: each
 // component constructs from its documented arguments, reports its
 // registry name from Name(), and declares exactly the streams its
-// arguments name — the properties the launch scripts and workflow.Lint
+// arguments name — the properties the launch scripts and the plan lint
 // depend on.
 func TestEveryRegisteredComponentHonorsTheContract(t *testing.T) {
 	for _, name := range Names() {

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -591,7 +592,10 @@ func (s *Service) Close() error {
 // sbrun executes from disk, but fabric-owning directives (transport,
 // log) are refused — the broker service decides where streams live and
 // what is journaled, not the tenant. A supervise directive is the
-// tenant's to set: it rides in the spec to the submission's run.
+// tenant's to set: it rides in the spec to the submission's run. A
+// fuse directive is applied here, so the returned spec is the one that
+// runs. A script whose plan lint reports an error is refused, naming
+// the error.
 func ValidateScript(name, script string) (workflow.Spec, error) {
 	if name == "" {
 		name = "workflow"
@@ -608,8 +612,18 @@ func ValidateScript(name, script string) (workflow.Spec, error) {
 		return workflow.Spec{}, fmt.Errorf(
 			"controlplane: script %q: the log directive is owned by the broker service", name)
 	}
-	if err := spec.Validate(); err != nil {
+	// Refuse a mis-wired script as sbrun does: admitted, its reader would
+	// block forever on a stream no stage publishes, holding one of the
+	// tenant's workflow slots.
+	plan, err := workflow.BuildPlan(spec)
+	if err != nil {
 		return workflow.Spec{}, err
 	}
-	return spec, nil
+	if errs := plan.Errors(); len(errs) > 0 {
+		return workflow.Spec{}, fmt.Errorf("controlplane: script %q is mis-wired: %s",
+			name, strings.Join(errs, "; "))
+	}
+	// Fuse here, once, so the submission's status lists the stages that
+	// run from the moment it exists.
+	return plan.LaunchSpec(nil)
 }

@@ -211,6 +211,81 @@ func TestSubmitRejectsUnknownTenantAndBadScripts(t *testing.T) {
 	}
 }
 
+// TestSubmitRefusesMisWiredScript: a script whose stage subscribes to a
+// stream no stage publishes is refused at Submit, naming the stream —
+// admitted, its reader would wait forever and hold the tenant's only
+// workflow slot.
+func TestSubmitRefusesMisWiredScript(t *testing.T) {
+	s, _ := newTestService(t)
+	mustRegister(t, s, "alice", TenantSpec{MaxWorkflows: 1})
+	script := "aprun -n 1 gromacs pos.fp xyz 48 2 7 &\n" +
+		"aprun -n 1 magnitude typo.fp xyz dist.fp radii &\n" +
+		"aprun -n 1 histogram dist.fp radii 4 &\nwait\n"
+	_, err := s.Submit("alice", SubmitRequest{Name: "typo", Script: script})
+	if err == nil || !strings.Contains(err.Error(), `stream "typo.fp" subscribed by stage 1 (magnitude) but published by no stage`) {
+		t.Fatalf("mis-wired submit: err = %v, want the dangling subscription named", err)
+	}
+	if list, _ := s.List("alice"); len(list) != 0 {
+		t.Fatalf("a refused submission appeared in the table: %+v", list)
+	}
+	// The slot is free: a well-wired script is admitted and runs.
+	st, err := s.Submit("alice", SubmitRequest{Name: "demo", Script: demoScript(filepath.Join(t.TempDir(), "hist.txt"))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if final, err := s.Wait(ctx, "alice", st.ID); err != nil || final.State != StateSucceeded {
+		t.Fatalf("well-wired submit: state %q, err %v", final.State, err)
+	}
+}
+
+// TestSubmitFuseDirective: a submitted script's fuse directive runs its
+// fusable chain as one stage, as sbrun does; the status lists the fused
+// stage from admission on, and the fused components still report under
+// their own names.
+func TestSubmitFuseDirective(t *testing.T) {
+	s, _ := newTestService(t)
+	mustRegister(t, s, "alice", TenantSpec{})
+	script := fmt.Sprintf(`fuse
+aprun -n 1 gromacs pos.fp xyz 48 2 7 &
+aprun -n 1 scale pos.fp xyz 10 0 ang.fp xyz &
+aprun -n 1 magnitude ang.fp xyz dist.fp radii &
+aprun -n 1 histogram dist.fp radii 4 %s &
+wait
+`, filepath.Join(t.TempDir(), "hist.txt"))
+	const want = "gromacs scale+magnitude histogram"
+	stages := func(st Status) string {
+		var names []string
+		for _, stage := range st.Stages {
+			names = append(names, stage.Component)
+		}
+		return strings.Join(names, " ")
+	}
+	st, err := s.Submit("alice", SubmitRequest{Name: "fused", Script: script})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stages(st); got != want {
+		t.Fatalf("admitted status lists stages %q, want %q", got, want)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	final, err := s.Wait(ctx, "alice", st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != StateSucceeded {
+		t.Fatalf("final state = %q, err = %q", final.State, final.Err)
+	}
+	if got := stages(final); got != want {
+		t.Fatalf("stages ran as %q, want %q", got, want)
+	}
+	if final.Metrics["comp.scale.step_samples"] == 0 || final.Metrics["comp.magnitude.step_samples"] == 0 {
+		t.Fatalf("fused components did not report under their own names: %v", final.Metrics)
+	}
+}
+
 func TestSubmitIdempotencyKey(t *testing.T) {
 	s, _ := newTestService(t)
 	mustRegister(t, s, "alice", TenantSpec{})

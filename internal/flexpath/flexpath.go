@@ -89,9 +89,9 @@ type StreamStat struct {
 
 // stepState is one buffered timestep of one stream. Blocks are held as
 // refcounted buffers: the broker owns one reference from publish until
-// retirement, and hands the same storage to every reader of the fan-out
-// (borrowed for the life of the step, or retained via the *Refs
-// accessors for uses that may outlive it, like a TCP response write).
+// retirement, and lends the same storage to every reader of the fan-out
+// until that reader releases the step. A rank that released a step can
+// no longer read it, so its views never outlive its own release.
 type stepState struct {
 	metas    []*pool.Buf // one slot per writer rank
 	payloads []*pool.Buf
@@ -103,6 +103,11 @@ type stepState struct {
 // published its block.
 func (st *stepState) complete() bool {
 	return len(st.metas) > 0 && st.pubCount == len(st.metas)
+}
+
+// releasedBy reports whether reader rank released the step.
+func (st *stepState) releasedBy(rank int) bool {
+	return rank < len(st.released) && st.released[rank]
 }
 
 // free drops the broker's references on every stored block, recycling
@@ -677,29 +682,6 @@ func (r *Reader) StepMeta(ctx context.Context, step int) ([][]byte, error) {
 	return out, nil
 }
 
-// StepMetaRefs is StepMeta returning retained references: each blob
-// stays valid until the caller releases it, even if the step retires
-// underneath (used by the TCP server, whose response write races other
-// ranks' releases). The caller must Release every returned Buf.
-func (r *Reader) StepMetaRefs(ctx context.Context, step int) ([]*pool.Buf, error) {
-	b := r.b
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	st, err := r.stepMetaLocked(ctx, step)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*pool.Buf, len(st.metas))
-	for i, m := range st.metas {
-		out[i] = m.Retain()
-	}
-	if tr := b.obs.tracer; tr.Enabled() {
-		tr.Emit(obs.Span{Kind: obs.KindReaderMeta, Parent: obs.ParentFrom(ctx),
-			Stream: r.s.name, Step: step, Rank: r.rank, Peer: -1})
-	}
-	return out, nil
-}
-
 // stepMetaLocked blocks until step is fully published and returns its
 // state. Caller holds the broker lock.
 func (r *Reader) stepMetaLocked(ctx context.Context, step int) (*stepState, error) {
@@ -724,6 +706,9 @@ func (r *Reader) stepMetaLocked(ctx context.Context, step int) (*stepState, erro
 		return nil, ErrClosed
 	}
 	if st, ok := s.steps[step]; ok && st.complete() {
+		if st.releasedBy(r.rank) {
+			return nil, fmt.Errorf("%w: step %d already released by reader rank %d", ErrStepRetired, step, r.rank)
+		}
 		return st, nil
 	}
 	if s.failed != nil {
@@ -747,20 +732,6 @@ func (r *Reader) FetchBlock(ctx context.Context, step, writerRank int) ([]byte, 
 	return buf.Bytes(), nil
 }
 
-// FetchBlockRef is FetchBlock returning a retained reference, valid
-// until the caller releases it regardless of step retirement. The caller
-// must Release the returned Buf.
-func (r *Reader) FetchBlockRef(ctx context.Context, step, writerRank int) (*pool.Buf, error) {
-	b := r.b
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	buf, err := r.fetchLocked(obs.ParentFrom(ctx), step, writerRank)
-	if err != nil {
-		return nil, err
-	}
-	return buf.Retain(), nil
-}
-
 // fetchLocked looks up one writer rank's payload. Caller holds the
 // broker lock.
 func (r *Reader) fetchLocked(parent obs.SpanID, step, writerRank int) (*pool.Buf, error) {
@@ -778,6 +749,9 @@ func (r *Reader) fetchLocked(parent obs.SpanID, step, writerRank int) (*pool.Buf
 			return nil, s.failed
 		}
 		return nil, fmt.Errorf("flexpath: stream %q step %d not yet published", s.name, step)
+	}
+	if st.releasedBy(r.rank) {
+		return nil, fmt.Errorf("%w: step %d already released by reader rank %d", ErrStepRetired, step, r.rank)
 	}
 	if writerRank < 0 || writerRank >= len(st.payloads) {
 		return nil, fmt.Errorf("flexpath: writer rank %d out of range [0,%d)", writerRank, len(st.payloads))
@@ -844,7 +818,7 @@ func (s *stream) retireHead(b *Broker) bool {
 	}
 	fullyReleased := true
 	for rank := 0; rank < s.readerSize; rank++ {
-		if rank >= len(st.released) || !st.released[rank] {
+		if !st.releasedBy(rank) {
 			if s.readers[rank] != slotDone {
 				return false
 			}

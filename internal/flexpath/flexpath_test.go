@@ -472,6 +472,33 @@ func TestReattachedReaderGatesStepsItReReads(t *testing.T) {
 	}
 }
 
+// TestReleasedStepUnreadable: a rank that released a step can no longer
+// read it, even while a peer still holds the step. Its views are valid
+// only until its own release, so a read after it would lend storage the
+// peer's release may recycle at any moment.
+func TestReleasedStepUnreadable(t *testing.T) {
+	b := NewBroker()
+	ctx := ctxT(t)
+	w, _ := b.AttachWriter("rel.fp", 0, 1, 0)
+	r0, _ := b.AttachReader("rel.fp", 0, 2)
+	r1, _ := b.AttachReader("rel.fp", 1, 2)
+	if err := w.PublishBlock(ctx, 0, []byte("m"), []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := r0.ReleaseStep(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r0.StepMeta(ctx, 0); !errors.Is(err, ErrStepRetired) {
+		t.Fatalf("StepMeta after own release = %v, want ErrStepRetired", err)
+	}
+	if _, err := r0.FetchBlock(ctx, 0, 0); !errors.Is(err, ErrStepRetired) {
+		t.Fatalf("FetchBlock after own release = %v, want ErrStepRetired", err)
+	}
+	if p, err := r1.FetchBlock(ctx, 0, 0); err != nil || string(p) != "x" {
+		t.Fatalf("peer still holding step 0 reads %q, %v", p, err)
+	}
+}
+
 func TestReaderCloseUnwedgesWriter(t *testing.T) {
 	// A departed consumer must not block the producer (failure injection).
 	b := NewBroker()

@@ -14,11 +14,11 @@ import (
 
 // TestPooledFanOutRefcounts hammers the refcounted buffer path under the
 // race detector: one writer publishes pooled blocks through a bounded
-// queue to four reader ranks that fetch concurrently via both the view
-// API (FetchBlock/StepMeta) and the retained-ref API, while one rank
-// closes early mid-stream. Every payload carries a checksum verified
-// after the pooled storage has been through recycle/reuse cycles, so a
-// premature recycle shows up as corruption even without -race.
+// queue to four reader ranks that fetch concurrently through the view
+// API (StepMeta/FetchBlock), while one rank closes early mid-stream.
+// Every payload carries a checksum verified after the pooled storage
+// has been through recycle/reuse cycles, so a premature recycle shows
+// up as corruption even without -race.
 func TestPooledFanOutRefcounts(t *testing.T) {
 	const (
 		steps   = 40
@@ -89,41 +89,19 @@ func TestPooledFanOutRefcounts(t *testing.T) {
 				if rank == 3 && step == steps/3 {
 					return
 				}
-				var meta, payload []byte
-				if rank%2 == 0 {
-					metas, err := r.StepMeta(ctx, step)
-					if err == io.EOF {
-						return
-					}
-					if err != nil {
-						errc <- err
-						return
-					}
-					meta = metas[0]
-					payload, err = r.FetchBlock(ctx, step, 0)
-					if err != nil {
-						errc <- err
-						return
-					}
-				} else {
-					metas, err := r.StepMetaRefs(ctx, step)
-					if err == io.EOF {
-						return
-					}
-					if err != nil {
-						errc <- err
-						return
-					}
-					pref, err := r.FetchBlockRef(ctx, step, 0)
-					if err != nil {
-						metas[0].Release()
-						errc <- err
-						return
-					}
-					meta = append([]byte(nil), metas[0].Bytes()...)
-					payload = append([]byte(nil), pref.Bytes()...)
-					metas[0].Release()
-					pref.Release()
+				metas, err := r.StepMeta(ctx, step)
+				if err == io.EOF {
+					return
+				}
+				if err != nil {
+					errc <- err
+					return
+				}
+				meta := metas[0]
+				payload, err := r.FetchBlock(ctx, step, 0)
+				if err != nil {
+					errc <- err
+					return
 				}
 				wantSum := binary.LittleEndian.Uint64(meta)
 				if got := crc32AsU64(payload); got != wantSum {
@@ -181,24 +159,28 @@ func TestPooledViewInvalidAfterRelease(t *testing.T) {
 		copy(payload.Bytes(), "payload!")
 		done <- w.PublishBlockRef(ctx, 0, meta, payload)
 	}()
-	if _, err := r.StepMeta(ctx, 0); err != nil {
+	metas, err := r.StepMeta(ctx, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := r.FetchBlockRef(ctx, 0, 0)
+	view, err := r.FetchBlock(ctx, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
+	// Until this rank releases, the step cannot retire: the views hold.
+	if string(metas[0]) != "meta" || string(view) != "payload!" {
+		t.Fatalf("views before release: %q, %q", metas[0], view)
+	}
+	kept := append([]byte(nil), view...)
 	if err := r.ReleaseStep(0); err != nil {
 		t.Fatal(err)
 	}
-	// The retained ref keeps the bytes valid past retirement.
-	if string(ref.Bytes()) != "payload!" {
-		t.Fatalf("retained ref corrupted: %q", ref.Bytes())
+	if string(kept) != "payload!" {
+		t.Fatalf("copy taken before release corrupted: %q", kept)
 	}
-	ref.Release()
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}

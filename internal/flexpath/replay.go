@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"repro/internal/obs"
-	"repro/internal/pool"
 	"repro/internal/streamlog"
 )
 
@@ -281,23 +280,6 @@ func (r *ReplayReader) StepMeta(ctx context.Context, step int) ([][]byte, error)
 	return r.cache.metas, nil
 }
 
-// StepMetaRefs is StepMeta returning wrapped references, satisfying the
-// same contract the TCP server uses for live readers. The refs share
-// StepMeta's lifetime: a live serve is a reader-owned copy, but a log
-// serve may be an mmap view of a sealed segment, so they are valid only
-// until the step is released.
-func (r *ReplayReader) StepMetaRefs(ctx context.Context, step int) ([]*pool.Buf, error) {
-	metas, err := r.StepMeta(ctx, step)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*pool.Buf, len(metas))
-	for i, m := range metas {
-		out[i] = pool.Wrap(m)
-	}
-	return out, nil
-}
-
 // FetchBlock returns one writer rank's payload for the step.
 func (r *ReplayReader) FetchBlock(ctx context.Context, step, writerRank int) ([]byte, error) {
 	if err := r.ensure(ctx, step); err != nil {
@@ -306,15 +288,6 @@ func (r *ReplayReader) FetchBlock(ctx context.Context, step, writerRank int) ([]
 	r.b.mu.Lock()
 	defer r.b.mu.Unlock()
 	return r.cache.block(writerRank)
-}
-
-// FetchBlockRef is FetchBlock returning a wrapped reference.
-func (r *ReplayReader) FetchBlockRef(ctx context.Context, step, writerRank int) (*pool.Buf, error) {
-	p, err := r.FetchBlock(ctx, step, writerRank)
-	if err != nil {
-		return nil, err
-	}
-	return pool.Wrap(p), nil
 }
 
 // ReleaseStep advances the reader's position past step and drops the

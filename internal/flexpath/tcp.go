@@ -721,21 +721,20 @@ func (s *Server) serveWriter(conn net.Conn, resp *[]byte, next func() (frame, bo
 	}
 }
 
-// servedReader is the broker-side surface serveReader drives: satisfied
-// by both live *Reader handles and catch-up *ReplayReader sessions, so
-// one wire loop serves both attachment kinds.
-type servedReader interface {
-	WriterSize(ctx context.Context) (int, error)
-	StepMetaRefs(ctx context.Context, step int) ([]*pool.Buf, error)
-	FetchBlockRef(ctx context.Context, step, writerRank int) (*pool.Buf, error)
-	ReleaseStep(step int) error
-	Close() error
-	Detach() error
-}
-
-// serveReader answers a reader's fetches by slot reference when the
-// payload sits in shm's segment; a nil shm answers every fetch inline.
-func (s *Server) serveReader(conn net.Conn, resp *[]byte, next func() (frame, bool), arm func() (context.Context, func()), r servedReader, shm *shmServerState) {
+// serveReader drives one broker-side reader handle — a live *Reader or
+// a catch-up *ReplayReader — through the ReaderHandle contract,
+// answering fetches by slot reference when the payload sits in shm's
+// segment; a nil shm answers every fetch inline.
+//
+// The views StepMeta and FetchBlock return are written to the wire
+// without copying or retaining them. That is safe because a served
+// step cannot retire before this connection's own ReleaseStep or
+// Close, this loop issues those only after the response is written,
+// and the broker refuses a rank's read of a step it already released
+// (ErrStepRetired), so a client cannot request a view a peer's release
+// may recycle. A ReplayReader gates nothing, but its views live until
+// its own release.
+func (s *Server) serveReader(conn net.Conn, resp *[]byte, next func() (frame, bool), arm func() (context.Context, func()), r ReaderHandle, shm *shmServerState) {
 	// A dropped reader connection is a departed rank (graceful, un-gates
 	// retirement) — unless the server severed it itself during Shutdown,
 	// in which case the rank is still alive elsewhere and the handle is
@@ -775,10 +774,7 @@ func (s *Server) serveReader(conn net.Conn, resp *[]byte, next func() (frame, bo
 				return
 			}
 			opCtx, release := arm()
-			// Hold references across the response write: another rank's
-			// release could retire the step — and recycle its pooled
-			// buffers — while the bytes are still being serialized.
-			metas, err := r.StepMetaRefs(opCtx, step)
+			metas, err := r.StepMeta(opCtx, step)
 			release()
 			if err != nil {
 				if respondErr(conn, resp, err) != nil {
@@ -786,16 +782,12 @@ func (s *Server) serveReader(conn net.Conn, resp *[]byte, next func() (frame, bo
 				}
 				continue
 			}
-			werr := respondOK(conn, resp, func(f *frameWriter) {
+			if respondOK(conn, resp, func(f *frameWriter) {
 				f.u32(uint32(len(metas)))
 				for _, m := range metas {
-					f.bytes(m.Bytes())
+					f.bytes(m)
 				}
-			})
-			for _, m := range metas {
-				m.Release()
-			}
-			if werr != nil {
+			}) != nil {
 				return
 			}
 		case opFetchBlock:
@@ -806,7 +798,7 @@ func (s *Server) serveReader(conn net.Conn, resp *[]byte, next func() (frame, bo
 				return
 			}
 			opCtx, release := arm()
-			payload, err := r.FetchBlockRef(opCtx, step, writerRank)
+			inline, err := r.FetchBlock(opCtx, step, writerRank)
 			release()
 			if err != nil {
 				if respondErr(conn, resp, err) != nil {
@@ -820,7 +812,6 @@ func (s *Server) serveReader(conn net.Conn, resp *[]byte, next func() (frame, bo
 			// payload in a segment slot goes by reference instead.
 			f := &frameWriter{buf: (*resp)[:0]}
 			f.u8(stOK)
-			inline := payload.Bytes()
 			if ref, ok := shm.ref(inline); ok {
 				f.slotRef(ref)
 				inline = nil
@@ -829,7 +820,6 @@ func (s *Server) serveReader(conn net.Conn, resp *[]byte, next func() (frame, bo
 			}
 			werr := writeFrameVec(conn, &vecs, 0, f.buf, inline)
 			*resp = f.buf[:0]
-			payload.Release()
 			if werr != nil {
 				return
 			}

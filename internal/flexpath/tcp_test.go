@@ -74,3 +74,42 @@ func TestTCPServerClose(t *testing.T) {
 		t.Fatal("publish after server close succeeded")
 	}
 }
+
+// TestTCPReleasedStepUnreadable: the server writes broker views to the
+// socket without retaining them, which is safe only because a reader
+// connection cannot read a step it already released. A client that
+// releases a step and then asks for it again is refused, so a slow
+// socket cannot hold storage a peer's release recycles.
+func TestTCPReleasedStepUnreadable(t *testing.T) {
+	_, client := startServer(t)
+	ctx := ctxT(t)
+	w, err := client.AttachWriter("rel.fp", 0, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	var rs [2]ReaderHandle
+	for rank := range rs {
+		r, err := client.AttachReader("rel.fp", rank, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		rs[rank] = r
+	}
+	if err := w.PublishBlock(ctx, 0, []byte("m"), []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := rs[0].ReleaseStep(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rs[0].StepMeta(ctx, 0); !errors.Is(err, ErrStepRetired) {
+		t.Fatalf("StepMeta after own release = %v, want ErrStepRetired", err)
+	}
+	if _, err := rs[0].FetchBlock(ctx, 0, 0); !errors.Is(err, ErrStepRetired) {
+		t.Fatalf("FetchBlock after own release = %v, want ErrStepRetired", err)
+	}
+	if p, err := rs[1].FetchBlock(ctx, 0, 0); err != nil || string(p) != "x" {
+		t.Fatalf("peer still holding step 0 reads %q, %v", p, err)
+	}
+}

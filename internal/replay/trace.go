@@ -2,9 +2,7 @@ package replay
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"io"
 
 	"repro/internal/streamlog"
 )
@@ -59,22 +57,10 @@ func readTrace(store *streamlog.Store, stream string) (*StreamTrace, error) {
 		QueueDepth: cfg.QueueDepth,
 		LastStep:   -1,
 	}
-	it := lg.Iter()
-	for {
-		step, metas, payloads, release, err := it.Next()
+	for step, head := lg.FirstStep(), lg.NextStep(); step < head; step++ {
+		metas, payloads, release, err := lg.ReadStepView(step)
 		if err != nil {
-			if errors.Is(err, io.EOF) {
-				tr.Ended = true
-				tr.LastStep, _ = lg.Ended()
-				return tr, nil
-			}
-			if errors.Is(err, streamlog.ErrTruncated) {
-				if n := len(tr.Steps); n > 0 {
-					tr.LastStep = tr.Steps[n-1].Step
-				}
-				return tr, nil
-			}
-			return nil, fmt.Errorf("replay: stream %q step %d: %w", stream, it.NextStep(), err)
+			return nil, fmt.Errorf("replay: stream %q step %d: %w", stream, step, err)
 		}
 		sb := StepBlobs{Step: step, Metas: make([][]byte, len(metas)), Payloads: make([][]byte, len(payloads))}
 		for i := range metas {
@@ -84,6 +70,14 @@ func readTrace(store *streamlog.Store, stream string) (*StreamTrace, error) {
 		release()
 		tr.Steps = append(tr.Steps, sb)
 	}
+	// A recording without an end record just stops (crash, kill, or a log
+	// still being written): its last step is the last one it holds.
+	if last, ended := lg.Ended(); ended {
+		tr.Ended, tr.LastStep = true, last
+	} else if n := len(tr.Steps); n > 0 {
+		tr.LastStep = tr.Steps[n-1].Step
+	}
+	return tr, nil
 }
 
 // BitCompare checks two traces for byte identity: same steps in the

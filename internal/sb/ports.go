@@ -7,7 +7,7 @@ package sb
 // array as well as the stream, which is what lets the planner check
 // that two fused kernels actually hand the same variable to each other
 // instead of merely meeting on a stream. It is the only way a component
-// declares its streams: workflow.Lint and the planner read nothing else.
+// declares its streams: the planner and its lint read nothing else.
 
 // PortDir distinguishes subscription from publication.
 type PortDir int

@@ -146,12 +146,13 @@ func FuzzSegmentDecode(f *testing.F) {
 	})
 }
 
-// FuzzReplayIter drives the replay step-iterator over arbitrary (often
-// corrupted or truncated) log directories opened read-only, split into
-// up to two segment files to also exercise the cross-segment walk. The
-// iterator must never panic and never serve a torn step: every step it
-// yields decoded cleanly from a CRC-valid record, and iteration always
-// terminates with io.EOF, ErrTruncated, or a descriptive error. The
+// FuzzReplayIter drives the replay walk — FirstStep up to NextStep
+// through ReadStepView, as replay.ReadTrace reads a recording — over
+// arbitrary (often corrupted or truncated) log directories opened
+// read-only, split into up to two segment files to also exercise the
+// cross-segment walk. The walk must never panic and never serve a torn
+// step: every step it yields decoded cleanly from a CRC-valid record,
+// and it stops at the head or at a descriptive error. The
 // read-only open must leave the corrupted files byte-for-byte intact,
 // and no view may leak regardless of where iteration stopped.
 func FuzzReplayIter(f *testing.F) {
@@ -193,16 +194,10 @@ func FuzzReplayIter(f *testing.F) {
 		if err != nil {
 			return // refusing corrupt input cleanly is fine; panicking is not
 		}
-		it := l.Iter()
-		served := 0
-		budget := l.NextStep() - l.FirstStep() + 1
-		for {
-			if served > budget {
-				t.Fatalf("iterator served %d steps, more than the %d indexed", served, budget)
-			}
-			step, metas, payloads, release, err := it.Next()
+		for step, head := l.FirstStep(), l.NextStep(); step < head; step++ {
+			metas, payloads, release, err := l.ReadStepView(step)
 			if err != nil {
-				break // io.EOF, ErrTruncated, or corruption detected — all clean
+				break // corruption detected — a clean stop
 			}
 			if len(metas) == 0 || len(metas) != len(payloads) {
 				t.Fatalf("step %d served with %d/%d blobs", step, len(metas), len(payloads))
@@ -211,7 +206,7 @@ func FuzzReplayIter(f *testing.F) {
 			// disagree with a pread of the same record.
 			cm, cp, rerr := l.ReadStep(step)
 			if rerr != nil {
-				t.Fatalf("step %d served by iterator but unreadable via ReadStep: %v", step, rerr)
+				t.Fatalf("step %d served as a view but unreadable via ReadStep: %v", step, rerr)
 			}
 			for i := range cm {
 				if string(cm[i]) != string(metas[i]) || string(cp[i]) != string(payloads[i]) {
@@ -220,7 +215,6 @@ func FuzzReplayIter(f *testing.F) {
 			}
 			release()
 			release() // releases are idempotent
-			served++
 		}
 		if views := l.OpenViews(); views != 0 {
 			t.Fatalf("%d views leaked after iteration", views)

@@ -105,12 +105,6 @@ var (
 	// ErrReadOnly is returned by every mutating operation on a log
 	// opened with Options.ReadOnly.
 	ErrReadOnly = errors.New("streamlog: log is read-only")
-	// ErrTruncated is reported by a StepIter that reached the log head
-	// without finding an end record: the recording stopped mid-stream
-	// (crash, kill, or a live log still being written). Every step before
-	// the head was served intact — the error only says the stream's tail
-	// is unknown.
-	ErrTruncated = errors.New("streamlog: log ends without an end record")
 )
 
 // FsyncMode selects when appends reach stable storage.

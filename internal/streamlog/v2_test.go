@@ -3,7 +3,6 @@ package streamlog
 import (
 	"bytes"
 	"encoding/binary"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -127,7 +126,7 @@ func TestPayloadsAreAligned(t *testing.T) {
 
 // TestReadsV1Records keeps the original, unpadded step record readable:
 // a segment framed by hand in the v1 layout reads back byte-equal
-// through ReadStep, ReadStepView and Iter, and a writable open appends
+// through ReadStep and ReadStepView, and a writable open appends
 // v2 steps behind it.
 func TestReadsV1Records(t *testing.T) {
 	const ranks, steps = 2, 4
@@ -175,21 +174,6 @@ func TestReadsV1Records(t *testing.T) {
 		check("ReadStepView", s, metas, payloads)
 		release()
 	}
-	it := ro.Iter()
-	for {
-		s, metas, payloads, release, err := it.Next()
-		if err == ErrTruncated {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("Iter", s, metas, payloads)
-		release()
-	}
-	if it.NextStep() != steps {
-		t.Fatalf("Iter stopped at step %d, want %d", it.NextStep(), steps)
-	}
 	ro.Close()
 	if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, seg) {
 		t.Fatalf("read-only open changed the v1 segment (err %v)", err)
@@ -210,8 +194,8 @@ func TestReadsV1Records(t *testing.T) {
 	}
 	check("mixed", 0, metas, payloads)
 	checkStep(t, r, steps, ranks)
-	if _, _, _, _, err := r.IterFrom(steps + 1).Next(); err != io.EOF {
-		t.Fatalf("past head: %v, want io.EOF", err)
+	if last, ended := r.Ended(); !ended || last != steps {
+		t.Fatalf("Ended() = %d, %v; want %d, true", last, ended, steps)
 	}
 }
 

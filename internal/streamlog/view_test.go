@@ -2,7 +2,6 @@ package streamlog
 
 import (
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -26,55 +25,10 @@ func record(t *testing.T, dir string, ranks, steps int) {
 	}
 }
 
-func TestIterWalksEndedLog(t *testing.T) {
-	dir := t.TempDir()
-	record(t, dir, 2, 5)
-	l := mustLog(t, dir, Options{ReadOnly: true})
-	it := l.Iter()
-	for want := 0; want < 5; want++ {
-		step, metas, payloads, release, err := it.Next()
-		if err != nil {
-			t.Fatalf("step %d: %v", want, err)
-		}
-		if step != want || len(metas) != 2 || len(payloads) != 2 {
-			t.Fatalf("got step %d with %d/%d blobs, want %d with 2/2", step, len(metas), len(payloads), want)
-		}
-		checkStep(t, l, step, 2)
-		release()
-	}
-	if _, _, _, _, err := it.Next(); err != io.EOF {
-		t.Fatalf("past head: got %v, want io.EOF", err)
-	}
-	if views := l.OpenViews(); views != 0 {
-		t.Fatalf("leaked %d views after full iteration", views)
-	}
-}
-
-func TestIterTruncatedLog(t *testing.T) {
-	dir := t.TempDir()
-	l := mustLog(t, dir, Options{})
-	if err := l.SetConfig(Config{WriterSize: 1, QueueDepth: 2}); err != nil {
-		t.Fatal(err)
-	}
-	appendStep(t, l, 0, 1)
-	appendStep(t, l, 1, 1)
-	l.Close() // no end record: the recording just stops
-
-	ro := mustLog(t, dir, Options{ReadOnly: true})
-	it := ro.Iter()
-	for want := 0; want < 2; want++ {
-		step, _, _, release, err := it.Next()
-		if err != nil || step != want {
-			t.Fatalf("step %d: got %d, %v", want, step, err)
-		}
-		release()
-	}
-	if _, _, _, _, err := it.Next(); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("truncated head: got %v, want ErrTruncated", err)
-	}
-}
-
-func TestIterFromBelowHorizon(t *testing.T) {
+// TestReadStepViewBelowHorizon pins the retention edge of the view
+// path: a step below the horizon is ErrEvicted, and the horizon itself
+// still serves.
+func TestReadStepViewBelowHorizon(t *testing.T) {
 	dir := t.TempDir()
 	l := mustLog(t, dir, Options{SegmentBytes: 256, RetainSteps: 2})
 	if err := l.SetConfig(Config{WriterSize: 1, QueueDepth: 2}); err != nil {
@@ -89,19 +43,14 @@ func TestIterFromBelowHorizon(t *testing.T) {
 	if l.FirstStep() == 0 {
 		t.Fatal("retention evicted nothing; test needs a horizon")
 	}
-	if _, _, _, _, err := l.IterFrom(0).Next(); !errors.Is(err, ErrEvicted) {
+	if _, _, _, err := l.ReadStepView(0); !errors.Is(err, ErrEvicted) {
 		t.Fatalf("below horizon: got %v, want ErrEvicted", err)
 	}
-	// Iter starts at the horizon and serves everything still readable.
-	it := l.Iter()
-	first, _, _, release, err := it.Next()
+	_, _, release, err := l.ReadStepView(l.FirstStep())
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("horizon step %d: %v", l.FirstStep(), err)
 	}
 	release()
-	if first != l.FirstStep() {
-		t.Fatalf("Iter started at %d, want horizon %d", first, l.FirstStep())
-	}
 }
 
 func TestReadOnlyRejectsMutation(t *testing.T) {

@@ -3,8 +3,6 @@ package workflow
 import (
 	"bytes"
 	"context"
-	"errors"
-	"io"
 	"sync"
 	"testing"
 	"time"
@@ -24,8 +22,8 @@ type loggedStep struct {
 }
 
 // readLogged loads every journaled step of one stream from a recording
-// directory, plus whether the stream ended gracefully.
-func readLogged(t *testing.T, dir, stream string) ([]loggedStep, bool) {
+// directory, failing the test unless the stream ended gracefully.
+func readLogged(t *testing.T, dir, stream string) []loggedStep {
 	t.Helper()
 	store, err := streamlog.OpenStore(dir, streamlog.Options{ReadOnly: true})
 	if err != nil {
@@ -37,15 +35,10 @@ func readLogged(t *testing.T, dir, stream string) ([]loggedStep, bool) {
 		t.Fatal(err)
 	}
 	var steps []loggedStep
-	it := lg.Iter()
-	for {
-		step, metas, payloads, release, err := it.Next()
+	for step, head := lg.FirstStep(), lg.NextStep(); step < head; step++ {
+		metas, payloads, release, err := lg.ReadStepView(step)
 		if err != nil {
-			if errors.Is(err, io.EOF) {
-				_, ended := lg.Ended()
-				return steps, ended
-			}
-			t.Fatalf("stream %q step %d: %v", stream, it.NextStep(), err)
+			t.Fatalf("stream %q step %d: %v", stream, step, err)
 		}
 		ls := loggedStep{step: step, metas: make([][]byte, len(metas)), payloads: make([][]byte, len(payloads))}
 		for i := range metas {
@@ -55,14 +48,18 @@ func readLogged(t *testing.T, dir, stream string) ([]loggedStep, bool) {
 		release()
 		steps = append(steps, ls)
 	}
+	if _, ended := lg.Ended(); !ended {
+		t.Fatalf("stream %q: recording ends without an end record", stream)
+	}
+	return steps
 }
 
 // assertLoggedIdentical demands the stream's recording in got is byte
 // for byte the recording in want.
 func assertLoggedIdentical(t *testing.T, wantDir, gotDir, stream string) {
 	t.Helper()
-	want, wantEnded := readLogged(t, wantDir, stream)
-	got, gotEnded := readLogged(t, gotDir, stream)
+	want := readLogged(t, wantDir, stream)
+	got := readLogged(t, gotDir, stream)
 	if len(got) != len(want) {
 		t.Fatalf("stream %q: %d step(s) recorded, want %d", stream, len(got), len(want))
 	}
@@ -78,9 +75,6 @@ func assertLoggedIdentical(t *testing.T, wantDir, gotDir, stream string) {
 				t.Fatalf("stream %q step %d rank %d: payload differs from the solo run", stream, want[i].step, r)
 			}
 		}
-	}
-	if gotEnded != wantEnded {
-		t.Fatalf("stream %q: ended=%v, want %v", stream, gotEnded, wantEnded)
 	}
 }
 

@@ -67,12 +67,22 @@ func TestFusionEquivalenceLAMMPS(t *testing.T) {
 		t.Fatalf("all-in-one output diverged:\nunfused: %+v\naio:     %+v", a, got)
 	}
 
+	// Run applies the fusion pass itself when the spec asks for it, and
+	// reports the spec that ran.
 	histB := newHistT(t, "velos.fp", "velocities", "16")
-	fused := fuseSpecT(t, lammpsWorkflowSpec(histB))
-	if strings.Join(fused.Groups[0].Parts, "+") != "select+magnitude" {
-		t.Fatalf("fused groups = %+v", fused.Groups)
+	spec := lammpsWorkflowSpec(histB)
+	spec.Fuse = true
+	res := runT(t, spec)
+	var ran []string
+	for _, st := range res.Stages {
+		ran = append(ran, st.Component.Name())
 	}
-	res := runT(t, fused.Spec)
+	if got := strings.Join(ran, " "); got != "histogram select+magnitude lammps" {
+		t.Fatalf("fused run ran stages %q", got)
+	}
+	if len(res.Spec.Stages) != len(ran) {
+		t.Fatalf("result reports %d stages in its spec, %d ran", len(res.Spec.Stages), len(ran))
+	}
 
 	a, b := histA.Results(), histB.Results()
 	if len(a) == 0 || !reflect.DeepEqual(a, b) {

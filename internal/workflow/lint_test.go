@@ -9,11 +9,11 @@ import (
 
 func lintT(t *testing.T, spec Spec) []LintIssue {
 	t.Helper()
-	issues, err := Lint(spec)
+	plan, err := BuildPlan(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return issues
+	return plan.Issues()
 }
 
 func hasIssue(issues []LintIssue, severity, substr string) bool {
@@ -126,10 +126,10 @@ func TestLintOpaqueStageSuppressesGlobalChecks(t *testing.T) {
 }
 
 func TestLintBadSpec(t *testing.T) {
-	if _, err := Lint(Spec{Name: "empty"}); err == nil {
+	if _, err := BuildPlan(Spec{Name: "empty"}); err == nil {
 		t.Fatal("empty spec linted")
 	}
-	if _, err := Lint(Spec{Name: "x", Stages: []Stage{{Component: "nope", Procs: 1}}}); err == nil {
+	if _, err := BuildPlan(Spec{Name: "x", Stages: []Stage{{Component: "nope", Procs: 1}}}); err == nil {
 		t.Fatal("unknown component linted")
 	}
 }

@@ -17,6 +17,17 @@ import (
 // from launch-line order. The plan is what lint checks, what `sbrun
 // -explain` prints, and what the stage-fusion optimizer rewrites.
 
+// LintIssue is one wiring problem Plan.Issues finds in a spec.
+type LintIssue struct {
+	// Severity is "error" for wiring that cannot work (a subscribed
+	// stream nobody publishes) and "warning" for suspicious but runnable
+	// wiring (a published stream nobody consumes).
+	Severity string
+	Message  string
+}
+
+func (i LintIssue) String() string { return i.Severity + ": " + i.Message }
+
 // PlanNode is one stage of the plan: the stage as specified, the
 // instantiated (but not yet running) component, and its declared ports.
 type PlanNode struct {
@@ -68,7 +79,7 @@ func portsOf(comp sb.Component) (ins, outs []sb.Port, ok bool) {
 // BuildPlan validates the spec, instantiates its components (without
 // running them), and derives the dataflow graph from their declared
 // ports. Stage instantiation errors surface here, synchronously — the
-// same early-failure property Lint has always had.
+// same early-failure property Run has.
 func BuildPlan(spec Spec) (*Plan, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -210,7 +221,9 @@ func (p *Plan) subscribers() map[string][]*PlanNode {
 	return m
 }
 
-// Issues cross-checks the plan's wiring:
+// Issues cross-checks the plan's wiring before anything launches — a
+// typo in one stream name would otherwise wedge the whole job, since
+// readers block forever waiting for a writer that never comes:
 //
 //   - self-loops (a stage consuming its own output) are an error;
 //   - two stages publishing the same stream is an error (a stream has
@@ -285,6 +298,18 @@ func (p *Plan) Issues() []LintIssue {
 		return issues[i].Message < issues[j].Message
 	})
 	return issues
+}
+
+// Errors returns the message of every error-level issue: the wiring a
+// launch refuses, at every entry point that launches a plan.
+func (p *Plan) Errors() []string {
+	var errs []string
+	for _, issue := range p.Issues() {
+		if issue.Severity == "error" {
+			errs = append(errs, issue.Message)
+		}
+	}
+	return errs
 }
 
 // findCycle returns the node indices of one dataflow cycle involving at
@@ -432,6 +457,7 @@ type FusedSpec struct {
 func (p *Plan) Fuse() (*FusedSpec, error) {
 	groups := p.FusionGroups()
 	fs := &FusedSpec{Spec: p.Spec, Groups: groups}
+	fs.Spec.Fuse = false // the pass has run; the result never fuses again
 	if len(groups) == 0 {
 		return fs, nil
 	}
@@ -473,6 +499,30 @@ func (p *Plan) Fuse() (*FusedSpec, error) {
 		})
 	}
 	return fs, nil
+}
+
+// LaunchSpec returns the spec to launch: the plan's own, or — when it
+// sets Fuse — the fused spec, with each collapsed chain logged to logf
+// (nil silences it). The result has Fuse cleared, so Run launches it
+// as is.
+func (p *Plan) LaunchSpec(logf func(format string, args ...any)) (Spec, error) {
+	if !p.Spec.Fuse {
+		return p.Spec, nil
+	}
+	fused, err := p.Fuse()
+	if err != nil {
+		return Spec{}, err
+	}
+	if logf != nil {
+		for _, g := range fused.Groups {
+			logf("workflow: fused stages %v as %s (streams elided: %v)",
+				g.Stages, strings.Join(g.Parts, "+"), g.Elided)
+		}
+		if len(fused.Groups) == 0 {
+			logf("workflow: fuse requested but no stage chain is eligible")
+		}
+	}
+	return fused.Spec, nil
 }
 
 // StageSubset is one stage cut out of the plan for isolated

@@ -309,12 +309,23 @@ func Retryable(err error) bool {
 }
 
 // Run launches every stage of the workflow concurrently over the given
-// transport and waits for all of them to finish. The first stage error
-// cancels the whole run (unblocking components waiting on streams) but
-// all stages are still awaited so the returned Result is complete.
+// transport and waits for all of them to finish. A spec that sets Fuse
+// runs the stage-fusion pass first, so Result.Spec is the spec that
+// actually ran. The first stage error cancels the whole run (unblocking
+// components waiting on streams) but all stages are still awaited so
+// the returned Result is complete.
 func Run(ctx context.Context, transport sb.Transport, spec Spec, opts Options) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
+	}
+	if spec.Fuse {
+		plan, err := BuildPlan(spec)
+		if err != nil {
+			return nil, err
+		}
+		if spec, err = plan.LaunchSpec(opts.Logf); err != nil {
+			return nil, err
+		}
 	}
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
